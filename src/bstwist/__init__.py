@@ -16,7 +16,7 @@ from .homs import (
 from .intmat import IntMatrix, SNFResult, coker_order, snf
 from .models import (
     AffineElement, FreeWord, KleinElement, PermutedProduct, PowRational,
-    affine_mul, bs1n_embed, bsmm_embed, klein_embed, model_equal_oracle,
+    bs1n_embed, bsmm_embed, klein_embed, model_equal_oracle,
 )
 from .reidemeister import (
     BallReport, Certificate, ReidemeisterOutcome, certify_infinite,

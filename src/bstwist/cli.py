@@ -291,6 +291,10 @@ def _outcome_text(outcome) -> str:
 
 
 def main(argv=None) -> int:
+    # Exact answers can have more digits than CPython's default int/str
+    # conversion limit (4300 since 3.11); lift it for this process.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

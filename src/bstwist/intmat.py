@@ -8,7 +8,6 @@ integer types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -211,15 +210,11 @@ def left_kernel_functional(M: IntMatrix) -> tuple[int, ...] | None:
     return None
 
 
-def det_exact(M: IntMatrix) -> int:
-    return M.det()
-
-
 def is_unimodular(M: IntMatrix) -> bool:
     return M.rows == M.cols and abs(M.det()) == 1
 
 
 __all__ = [
     "IntMatrix", "SNFResult", "snf", "coker_order",
-    "left_kernel_functional", "det_exact", "is_unimodular", "Fraction",
+    "left_kernel_functional", "is_unimodular",
 ]

@@ -102,10 +102,6 @@ class AffineElement:
         return f"({self.t}, {self.k})"
 
 
-def affine_mul(e1: AffineElement, e2: AffineElement) -> AffineElement:
-    return e1 * e2
-
-
 def _affine_n(group: GroupSpec) -> int:
     """Ambient n of the affine model, after folding m = -1 into B(1,-n)."""
     if group.m == 1:

@@ -13,16 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .abelian import AbelianMap, fixed_functional, twisted_class_count
 from .errors import BoxTooSmall, GroupMismatch, UnsupportedGroup, WrongFamily
 from .homs import (
     EndoSpec, endo_apply, endo_validate, identity_endo, kappa, kappa_scale,
-    kernel_generator,
 )
 from .models import (
-    AFFINE, KLEIN, PERMUTED, AffineElement, FreeWord, KleinElement,
-    PermutedProduct, PowRational, model_embed, model_family,
+    AFFINE, KLEIN, PERMUTED, AffineElement, KleinElement, PermutedProduct,
+    model_embed, model_family,
 )
 from .words import A, B, GroupSpec, Word, exp_sum, format_word, parse_word, power, word
 
@@ -356,122 +356,232 @@ class BallReport:
         }
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+class IndexUnionFind:
+    """Union-find over the indices 0..size-1, counting successful merges."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
         self.merges = 0
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
 
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
+    def union(self, x: int, y: int) -> None:
+        parent = self.parent  # find, inlined: this is the enumerator's inner loop
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            parent[x] = y
             self.merges += 1
 
 
-def _klein_box(bounds):
+# Each model family is a substrate: a box of plain int/tuple keys, the key
+# of a model element, and twist kernels.  A kernel is built once from the
+# model images psi(g) and phi(g)^-1 of one generator g and maps the key of
+# x to the key of (psi(g) x) phi(g)^-1 with Python ints only, or to None
+# when that image has no key.  Box membership is decided by the caller.
+
+
+def _klein_box(bounds: dict, group: GroupSpec) -> list:
     u_max, v_max = bounds["u"], bounds["v"]
-    return [KleinElement(u, v)
-            for u in range(-u_max, u_max + 1)
+    return [(u, v) for u in range(-u_max, u_max + 1)
             for v in range(-v_max, v_max + 1)]
 
 
-def _affine_box(bounds, n):
+def _klein_key(element: KleinElement, bounds: dict):
+    return (element.u, element.v)
+
+
+def _klein_twist(pg: KleinElement, fg: KleinElement, bounds: dict):
+    """(u, v) -> (pu + s u + s (-1)^v fu, pv + v + fv), s = (-1)^pv."""
+    pu, fu, shift = pg.u, fg.u, pg.v + fg.v
+    sign = -1 if pg.v % 2 else 1
+
+    def image(key):
+        u, v = key
+        return (pu + sign * u + (-sign if v % 2 else sign) * fu, v + shift)
+    return image
+
+
+def _affine_exp(bounds: dict) -> int:
+    """e: the box holds (p / |n|^e, k) for |p| <= t, |k| <= k."""
+    e = bounds.get("e", min(bounds["k"], 4))
+    if e < 0:
+        raise ValueError(f"the affine box needs e >= 0, got e = {e}")
+    return e
+
+
+def _affine_box(bounds: dict, group: GroupSpec) -> list:
     k_max, t_max = bounds["k"], bounds["t"]
-    denom_exp = bounds.get("e", min(k_max, 4))
-    base = abs(n)
-    elements = {}
-    for p in range(-t_max, t_max + 1):
-        t = PowRational.make(p, denom_exp, base)
-        for k in range(-k_max, k_max + 1):
-            elements[(p, k)] = AffineElement(t, k, n)
-    return elements, denom_exp
+    return [(p, k) for p in range(-t_max, t_max + 1)
+            for k in range(-k_max, k_max + 1)]
 
 
-def _affine_key(e: AffineElement, denom_exp: int):
-    if e.t.exp > denom_exp:
+def _affine_key(element: AffineElement, bounds: dict):
+    e = _affine_exp(bounds)
+    t = element.t
+    if t.exp > e:
         return None  # finer denominator than the lattice carries
-    return (e.t.num * e.t.base ** (denom_exp - e.t.exp), e.k)
+    return (t.num * t.base ** (e - t.exp), element.k)
 
 
-def _free_words(m: int, max_len: int):
-    words = [FreeWord()]
-    frontier = [FreeWord()]
+def _affine_twist(pg: AffineElement, fg: AffineElement, bounds: dict):
+    """(p, k) -> key of (pt + t / n^pk + ft / n^(pk + k), pk + k + fk).
+
+    With t = p / |n|^e, every term is an integer over |n|^(e + lift) for
+    the `lift` below and every k in the box, so the image's numerator over
+    |n|^e is that integer divided by |n|^lift, and it exists exactly when
+    |n|^lift divides it (the lowest-terms exponent is at most e).
+    """
+    base, e, k_max = pg.t.base, _affine_exp(bounds), bounds["k"]
+    pk = pg.k
+
+    def sign(j):  # 1 / n^j = sign(j) / |n|^j
+        return -1 if pg.n < 0 and j % 2 else 1
+
+    lift = max(0, pg.t.exp - e, pk, fg.t.exp + pk + k_max - e)
+    unit = base ** lift
+    scale = sign(pk) * base ** (lift - pk)
+    const = pg.t.num * base ** (e + lift - pg.t.exp)
+    offset = {k: const + fg.t.num * sign(pk + k) * base ** (e + lift - fg.t.exp - pk - k)
+              for k in range(-k_max, k_max + 1)}
+    shift = pk + fg.k
+
+    def image(key):
+        p, k = key
+        num, rest = divmod(p * scale + offset[k], unit)
+        return None if rest else (num, k + shift)
+    return image
+
+
+def _free_reduce(*parts) -> tuple:
+    """Freely reduced product of syllable tuples ((index, exp), ...)."""
+    stack = []
+    for part in parts:
+        for idx, exp in part:
+            if stack and stack[-1][0] == idx:
+                exp += stack.pop()[1]
+                if not exp:
+                    continue
+            stack.append((idx, exp))
+    return tuple(stack)
+
+
+def _shift(syllables: tuple, k: int, m: int) -> tuple:
+    """sigma^k on a syllable tuple, x_j -> x_(j+k mod m)."""
+    return tuple(((i - 1 + k) % m + 1, e) for i, e in syllables)
+
+
+def _free_words(m: int, max_len: int) -> list:
+    """Reduced words over x_1..x_m of length <= max_len, shortest first."""
+    words = [()]
+    frontier = [()]
     for _ in range(max_len):
         nxt = []
         for w in frontier:
             for idx in range(1, m + 1):
                 for exp in (1, -1):
-                    candidate = w * FreeWord.generator(idx, exp)
-                    if candidate.length() == w.length() + 1:
-                        nxt.append(candidate)
+                    if w and w[-1][0] == idx:
+                        if (w[-1][1] > 0) == (exp > 0):
+                            nxt.append(w[:-1] + ((idx, w[-1][1] + exp),))
+                    else:
+                        nxt.append(w + ((idx, exp),))
         frontier = nxt
         words.extend(frontier)
-    return list(dict.fromkeys(words))
+    return words
 
 
-def _permuted_box(bounds, m: int):
-    l_max, k_max = bounds["l"], bounds["k"]
-    return [PermutedProduct(w, k, m)
-            for w in _free_words(m, l_max)
+def _permuted_box(bounds: dict, group: GroupSpec) -> list:
+    k_max = bounds["k"]
+    return [(w, k) for w in _free_words(abs(group.m), bounds["l"])
             for k in range(-k_max, k_max + 1)]
+
+
+def _permuted_key(element: PermutedProduct, bounds: dict):
+    return (element.w.syllables, element.k)
+
+
+def _permuted_twist(pg: PermutedProduct, fg: PermutedProduct, bounds: dict):
+    """(w, k) -> (pw sigma^pk(w) sigma^(pk+k)(fw), pk + k + fk)."""
+    m, pw, pk = pg.m, pg.w.syllables, pg.k
+    tails = [_shift(fg.w.syllables, r, m) for r in range(m)]
+    shift = pk + fg.k
+    products = {}  # the free part depends on w and (pk + k) mod m only
+
+    def image(key):
+        w, k = key
+        r = (pk + k) % m
+        product = products.get((w, r))
+        if product is None:
+            product = products[w, r] = _free_reduce(pw, _shift(w, pk, m), tails[r])
+        return (product, k + shift)
+    return image
+
+
+@dataclass(frozen=True)
+class _Substrate:
+    box: Callable  # (bounds, group) -> keys in box order
+    key_of: Callable  # (model element, bounds) -> key or None
+    twist: Callable  # (psi(g), phi(g)^-1, bounds) -> key -> key or None
+    enumerate_bounds: dict
+    witness_bounds: dict
+
+
+_SUBSTRATES = {
+    KLEIN: _Substrate(_klein_box, _klein_key, _klein_twist,
+                      {"u": 64, "v": 8}, {"u": 48, "v": 10}),
+    AFFINE: _Substrate(_affine_box, _affine_key, _affine_twist,
+                       {"k": 10, "t": 200, "e": 4}, {"k": 12, "t": 200, "e": 4}),
+    PERMUTED: _Substrate(_permuted_box, _permuted_key, _permuted_twist,
+                         {"l": 4, "k": 6}, {"l": 3, "k": 12}),
+}
+_GENERATORS = (word([(A, 1)]), word([(A, -1)]), word([(B, 1)]), word([(B, -1)]))
+
+
+def _twist_kernels(substrate: _Substrate, group: GroupSpec, phi: EndoSpec,
+                   psi: EndoSpec, bounds: dict) -> list:
+    return [substrate.twist(model_embed(endo_apply(psi, g), group),
+                            model_embed(endo_apply(phi, g), group).inverse(),
+                            bounds)
+            for g in _GENERATORS]
+
+
+def _check_inputs(group: GroupSpec, phi: EndoSpec, psi: EndoSpec | None) -> None:
+    for tag, spec in (("phi", phi), ("psi", psi)):
+        if spec is not None and spec.group != group:
+            raise GroupMismatch(f"{tag} is on {spec.group}, enumeration on {group}")
 
 
 def _enumerate_once(group: GroupSpec, phi: EndoSpec, psi: EndoSpec,
                     bounds: dict, inner_margin: int):
-    family = model_family(group)
-    gens = [word([(A, 1)]), word([(A, -1)]), word([(B, 1)]), word([(B, -1)])]
-    psi_images = [model_embed(endo_apply(psi, g), group) for g in gens]
-    phi_inv_images = [model_embed(endo_apply(phi, g), group).inverse() for g in gens]
-
-    if family == KLEIN:
-        box = _klein_box(bounds)
-        membership = {(e.u, e.v): e for e in box}
-        key = lambda e: (e.u, e.v)
-    elif family == AFFINE:
-        from .models import _affine_n
-        n = _affine_n(group)
-        membership, denom_exp = _affine_box(bounds, n)
-        box = list(membership.values())
-        key = lambda e: _affine_key(e, denom_exp)
-    elif family == PERMUTED:
-        box = _permuted_box(bounds, abs(group.m))
-        membership = {(e.w.syllables, e.k): e for e in box}
-        key = lambda e: (e.w.syllables, e.k)
-    else:  # pragma: no cover
-        raise WrongFamily(str(group))
-
-    keys = list(membership.keys())
-    uf = _UnionFind(keys)
-    twists = {}  # key -> list of in-box twisted neighbors
-    for k0, element in membership.items():
-        neighbors = []
-        for pg, fg in zip(psi_images, phi_inv_images):
-            image = (pg * element) * fg
-            k1 = key(image)
-            if k1 is not None and k1 in membership:
-                neighbors.append(k1)
-                uf.union(k0, k1)
-            else:
-                neighbors.append(None)
-        twists[k0] = neighbors
+    substrate = _SUBSTRATES[model_family(group)]
+    kernels = _twist_kernels(substrate, group, phi, psi, bounds)
+    keys = substrate.box(bounds, group)
+    position = {key: i for i, key in enumerate(keys)}
+    # per kernel: the box index of each element's image, None outside the
+    # box (a None image key is never in the box, so .get maps it to None)
+    columns = [list(map(position.get, map(kernel, keys))) for kernel in kernels]
+    uf = IndexUnionFind(len(keys))
+    for column in columns:
+        for i, j in enumerate(column):
+            if j is not None:
+                uf.union(i, j)
 
     # inner region: elements whose twists stay inside, iterated margin times
-    inner = set(keys)
+    inner = set(range(len(keys)))
     for _ in range(inner_margin):
-        inner = {k for k in inner
-                 if all(t is not None and t in inner for t in twists[k])}
+        kept = inner
+        for column in columns:
+            kept = {i for i in kept if column[i] in inner}
+        inner = kept
 
-    roots_all = {uf.find(k) for k in keys}
-    roots_inner = {uf.find(k) for k in inner}
-    return uf, roots_all, roots_inner, len(keys), membership, key
+    roots_inner = {uf.find(i) for i in inner}
+    return uf, roots_inner, len(keys), position
 
 
 def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
@@ -480,27 +590,34 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
                            inner_margin: int = 2) -> BallReport:
     """Union-find over a model box under single-generator twists.
 
+    The model family of `group` picks a substrate: a box of integer keys
+    ((u, v) for the Klein bottle group, (numerator over |n|^e, k) for
+    B(1,n), (free-word syllables, k) for B(m,m)) and one twist kernel per
+    generator g, which maps a key to the key of (psi(g) x) phi(g)^-1 in
+    exact integer arithmetic.  Box elements joined by a twist are merged.
     A class is stable when it meets the inner region (the box eroded
     `inner_margin` twist steps).  Stable counts are upper-bound evidence
     only; the stabilization flag compares the count against the doubled
-    box.  Raises BoxTooSmall when nothing is stable.
+    box.  Raises GroupMismatch when phi or psi lives on another group,
+    ValueError on a negative margin, and BoxTooSmall when nothing is stable.
     """
+    _check_inputs(group, phi, psi)
+    if inner_margin < 0:
+        raise ValueError(f"inner_margin must be non-negative, got {inner_margin}")
     family = model_family(group)
     if psi is None:
         psi = identity_endo(group)
     endo_validate(phi)
     endo_validate(psi)
     if bounds is None:
-        bounds = {KLEIN: {"u": 64, "v": 8},
-                  AFFINE: {"k": 10, "t": 200, "e": 4},
-                  PERMUTED: {"l": 4, "k": 6}}[family]
+        bounds = _SUBSTRATES[family].enumerate_bounds
 
-    uf, roots_all, roots_inner, total, _, _ = _enumerate_once(
+    uf, roots_inner, total, _ = _enumerate_once(
         group, phi, psi, bounds, inner_margin)
     if not roots_inner:
         raise BoxTooSmall(f"no stable class in box {bounds}")
     doubled = {k: 2 * v for k, v in bounds.items()}
-    _, _, roots_inner_2, _, _, _ = _enumerate_once(
+    _, roots_inner_2, _, _ = _enumerate_once(
         group, phi, psi, doubled, inner_margin)
     return BallReport(
         family=family,
@@ -508,7 +625,7 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
         total_elements=total,
         merges_applied=uf.merges,
         stable_classes=len(roots_inner),
-        tentative_classes=len(roots_all),
+        tentative_classes=total - uf.merges,  # each merge joins two classes
         stabilized=len(roots_inner) == len(roots_inner_2),
     )
 
@@ -519,26 +636,25 @@ def witnesses_stay_separated(cert: Certificate, phi: EndoSpec,
     """Enumerator cross-check: listed witnesses never merge in the box.
 
     Vacuously true for groups outside the modeled families, where no
-    enumeration substrate exists.
+    enumeration substrate exists.  Raises GroupMismatch when psi lives on
+    another group than phi.
     """
     group = phi.group
+    _check_inputs(group, phi, psi)
     try:
-        model_family(group)
+        substrate = _SUBSTRATES[model_family(group)]
     except WrongFamily:
         return True
     if psi is None:
         psi = identity_endo(group)
     if bounds is None:
-        family = model_family(group)
-        bounds = {KLEIN: {"u": 48, "v": 10},
-                  AFFINE: {"k": 12, "t": 200, "e": 4},
-                  PERMUTED: {"l": 3, "k": 12}}[family]
-    uf, _, _, _, membership, key = _enumerate_once(group, phi, psi, bounds, 0)
+        bounds = substrate.witness_bounds
+    uf, _, _, position = _enumerate_once(group, phi, psi, bounds, 0)
     roots = []
     for text in cert.first_witnesses:
-        element = model_embed(parse_word(text, group), group)
-        k = key(element)
-        if k is None or k not in membership:
+        key = substrate.key_of(model_embed(parse_word(text, group), group), bounds)
+        index = position.get(key)
+        if index is None:
             continue  # witness outside the box: no merge evidence either way
-        roots.append(uf.find(k))
+        roots.append(uf.find(index))
     return len(roots) == len(set(roots))

@@ -7,15 +7,15 @@ tolerance is exact.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .errors import WrongFamily
 from .homs import EndoSpec, endo_validate, identity_endo
 from .intmat import IntMatrix, coker_order
 from .models import klein_embed, model_equal_oracle
 from .reidemeister import (
-    INV_A_SUM, check_certificate, certify_infinite, coincidence_certify,
-    enumerate_classes_ball, power_constraint, witnesses_stay_separated,
+    INV_A_SUM, IndexUnionFind, check_certificate, certify_infinite,
+    coincidence_certify, enumerate_classes_ball, power_constraint,
+    witnesses_stay_separated,
 )
 from .words import (
     A, B, GroupSpec, Word, are_equal, britton_reduce, multiply, parse_word,
@@ -193,24 +193,14 @@ def _box_oracle(M: IntMatrix, d_max: int) -> int:
     points = [()]
     for _ in range(r):
         points = [p + (x,) for p in points for x in range(-bound, bound + 1)]
-    parent = {p: p for p in points}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for p in points:
+    position = {p: i for i, p in enumerate(points)}
+    uf = IndexUnionFind(len(points))
+    for i, p in enumerate(points):
         for col in columns:
-            q = tuple(a + b for a, b in zip(p, col))
-            if q in parent:
-                rp, rq = find(p), find(q)
-                if rp != rq:
-                    parent[rp] = rq
-    reps = {find(p) for p in points if all(abs(x) <= inner for x in p)}
+            j = position.get(tuple(a + b for a, b in zip(p, col)))
+            if j is not None:
+                uf.union(i, j)
+    reps = {uf.find(i) for i, p in enumerate(points) if all(abs(x) <= inner for x in p)}
     return len(reps)
 
 

@@ -111,10 +111,6 @@ def word(pairs: Iterable[tuple[str, int]]) -> Word:
     return Word(tuple(Syllable(b, e) for b, e in stack))
 
 
-def from_syllables(*pairs: tuple[str, int]) -> Word:
-    return word(pairs)
-
-
 _TOKEN = re.compile(r"\s*([abAB])(?:\^(-?\d+))?")
 
 

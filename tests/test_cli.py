@@ -81,6 +81,14 @@ class TestWordCommands:
                            "b a b a^-1")
         assert code == 0 and out.strip() == "g_0^1 g_-1^1"
 
+    def test_normalize_prints_long_exponents(self, capsys):
+        # the pinch chain a^-k b a^k = b^(2^k) in B(1,2); 2^20000 has 6021
+        # digits, beyond CPython's default int/str conversion limit
+        code, out, err = run(capsys, "normalize", "--group", "1,2",
+                             "a^-20000 b a^20000")
+        assert code == 0, err
+        assert out.strip() == f"b^{2 ** 20000}"
+
     def test_kappa(self, capsys):
         code, out, _ = run(capsys, "kappa", "--group", "2,3", "a^-1 b a")
         assert code == 0 and out.strip() == "3/2"
@@ -143,6 +151,21 @@ class TestEnumerate:
         jsonschema.validate(payload, load_schema("ballreport.schema.json"))
         assert payload["stable_classes"] == 4
         assert payload["stabilized"] is True
+
+    def test_spec_from_another_group_is_refused(self, capsys, tmp_path, spec_file):
+        klein = tmp_path / "flip.endo"
+        klein.write_text("group 1 -1\na -> a^3\nb -> b^2\n")
+        for argv in (("--spec", spec_file),
+                     ("--spec", str(klein), "--spec2", spec_file)):
+            code, out, err = run(capsys, "enumerate", "--group", "1,-1", *argv)
+            assert code == 1 and "group-mismatch" in err and out == ""
+
+    def test_negative_margin_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "flip.endo"
+        path.write_text("group 1 -1\na -> a^3\nb -> b^2\n")
+        code, out, err = run(capsys, "enumerate", "--group", "1,-1",
+                             "--spec", str(path), "--margin", "-3")
+        assert code == 1 and "invalid-input" in err and out == ""
 
     def test_box_too_small(self, capsys, tmp_path):
         path = tmp_path / "flip.endo"
