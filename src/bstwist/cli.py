@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 
 from . import selftest as selftest_mod
-from .errors import BSTwistError, WordSyntaxError
+from .errors import BSTwistError, GroupMismatch, WordSyntaxError
 from .homs import (
-    EndoSpec, endo_validate, kappa, kernel_decompose, parse_endo_file,
+    EndoSpec, endo_validate, kappa, kernel_decompose, koch_form_search,
+    parse_endo_file,
 )
 from .intmat import IntMatrix, coker_order, snf
 from .models import model_equal_oracle
@@ -49,14 +51,20 @@ def _int_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _load_spec(path: str) -> EndoSpec:
+def _load_spec(path: str, group: GroupSpec | None) -> EndoSpec:
+    """Read a spec file and refuse it when it is not on `group`, the
+    command's --group (None for koch-search, which has no --group)."""
     with open(path, encoding="utf-8") as handle:
-        return parse_endo_file(handle.read())
+        spec = parse_endo_file(handle.read())
+    if group is not None and spec.group != group:
+        raise GroupMismatch(
+            f"spec file {path} is on {spec.group}, --group is {group}")
+    return spec
 
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
-        payload["config"] = " ".join(sys.argv[1:])
+        payload["config"] = args.config
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)
@@ -105,16 +113,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("kappa", help="rational kernel invariant"))
     p.add_argument("word")
 
-    p = common(sub.add_parser("certify",
-                              help="certificate that R(phi) is infinite"),
-               spec=True)
-    p.add_argument("--window", type=int, default=8)
+    common(sub.add_parser("certify",
+                          help="certificate that R(phi) is infinite"),
+           spec=True)
 
     p = common(sub.add_parser("coincidence",
                               help="coincidence certificate for a pair"),
                spec=True)
     p.add_argument("--spec2", required=True)
-    p.add_argument("--window", type=int, default=8)
 
     p = common(sub.add_parser("enumerate",
                               help="twisted-class ball enumeration"),
@@ -123,8 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds", type=_bounds, metavar="k=K,t=T",
                    help="model-specific box, e.g. u=64,v=8")
     p.add_argument("--margin", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; enumeration is single-threaded")
 
     p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
     p.add_argument("matrix", help="rows separated by ';', e.g. '2 4; 6 8'")
@@ -180,7 +184,7 @@ def _run(args) -> int:
               f"britton: {britton}  model: {model}  agree: {britton == model}")
 
     elif args.command in ("hom-validate", "hom-induced"):
-        spec = _load_spec(args.spec)
+        spec = _load_spec(args.spec, args.group)
         data = endo_validate(spec)
         payload = data.as_dict()
         lines = [f"valid endomorphism on {spec.group}",
@@ -206,21 +210,18 @@ def _run(args) -> int:
         _emit(args, {"kappa": str(value)}, str(value))
 
     elif args.command == "certify":
-        spec = _load_spec(args.spec)
-        if spec.group != args.group:
-            raise BSTwistError(f"spec file group {spec.group} != --group {args.group}")
-        outcome = certify_infinite(spec, window=args.window)
+        outcome = certify_infinite(_load_spec(args.spec, args.group))
         _emit(args, outcome.as_dict(), _outcome_text(outcome))
 
     elif args.command == "coincidence":
-        phi = _load_spec(args.spec)
-        psi = _load_spec(args.spec2)
-        outcome = coincidence_certify(phi, psi, window=args.window)
+        phi = _load_spec(args.spec, args.group)
+        psi = _load_spec(args.spec2, args.group)
+        outcome = coincidence_certify(phi, psi)
         _emit(args, outcome.as_dict(), _outcome_text(outcome))
 
     elif args.command == "enumerate":
-        phi = _load_spec(args.spec)
-        psi = _load_spec(args.spec2) if args.spec2 else None
+        phi = _load_spec(args.spec, args.group)
+        psi = _load_spec(args.spec2, args.group) if args.spec2 else None
         report = enumerate_classes_ball(args.group, phi, psi,
                                         bounds=args.bounds,
                                         inner_margin=args.margin)
@@ -256,9 +257,7 @@ def _run(args) -> int:
               f"{target}  a -> {format_word(image_a)}, b -> {format_word(image_b)}")
 
     elif args.command == "koch-search":
-        spec = _load_spec(args.spec)
-        witness = __import__("bstwist.homs", fromlist=["koch_form_search"]) \
-            .koch_form_search(spec, args.radius)
+        witness = koch_form_search(_load_spec(args.spec, None), args.radius)
         if witness is None:
             _emit(args, {"found": False}, f"no witness at radius {args.radius}")
         else:
@@ -295,8 +294,10 @@ def main(argv=None) -> int:
     # conversion limit (4300 since 3.11); lift it for this process.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser().parse_args(argv)
+    args.config = shlex.join(argv)
     try:
         return _run(args)
     except WordSyntaxError as exc:

@@ -5,7 +5,10 @@ valid iff the image of the defining relator is trivial.  Valid maps induce
 multiplication by k = |phi(a)|_a on the quotient Z = B(m,n)/K and a map on
 the abelianization Z_{|n-m|} + Z.  On the kernel K = ker|.|_a, generated
 by g_i = a^-i b a^i with relations g_{i+1}^m = g_i^n, the rational
-invariant kappa(g_i) = (n/m)^i is a homomorphism K -> Q.
+invariant kappa(g_i) = (n/m)^i is a homomorphism K -> Q.  Conjugation by
+x scales kappa on K by (n/m)^(|x|_a), so an endomorphism preserving K
+scales it by a single d = kappa(phi(b)) exactly when kappa(phi(b)) = 0 or
+(n/m)^(k-1) = 1; `kappa_scale` uses that closed form.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from .words import (
     A, B, GroupSpec, Word, are_equal, exp_sum, format_word, invert,
     multiply, normal_form, power, relator, substitute, word,
 )
-
-DEFAULT_KAPPA_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -172,22 +173,23 @@ def kernel_generator(i: int) -> Word:
     return word([(A, -i), (B, 1), (A, i)])
 
 
-def kappa_scale(spec: EndoSpec, window: int = DEFAULT_KAPPA_WINDOW) -> Fraction | None:
-    """Single d with kappa(phi(g_i)) = d * kappa(g_i) for |i| <= window.
+def kappa_scale(spec: EndoSpec) -> Fraction | None:
+    """Single d with kappa(phi(g_i)) = d * kappa(g_i) for every i.
 
-    Returns None when no single scale fits (Incompatible).  The window is
-    finite; agreement is only ever reported together with the window used.
+    phi(g_i) = phi(a)^-i phi(b) phi(a)^i, so kappa(phi(g_i)) =
+    (n/m)^(k i) kappa(phi(b)) with k = |phi(a)|_a.  A single scale exists
+    exactly when kappa(phi(b)) = 0 or (n/m)^(k-1) = 1 (k = 1, m = n, or
+    m = -n with k odd), and it is d = kappa(phi(b)).  Returns None when no
+    single scale fits (Incompatible); on a valid spec the relator forces
+    kappa(phi(b)) (m (n/m)^k - n) = 0, so that happens only for specs that
+    fail validation.  Raises NotInKernel when |phi(b)|_a != 0.
     """
-    ratio = Fraction(spec.group.n, spec.group.m)
-    d = None
-    for i in range(-window, window + 1):
-        value = kappa(endo_apply(spec, kernel_generator(i)), spec.group)
-        expected_unit = ratio ** i
-        if d is None:
-            d = value / expected_unit
-        elif value != d * expected_unit:
-            return None
-    return d
+    m, n = spec.group.m, spec.group.n
+    d = kappa(spec.image_b, spec.group)
+    k = exp_sum(spec.image_a, A)
+    if d == 0 or k == 1 or m == n or (m == -n and k % 2 == 1):
+        return d
+    return None
 
 
 def _ball(group: GroupSpec, radius: int) -> list[Word]:

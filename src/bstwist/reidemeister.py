@@ -18,7 +18,7 @@ from typing import Callable
 from .abelian import AbelianMap, fixed_functional, twisted_class_count
 from .errors import BoxTooSmall, GroupMismatch, UnsupportedGroup, WrongFamily
 from .homs import (
-    EndoSpec, endo_apply, endo_validate, identity_endo, kappa, kappa_scale,
+    EndoSpec, InducedData, endo_apply, endo_validate, identity_endo, kappa,
 )
 from .models import (
     AFFINE, KLEIN, PERMUTED, AffineElement, KleinElement, PermutedProduct,
@@ -165,12 +165,16 @@ def _b_sum_certificate(specs: list[EndoSpec]) -> Certificate:
     )
 
 
-def _kappa_certificate(specs: list[EndoSpec], window: int) -> Certificate:
-    group = specs[0].group
-    checks = {"window": window}
-    for tag, spec in zip(("phi", "psi"), specs):
-        checks[f"kappa scale of {tag}"] = str(kappa_scale(spec, window))
-        checks[f"k of {tag}"] = exp_sum(spec.image_a, A)
+def _kappa_certificate(group: GroupSpec,
+                       data: list[InducedData]) -> Certificate:
+    """kappa(phi(g_i)) = (n/m)^(k i) kappa(phi(b)), so kappa(phi(b)) = 1 and
+    (n/m)^(k-1) = 1 together prove kappa(phi(g_i)) = kappa(g_i) for every i."""
+    ratio = Fraction(group.n, group.m)
+    checks = {}
+    for tag, induced in zip(("phi", "psi"), data):
+        checks[f"k of {tag}"] = induced.k
+        checks[f"kappa({tag}(b))"] = str(induced.kappa_scale)
+        checks[f"(n/m)^(k-1) of {tag}"] = str(ratio ** (induced.k - 1))
     witnesses = _word_powers(word([(B, 1)]))
     return Certificate(
         invariant=INV_KAPPA,
@@ -183,7 +187,7 @@ def _kappa_certificate(specs: list[EndoSpec], window: int) -> Certificate:
     )
 
 
-def certify_infinite(spec: EndoSpec, window: int = 8) -> ReidemeisterOutcome:
+def certify_infinite(spec: EndoSpec) -> ReidemeisterOutcome:
     """Try the invariant catalog in order; Infinite on first success.
 
     Catalog: |.|_a when k = 1; |.|_b when m = n and phi fixes it; kappa on
@@ -217,18 +221,18 @@ def certify_infinite(spec: EndoSpec, window: int = 8) -> ReidemeisterOutcome:
         attempts.append(f"{INV_B_SUM}: only applies when m = n")
 
     if data.kernel_preserved and data.k != 1:
-        scale = kappa_scale(spec, window)
-        if scale == 1:
-            return ReidemeisterOutcome.infinite(_kappa_certificate([spec], window))
-        attempts.append(f"{INV_KAPPA}: needs scale d = 1, got d = {scale} "
-                        f"(window {window})")
+        if data.kappa_scale == 1:
+            return ReidemeisterOutcome.infinite(
+                _kappa_certificate(group, [data]))
+        attempts.append(
+            f"{INV_KAPPA}: needs scale d = 1, got d = {data.kappa_scale}")
     else:
         attempts.append(f"{INV_KAPPA}: needs kernel preserved and k != 1")
 
     return ReidemeisterOutcome.unknown(attempts)
 
 
-def coincidence_certify(phi: EndoSpec, psi: EndoSpec, window: int = 8) -> ReidemeisterOutcome:
+def coincidence_certify(phi: EndoSpec, psi: EndoSpec) -> ReidemeisterOutcome:
     """Certificate search for the pair relation alpha ~ psi(g) alpha phi(g)^-1."""
     if phi.group != psi.group:
         raise GroupMismatch(f"{phi.group} vs {psi.group}")
@@ -257,8 +261,9 @@ def coincidence_certify(phi: EndoSpec, psi: EndoSpec, window: int = 8) -> Reidem
     # force every in-kernel twist to come from gamma in K.
     if (data_phi.kernel_preserved and data_psi.kernel_preserved
             and data_phi.k != data_psi.k):
-        if kappa_scale(phi, window) == 1 and kappa_scale(psi, window) == 1:
-            return ReidemeisterOutcome.infinite(_kappa_certificate([phi, psi], window))
+        if data_phi.kappa_scale == 1 and data_psi.kappa_scale == 1:
+            return ReidemeisterOutcome.infinite(
+                _kappa_certificate(group, [data_phi, data_psi]))
         attempts.append(f"{INV_KAPPA}: needs scale d = 1 for both")
     else:
         attempts.append(
@@ -269,12 +274,13 @@ def coincidence_certify(phi: EndoSpec, psi: EndoSpec, window: int = 8) -> Reidem
 
 
 def check_certificate(cert: Certificate, phi: EndoSpec,
-                      psi: EndoSpec | None = None, window: int = 8) -> bool:
+                      psi: EndoSpec | None = None) -> bool:
     """Independent soundness check of an emitted certificate.
 
     Recomputes the scale identities from the specs and the lam-values of
     the listed witnesses; True iff lam is fixed and the values are pairwise
-    distinct.
+    distinct.  For kappa the identity kappa(phi(g_i)) = kappa(g_i) is
+    checked for every i through kappa(phi(b)) = 1 and (n/m)^(k-1) = 1.
     """
     group = phi.group
     specs = [phi] + ([psi] if psi is not None else [])
@@ -293,11 +299,13 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
                 return False
         values = [exp_sum(w, B) for w in witnesses]
     elif cert.invariant == INV_KAPPA:
-        for spec in specs:
-            if kappa_scale(spec, window) != 1:
+        ratio = Fraction(group.n, group.m)
+        ks = [exp_sum(spec.image_a, A) for spec in specs]
+        for spec, k in zip(specs, ks):
+            if (exp_sum(spec.image_b, A) != 0 or kappa(spec.image_b, group) != 1
+                    or ratio ** (k - 1) != 1):
                 return False
         # twisting must be pinned inside K
-        ks = [exp_sum(spec.image_a, A) for spec in specs]
         if len(ks) == 1:
             if ks[0] == 1:
                 return False
@@ -317,16 +325,19 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
 
 
 def power_constraint(m: int, n: int, k_range: tuple[int, int]) -> set[int]:
-    """{k in [lo, hi] : n^(k-1) = m^(k-1)} with exact arithmetic."""
+    """{k in [lo, hi] : n^(k-1) = m^(k-1)}.
+
+    (n/m)^(k-1) = 1 holds for every k when m = n, for the odd k when
+    m = -n, and otherwise only for k = 1.
+    """
     if m == 0 or n == 0:
         raise ValueError("power_constraint requires mn != 0")
     lo, hi = k_range
-    solutions = set()
-    for k in range(lo, hi + 1):
-        e = k - 1
-        if Fraction(n) ** e == Fraction(m) ** e:
-            solutions.add(k)
-    return solutions
+    if m == n:
+        return set(range(lo, hi + 1))
+    if m == -n:
+        return set(range(lo + (lo % 2 == 0), hi + 1, 2))
+    return {1} if lo <= 1 <= hi else set()
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import json
 import pathlib
+import shlex
+import sys
 
 import jsonschema
 import pytest
 
-from bstwist.cli import main
+from bstwist.cli import _build_parser, main
 
 SCHEMAS = pathlib.Path(__file__).resolve().parents[1] / "src/bstwist/schemas"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -52,6 +54,12 @@ class TestWordCommands:
                            "--format", "json", "b^5 a")
         assert payload["normal_form"] == "b a b^6"
         assert "config" in payload
+
+    def test_config_records_parsed_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["bs-twist", "-q"])
+        argv = ["normalize", "--group=-2,3", "--format", "json", "a^-1 b"]
+        payload = run_json(capsys, *argv)
+        assert shlex.split(payload["config"]) == argv
 
     def test_equal(self, capsys):
         code, out, _ = run(capsys, "equal", "--group", "1,2",
@@ -133,6 +141,41 @@ class TestCertifyCommands:
         jsonschema.validate(payload, load_schema("certificate.schema.json"))
         assert payload["kind"] == "infinite"
 
+    def test_kappa_certificate_on_minus_case(self, capsys, tmp_path):
+        path = tmp_path / "cube.endo"
+        path.write_text("group 3 -3\na -> a^3\nb -> b\n")
+        payload = run_json(capsys, "certify", "--group", "3,-3",
+                           "--spec", str(path), "--format", "json")
+        jsonschema.validate(payload, load_schema("certificate.schema.json"))
+        cert = payload["certificate"]
+        assert cert["invariant"] == "kappa"
+        assert cert["scale_checks"]["kappa(phi(b))"] == "1"
+        assert cert["scale_checks"]["(n/m)^(k-1) of phi"] == "1"
+
+    @pytest.mark.parametrize("command, option", [
+        ("certify", "--window=-3"), ("coincidence", "--window=8"),
+        ("enumerate", "--jobs=2")])
+    def test_removed_options_are_usage_errors(self, capsys, spec_file,
+                                              command, option):
+        argv = [command, "--group", "2,3", "--spec", spec_file]
+        if command == "coincidence":
+            argv += ["--spec2", spec_file]
+        _build_parser().parse_args(argv)  # valid without the option
+        with pytest.raises(SystemExit) as info:
+            main(argv + [option])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        "certify", "coincidence", "hom-validate", "hom-induced"])
+    def test_spec_from_another_group_is_refused(self, capsys, tmp_path, command):
+        path = tmp_path / "b12.endo"
+        path.write_text("group 1 2\na -> a\nb -> b^2\n")
+        extra = ("--spec2", str(path)) if command == "coincidence" else ()
+        code, out, err = run(capsys, command, "--group", "2,3",
+                             "--spec", str(path), *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("error [group-mismatch]")
+
     def test_b11_refused(self, capsys, tmp_path):
         path = tmp_path / "id.endo"
         path.write_text("group 1 1\na -> a\nb -> b\n")
@@ -186,6 +229,12 @@ class TestMatrixCommands:
         payload = run_json(capsys, "power-constraint", "--group", "2,-2",
                            "--range=-3,3", "--format", "json")
         assert payload["solutions"] == [-3, -1, 1, 3]
+
+    def test_power_constraint_wide_range(self, capsys):
+        payload = run_json(capsys, "power-constraint", "--group", "2,-2",
+                           "--range=-100000,100000", "--format", "json")
+        assert payload["solutions"] == list(range(-99999, 100000, 2))
+        assert len(payload["solutions"]) == 100000
 
     def test_negative_m_via_equals_form(self, capsys):
         payload = run_json(capsys, "standardize", "--group=-3,2",
