@@ -13,10 +13,9 @@ is verified by unit test.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from .errors import NotRepresentable, WordSyntaxError, WrongFamily
+from .errors import NotRepresentable, WrongFamily
 from .words import A, B, GroupSpec, Word, word
 
 
@@ -300,51 +299,3 @@ def model_embed(w: Word, group: GroupSpec):
 def model_equal_oracle(u: Word, v: Word, group: GroupSpec) -> bool:
     """Equality test independent of Britton reduction."""
     return model_embed(u, group) == model_embed(v, group)
-
-
-# ---------------------------------------------------------------------------
-# Textual round-trip for CLI use
-
-_AFFINE_RE = re.compile(r"^\(\s*(-?\d+)(?:/(\d+)\^(\d+))?\s*,\s*(-?\d+)\s*\)$")
-_KLEIN_RE = re.compile(r"^\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)$")
-_FREE_SYL_RE = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
-
-
-def parse_affine(text: str, n: int) -> AffineElement:
-    match = _AFFINE_RE.match(text.strip())
-    if match is None:
-        raise WordSyntaxError("bad affine element", 0, text)
-    num, base, exp, k = match.groups()
-    if base is not None and int(base) != abs(n):
-        raise WordSyntaxError("denominator base does not match |n|", 0, base)
-    t = PowRational.make(int(num), int(exp) if exp else 0, abs(n))
-    return AffineElement(t, int(k), n)
-
-
-def parse_klein(text: str) -> KleinElement:
-    match = _KLEIN_RE.match(text.strip())
-    if match is None:
-        raise WordSyntaxError("bad Klein element", 0, text)
-    return KleinElement(int(match.group(1)), int(match.group(2)))
-
-
-def parse_permuted(text: str, m: int) -> PermutedProduct:
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise WordSyntaxError("bad permuted-product element", 0, text)
-    body, _, k_text = text[1:-1].rpartition(",")
-    if not body:
-        raise WordSyntaxError("bad permuted-product element", 0, text)
-    body = body.strip()
-    free = FreeWord()
-    if body != "1":
-        for part in body.split():
-            match = _FREE_SYL_RE.match(part)
-            if match is None:
-                raise WordSyntaxError("bad free-word syllable", 0, part)
-            idx = int(match.group(1))
-            exp = int(match.group(2)) if match.group(2) else 1
-            if not 1 <= idx <= m:
-                raise WordSyntaxError("generator index out of range", 0, part)
-            free = free * FreeWord.generator(idx, exp)
-    return PermutedProduct(free, int(k_text), m)

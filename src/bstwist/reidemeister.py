@@ -24,7 +24,10 @@ from .models import (
     AFFINE, KLEIN, PERMUTED, AffineElement, KleinElement, PermutedProduct,
     model_embed, model_family,
 )
-from .words import A, B, GroupSpec, Word, exp_sum, format_word, parse_word, power, word
+from .words import (
+    A, B, GroupSpec, Word, are_equal, exp_sum, format_word, parse_word, relator,
+    word,
+)
 
 INV_A_SUM = "a-exponent-sum"
 INV_B_SUM = "b-exponent-sum"
@@ -125,44 +128,27 @@ def reidemeister_abelian(f: AbelianMap, g: AbelianMap) -> ReidemeisterOutcome:
 # Certificate catalog for B(m,n) endomorphisms
 
 NUM_WITNESSES = 10
+_TAGS = ("phi", "psi")
 
 
-def _word_powers(step: Word, count: int = NUM_WITNESSES) -> list[Word]:
-    return [power(step, j) for j in range(count)]
+def _certificate(invariant: str, target: str, checks: dict, letter: str,
+                 value: Callable[[Word], object]) -> Certificate:
+    """The witness family letter^j, j < NUM_WITNESSES, with its lam-values."""
+    witnesses = [word([(letter, j)]) for j in range(NUM_WITNESSES)]
+    return Certificate(invariant=invariant, target=target, scale_checks=checks,
+                       witness_base="1", witness_step=letter,
+                       first_witnesses=tuple(format_word(w) for w in witnesses),
+                       values=tuple(str(value(w)) for w in witnesses))
 
 
-def _a_sum_certificate(specs: list[EndoSpec]) -> Certificate:
+def _exp_sum_certificate(letter: str, target: str,
+                         specs: list[EndoSpec]) -> Certificate:
     checks = {}
-    for tag, spec in zip(("phi", "psi"), specs):
-        checks[f"|{tag}(a)|_a"] = exp_sum(spec.image_a, A)
-        checks[f"|{tag}(b)|_a"] = exp_sum(spec.image_b, A)
-    witnesses = _word_powers(word([(A, 1)]))
-    return Certificate(
-        invariant=INV_A_SUM,
-        target="Z, the a-exponent quotient",
-        scale_checks=checks,
-        witness_base="1",
-        witness_step="a",
-        first_witnesses=tuple(format_word(w) for w in witnesses),
-        values=tuple(str(exp_sum(w, A)) for w in witnesses),
-    )
-
-
-def _b_sum_certificate(specs: list[EndoSpec]) -> Certificate:
-    checks = {}
-    for tag, spec in zip(("phi", "psi"), specs):
-        checks[f"|{tag}(a)|_b"] = exp_sum(spec.image_a, B)
-        checks[f"|{tag}(b)|_b"] = exp_sum(spec.image_b, B)
-    witnesses = _word_powers(word([(B, 1)]))
-    return Certificate(
-        invariant=INV_B_SUM,
-        target="Z, the b-exponent quotient (m = n)",
-        scale_checks=checks,
-        witness_base="1",
-        witness_step="b",
-        first_witnesses=tuple(format_word(w) for w in witnesses),
-        values=tuple(str(exp_sum(w, B)) for w in witnesses),
-    )
+    for tag, spec in zip(_TAGS, specs):
+        checks[f"|{tag}(a)|_{letter}"] = exp_sum(spec.image_a, letter)
+        checks[f"|{tag}(b)|_{letter}"] = exp_sum(spec.image_b, letter)
+    return _certificate(INV_A_SUM if letter == A else INV_B_SUM, target,
+                        checks, letter, lambda w: exp_sum(w, letter))
 
 
 def _kappa_certificate(group: GroupSpec,
@@ -171,133 +157,102 @@ def _kappa_certificate(group: GroupSpec,
     (n/m)^(k-1) = 1 together prove kappa(phi(g_i)) = kappa(g_i) for every i."""
     ratio = Fraction(group.n, group.m)
     checks = {}
-    for tag, induced in zip(("phi", "psi"), data):
+    for tag, induced in zip(_TAGS, data):
         checks[f"k of {tag}"] = induced.k
         checks[f"kappa({tag}(b))"] = str(induced.kappa_scale)
         checks[f"(n/m)^(k-1) of {tag}"] = str(ratio ** (induced.k - 1))
-    witnesses = _word_powers(word([(B, 1)]))
-    return Certificate(
-        invariant=INV_KAPPA,
-        target=f"Q via kappa(g_i) = ({group.n}/{group.m})^i on K",
-        scale_checks=checks,
-        witness_base="1",
-        witness_step="b",
-        first_witnesses=tuple(format_word(w) for w in witnesses),
-        values=tuple(str(kappa(w, group)) for w in witnesses),
-    )
+    return _certificate(INV_KAPPA,
+                        f"Q via kappa(g_i) = ({group.n}/{group.m})^i on K",
+                        checks, B, lambda w: kappa(w, group))
 
 
-def certify_infinite(spec: EndoSpec) -> ReidemeisterOutcome:
-    """Try the invariant catalog in order; Infinite on first success.
+def _catalog(specs: list[EndoSpec]) -> ReidemeisterOutcome:
+    """Try the invariant catalog on [phi] or [phi, psi]; Infinite on first
+    success, never Finite.
 
-    Catalog: |.|_a when k = 1; |.|_b when m = n and phi fixes it; kappa on
-    the kernel when k != 1 and the kappa scale is 1 (k != 1 forces twisting
-    elements into K, where kappa is genuinely invariant).  Never returns
-    Finite.
+    R(phi) = R(phi, id): an omitted psi is the identity (k = 1, K preserved,
+    kappa scale 1, |b|_b = 1, |a|_b = 0), never validated.  Catalog: |.|_a
+    when every map has k = 1 and preserves K; |.|_b when m = n and every map
+    fixes it; kappa when every map preserves K with scale 1 and k of phi !=
+    k of psi, which forces every in-kernel twist to come from gamma in K.
     """
-    group = spec.group
+    group = specs[0].group
     if (group.m, group.n) == (1, 1):
         raise UnsupportedGroup(
             "B(1,1) = Z + Z admits automorphisms with finite Reidemeister "
             "number; refusing rather than misleading")
-    data = endo_validate(spec)
+    data = [endo_validate(spec) for spec in specs]
     attempts = []
 
-    if data.k == 1 and data.kernel_preserved:
-        return ReidemeisterOutcome.infinite(_a_sum_certificate([spec]))
-    attempts.append(
-        f"{INV_A_SUM}: needs k = 1 and |phi(b)|_a = 0, got k = {data.k}, "
-        f"|phi(b)|_a = {exp_sum(spec.image_b, A)}")
+    if all(d.k == 1 and d.kernel_preserved for d in data):
+        return ReidemeisterOutcome.infinite(
+            _exp_sum_certificate(A, "Z, the a-exponent quotient", specs))
+    attempts.append(f"{INV_A_SUM}: needs k = 1 and |x(b)|_a = 0, got " + ", ".join(
+        f"k of {tag} = {d.k}, |{tag}(b)|_a = {exp_sum(spec.image_b, A)}"
+        for tag, d, spec in zip(_TAGS, data, specs)))
 
     if group.m == group.n:
-        b_of_b = exp_sum(spec.image_b, B)
-        b_of_a = exp_sum(spec.image_a, B)
-        if b_of_b == 1 and b_of_a == 0:
-            return ReidemeisterOutcome.infinite(_b_sum_certificate([spec]))
-        attempts.append(
-            f"{INV_B_SUM}: needs |phi(b)|_b = 1 and |phi(a)|_b = 0, got "
-            f"{b_of_b} and {b_of_a}")
+        sums = [(exp_sum(s.image_b, B), exp_sum(s.image_a, B)) for s in specs]
+        if all(pair == (1, 0) for pair in sums):
+            return ReidemeisterOutcome.infinite(_exp_sum_certificate(
+                B, "Z, the b-exponent quotient (m = n)", specs))
+        attempts.append(f"{INV_B_SUM}: needs (|x(b)|_b, |x(a)|_b) = (1, 0), got "
+                        + ", ".join(f"{p} for {t}" for t, p in zip(_TAGS, sums)))
     else:
         attempts.append(f"{INV_B_SUM}: only applies when m = n")
 
-    if data.kernel_preserved and data.k != 1:
-        if data.kappa_scale == 1:
-            return ReidemeisterOutcome.infinite(
-                _kappa_certificate(group, [data]))
-        attempts.append(
-            f"{INV_KAPPA}: needs scale d = 1, got d = {data.kappa_scale}")
+    ks = [d.k for d in data] + [1] * (2 - len(data))
+    if all(d.kernel_preserved for d in data) and ks[0] != ks[1]:
+        if all(d.kappa_scale == 1 for d in data):
+            return ReidemeisterOutcome.infinite(_kappa_certificate(group, data))
+        attempts.append(f"{INV_KAPPA}: needs scale d = 1, got " + ", ".join(
+            f"d = {d.kappa_scale} for {tag}" for tag, d in zip(_TAGS, data)))
     else:
-        attempts.append(f"{INV_KAPPA}: needs kernel preserved and k != 1")
+        attempts.append(f"{INV_KAPPA}: needs kernels preserved and k of phi != "
+                        "k of psi (psi = id has k = 1) to pin twisting into K")
 
     return ReidemeisterOutcome.unknown(attempts)
+
+
+def certify_infinite(spec: EndoSpec) -> ReidemeisterOutcome:
+    """Certificate search for R(phi) = R(phi, id); see `_catalog`."""
+    return _catalog([spec])
 
 
 def coincidence_certify(phi: EndoSpec, psi: EndoSpec) -> ReidemeisterOutcome:
     """Certificate search for the pair relation alpha ~ psi(g) alpha phi(g)^-1."""
     if phi.group != psi.group:
         raise GroupMismatch(f"{phi.group} vs {psi.group}")
-    group = phi.group
-    if (group.m, group.n) == (1, 1):
-        raise UnsupportedGroup("B(1,1) refused; see certify_infinite")
-    data_phi = endo_validate(phi)
-    data_psi = endo_validate(psi)
-    attempts = []
-
-    if (data_phi.k == 1 and data_psi.k == 1
-            and data_phi.kernel_preserved and data_psi.kernel_preserved):
-        return ReidemeisterOutcome.infinite(_a_sum_certificate([phi, psi]))
-    attempts.append(
-        f"{INV_A_SUM}: needs k = 1 for both, got {data_phi.k} and {data_psi.k}")
-
-    if group.m == group.n:
-        if all(exp_sum(s.image_b, B) == 1 and exp_sum(s.image_a, B) == 0
-               for s in (phi, psi)):
-            return ReidemeisterOutcome.infinite(_b_sum_certificate([phi, psi]))
-        attempts.append(f"{INV_B_SUM}: both maps must fix the b-quotient")
-    else:
-        attempts.append(f"{INV_B_SUM}: only applies when m = n")
-
-    # kappa is invariant under twisting by gamma in K only; differing k's
-    # force every in-kernel twist to come from gamma in K.
-    if (data_phi.kernel_preserved and data_psi.kernel_preserved
-            and data_phi.k != data_psi.k):
-        if data_phi.kappa_scale == 1 and data_psi.kappa_scale == 1:
-            return ReidemeisterOutcome.infinite(
-                _kappa_certificate(group, [data_phi, data_psi]))
-        attempts.append(f"{INV_KAPPA}: needs scale d = 1 for both")
-    else:
-        attempts.append(
-            f"{INV_KAPPA}: needs kernels preserved and distinct k's to pin "
-            f"twisting into K")
-
-    return ReidemeisterOutcome.unknown(attempts)
+    return _catalog([phi, psi])
 
 
 def check_certificate(cert: Certificate, phi: EndoSpec,
                       psi: EndoSpec | None = None) -> bool:
     """Independent soundness check of an emitted certificate.
 
-    Recomputes the scale identities from the specs and the lam-values of
-    the listed witnesses; True iff lam is fixed and the values are pairwise
-    distinct.  For kappa the identity kappa(phi(g_i)) = kappa(g_i) is
-    checked for every i through kappa(phi(b)) = 1 and (n/m)^(k-1) = 1.
+    Checks that each spec is an endomorphism of phi's group (trivial relator
+    image), then recomputes the scale identities and the witnesses'
+    lam-values; True iff lam is fixed and the values are pairwise distinct.
+    An omitted psi is the identity.  For kappa, kappa(phi(g_i)) = kappa(g_i)
+    is checked for every i through kappa(phi(b)) = 1 and (n/m)^(k-1) = 1.
     """
     group = phi.group
     specs = [phi] + ([psi] if psi is not None else [])
+    for spec in specs:
+        if spec.group != group or not are_equal(
+                endo_apply(spec, relator(group)), Word(), group):
+            return False
     witnesses = [parse_word(text, group) for text in cert.first_witnesses]
 
-    if cert.invariant == INV_A_SUM:
-        for spec in specs:
-            if exp_sum(spec.image_a, A) != 1 or exp_sum(spec.image_b, A) != 0:
-                return False
-        values = [exp_sum(w, A) for w in witnesses]
-    elif cert.invariant == INV_B_SUM:
-        if group.m != group.n:
+    if cert.invariant in (INV_A_SUM, INV_B_SUM):
+        letter = A if cert.invariant == INV_A_SUM else B
+        if letter == B and group.m != group.n:
             return False
-        for spec in specs:
-            if exp_sum(spec.image_b, B) != 1 or exp_sum(spec.image_a, B) != 0:
-                return False
-        values = [exp_sum(w, B) for w in witnesses]
+        fixed = (1, 0) if letter == A else (0, 1)  # (lam(a), lam(b))
+        if any((exp_sum(spec.image_a, letter), exp_sum(spec.image_b, letter))
+               != fixed for spec in specs):
+            return False
+        values = [exp_sum(w, letter) for w in witnesses]
     elif cert.invariant == INV_KAPPA:
         ratio = Fraction(group.n, group.m)
         ks = [exp_sum(spec.image_a, A) for spec in specs]
@@ -305,11 +260,9 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
             if (exp_sum(spec.image_b, A) != 0 or kappa(spec.image_b, group) != 1
                     or ratio ** (k - 1) != 1):
                 return False
-        # twisting must be pinned inside K
-        if len(ks) == 1:
-            if ks[0] == 1:
-                return False
-        elif ks[0] == ks[1]:
+        # twisting must be pinned inside K; psi = id has k = 1
+        ks += [1] * (2 - len(ks))
+        if ks[0] == ks[1]:
             return False
         values = [kappa(w, group) for w in witnesses]
     else:

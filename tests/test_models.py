@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from bstwist.errors import NotRepresentable, WordSyntaxError, WrongFamily
+from bstwist.errors import NotRepresentable, WrongFamily
 from bstwist.models import (
     AFFINE, KLEIN, PERMUTED, AffineElement, FreeWord, KleinElement,
     PermutedProduct, PowRational, affine_to_word, bs1n_embed, bsmm_embed,
     klein_embed, klein_to_word, model_embed, model_equal_oracle, model_family,
-    parse_affine, parse_klein, parse_permuted, permuted_to_word,
+    permuted_to_word,
 )
 from bstwist.words import A, B, GroupSpec, Word, are_equal, multiply, parse_word, word
 
@@ -184,28 +184,3 @@ class TestDispatch:
     def test_oracle_separates_known_unequal(self):
         g = GroupSpec(1, 2)
         assert not model_equal_oracle(parse_word("a b"), parse_word("b a"), g)
-
-
-class TestTextRoundTrip:
-    def test_affine(self):
-        e = parse_affine("(3/2^2, -1)", 2)
-        assert e == AffineElement(PowRational.make(3, 2, 2), -1, 2)
-        assert parse_affine(str(e), 2) == e
-
-    def test_affine_rejects_mismatched_base(self):
-        with pytest.raises(WordSyntaxError):
-            parse_affine("(1/3^1, 0)", 2)
-
-    def test_klein(self):
-        e = parse_klein("(-4, 7)")
-        assert e == KleinElement(-4, 7)
-        assert parse_klein(str(e)) == e
-
-    def test_permuted(self):
-        e = PermutedProduct(FreeWord.generator(1, 2) * FreeWord.generator(2, -1), 3, 2)
-        assert parse_permuted(str(e), 2) == e
-        assert parse_permuted("(1, 5)", 2) == PermutedProduct(FreeWord(), 5, 2)
-
-    def test_permuted_rejects_out_of_range_index(self):
-        with pytest.raises(WordSyntaxError):
-            parse_permuted("(x3, 0)", 2)
