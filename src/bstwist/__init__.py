@@ -5,8 +5,8 @@ analysis, and twisted-conjugacy (Reidemeister) certificates."""
 from .abelian import AbelianGroup, AbelianMap
 from .errors import (
     BoxTooSmall, BSTwistError, GroupMismatch, KernelNotPreserved,
-    NotInKernel, NotRepresentable, RelationViolated, ShapeMismatch,
-    UnsupportedGroup, WordSyntaxError, WrongFamily,
+    NotInKernel, RelationViolated, ShapeMismatch, UnsupportedGroup,
+    WordSyntaxError, WrongFamily,
 )
 from .homs import (
     EndoSpec, InducedData, KernelDecomposition, endo_apply, endo_compose,
@@ -16,7 +16,7 @@ from .homs import (
 from .intmat import IntMatrix, SNFResult, coker_order, snf
 from .models import (
     AffineElement, FreeWord, KleinElement, PermutedProduct, PowRational,
-    bs1n_embed, bsmm_embed, klein_embed, model_equal_oracle,
+    model_embed, model_equal_oracle,
 )
 from .reidemeister import (
     BallReport, Certificate, ReidemeisterOutcome, certify_infinite,

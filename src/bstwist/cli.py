@@ -1,8 +1,9 @@
 """Command-line surface: every library operation for batch use.
 
 Exit codes: 0 success, 1 domain error (machine-readable code on stderr),
-2 usage or word-syntax error.  The group is always explicit; there is no
-default, so family-specific commands cannot be misused silently.
+2 usage or word-syntax error.  Every command that acts on a group takes it
+explicitly; there is no default, so family-specific commands cannot be
+misused silently.
 """
 
 from __future__ import annotations

@@ -24,12 +24,6 @@ class WrongFamily(BSTwistError):
     code = "wrong-family"
 
 
-class NotRepresentable(BSTwistError):
-    """A model element has no preimage under the partial model-to-word map."""
-
-    code = "not-representable"
-
-
 class RelationViolated(BSTwistError):
     """Generator images do not extend to an endomorphism.
 

@@ -214,8 +214,11 @@ def koch_form_search(spec: EndoSpec, radius: int) -> tuple[Word, int] | None:
     """Bounded search for phi(b) = gamma b^r gamma^-1 with |r| <= radius.
 
     Absence of a witness at this radius proves nothing; a witness is
-    returned as found, conjugators ordered by ball distance.
+    returned as found, conjugators ordered by ball distance.  A negative
+    radius is a ValueError.
     """
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
     target = normal_form(spec.image_b, spec.group).word
     for gamma in _ball(spec.group, radius):
         gamma_inv = invert(gamma)

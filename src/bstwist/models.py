@@ -6,6 +6,10 @@ Klein bottle group).  The embeddings are used as independent equality
 oracles against Britton reduction and as substrates for the twisted-class
 ball enumerator.
 
+Each family is one `ModelFamily` record: its generator images and its
+enumeration substrate.  `model_family` is the only place that decides which
+record a group gets.
+
 Sign convention: the Z-action on Z[1/|n|] is x -> x/n with the sign of n
 carried along; under it a = (0,1), b = (1,0) satisfy a^-1 b a = b^n, which
 is verified by unit test.
@@ -14,9 +18,35 @@ is verified by unit test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .errors import NotRepresentable, WrongFamily
-from .words import A, B, GroupSpec, Word, word
+from .errors import WrongFamily
+from .words import A, GroupSpec, Word
+
+
+@dataclass(frozen=True, eq=False)
+class ModelFamily:
+    """A faithful model and its enumeration substrate: a box of int/tuple
+    keys, the key of a model element, and twist kernels.  A kernel is built
+    once from the images psi(g) and phi(g)^-1 of one generator g and maps
+    the key of x to the key of (psi(g) x) phi(g)^-1, or to None when that
+    has no key; box membership is decided by the caller."""
+
+    name: str  # the `family` of a BallReport
+    a_power: Callable  # (group, e) -> image of a^e
+    b_power: Callable  # (group, e) -> image of b^e
+    box: Callable  # (bounds, group) -> keys in box order
+    key_of: Callable  # (model element, bounds) -> key or None
+    twist: Callable  # (psi(g), phi(g)^-1, bounds) -> key -> key or None
+    enumerate_bounds: dict
+    witness_bounds: dict
+
+    def embed(self, w: Word, group: GroupSpec):
+        """Injective homomorphism from `group` into this model."""
+        result = self.a_power(group, 0)  # the identity
+        for s in w:
+            result = result * (self.a_power if s.base == A else self.b_power)(group, s.exp)
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +115,6 @@ class AffineElement:
     k: int
     n: int  # ambient signed n
 
-    @classmethod
-    def identity(cls, n: int) -> "AffineElement":
-        return cls(PowRational.integer(0, abs(n)), 0, n)
-
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         if self.n != other.n:
             raise ValueError("mixed ambient n")
@@ -101,41 +127,88 @@ class AffineElement:
         return f"({self.t}, {self.k})"
 
 
-def _affine_n(group: GroupSpec) -> int:
-    """Ambient n of the affine model, after folding m = -1 into B(1,-n)."""
-    if group.m == 1:
-        n = group.n
-    elif group.m == -1:
-        n = -group.n
-    else:
-        raise WrongFamily(f"{group} has |m| != 1")
-    if abs(n) < 2:
-        raise WrongFamily(f"{group} has |n| = 1; use the Klein model or B(1,1) directly")
-    return n
+def _affine(group: GroupSpec, t: int, k: int) -> AffineElement:
+    """(t, k) in the model of B(1,n); m = -1 folds B(-1,n) into B(1,-n)."""
+    n = group.m * group.n
+    return AffineElement(PowRational.integer(t, abs(n)), k, n)
 
 
-def bs1n_embed(w: Word, group: GroupSpec) -> AffineElement:
-    """Injective homomorphism B(1,n) -> Z[1/|n|] x| Z, a -> (0,1), b -> (1,0)."""
-    n = _affine_n(group)
-    result = AffineElement.identity(n)
-    for s in w:
-        if s.base == A:
-            piece = AffineElement(PowRational.integer(0, abs(n)), s.exp, n)
-        else:
-            piece = AffineElement(PowRational.integer(s.exp, abs(n)), 0, n)
-        result = result * piece
-    return result
+def _affine_exp(bounds: dict) -> int:
+    """e: the box holds (p / |n|^e, k) for |p| <= t, |k| <= k."""
+    return bounds.get("e", min(bounds["k"], 4))
 
 
-def affine_to_word(e: AffineElement) -> Word:
-    """Partial inverse: defined only for denominator-free translation parts."""
-    if e.t.exp != 0:
-        raise NotRepresentable(f"translation part {e.t} has a denominator")
-    return word([(B, e.t.num), (A, e.k)])
+def _affine_box(bounds: dict, group: GroupSpec) -> list:
+    k_max, t_max = bounds["k"], bounds["t"]
+    return [(p, k) for p in range(-t_max, t_max + 1)
+            for k in range(-k_max, k_max + 1)]
+
+
+def _affine_key(element: AffineElement, bounds: dict):
+    e = _affine_exp(bounds)
+    t = element.t
+    if t.exp > e:
+        return None  # finer denominator than the lattice carries
+    return (t.num * t.base ** (e - t.exp), element.k)
+
+
+def _affine_twist(pg: AffineElement, fg: AffineElement, bounds: dict):
+    """(p, k) -> key of (pt + t / n^pk + ft / n^(pk + k), pk + k + fk).
+
+    With t = p / |n|^e, every term is an integer over |n|^(e + lift) for
+    the `lift` below and every k in the box, so the image's numerator over
+    |n|^e is that integer divided by |n|^lift, and it exists exactly when
+    |n|^lift divides it (the lowest-terms exponent is at most e).
+    """
+    base, e, k_max = pg.t.base, _affine_exp(bounds), bounds["k"]
+    pk = pg.k
+
+    def sign(j):  # 1 / n^j = sign(j) / |n|^j
+        return -1 if pg.n < 0 and j % 2 else 1
+
+    lift = max(0, pg.t.exp - e, pk, fg.t.exp + pk + k_max - e)
+    unit = base ** lift
+    scale = sign(pk) * base ** (lift - pk)
+    const = pg.t.num * base ** (e + lift - pg.t.exp)
+    offset = {k: const + fg.t.num * sign(pk + k) * base ** (e + lift - fg.t.exp - pk - k)
+              for k in range(-k_max, k_max + 1)}
+    shift = pk + fg.k
+
+    def image(key):
+        p, k = key
+        num, rest = divmod(p * scale + offset[k], unit)
+        return None if rest else (num, k + shift)
+    return image
+
+
+AFFINE = ModelFamily(
+    name="affine",  # a -> (0, 1), b -> (1, 0)
+    a_power=lambda group, e: _affine(group, 0, e),
+    b_power=lambda group, e: _affine(group, e, 0),
+    box=_affine_box, key_of=_affine_key, twist=_affine_twist,
+    enumerate_bounds={"k": 10, "t": 200, "e": 4}, witness_bounds={"k": 12, "t": 200, "e": 4})
 
 
 # ---------------------------------------------------------------------------
 # F_m x| Z  (permuted-product model for B(m,m))
+
+def _free_reduce(*parts) -> tuple:
+    """Freely reduced product of syllable tuples ((index, exp), ...)."""
+    stack = []
+    for part in parts:
+        for idx, exp in part:
+            if stack and stack[-1][0] == idx:
+                exp += stack.pop()[1]
+                if not exp:
+                    continue
+            stack.append((idx, exp))
+    return tuple(stack)
+
+
+def _shift(syllables: tuple, k: int, m: int) -> tuple:
+    """sigma^k on a syllable tuple, x_j -> x_(j+k mod m)."""
+    return tuple(((i - 1 + k) % m + 1, e) for i, e in syllables)
+
 
 @dataclass(frozen=True)
 class FreeWord:
@@ -150,22 +223,14 @@ class FreeWord:
         return cls(((index, exp),))
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        stack = [list(p) for p in self.syllables]
-        for idx, exp in other.syllables:
-            if stack and stack[-1][0] == idx:
-                stack[-1][1] += exp
-                if stack[-1][1] == 0:
-                    stack.pop()
-            else:
-                stack.append([idx, exp])
-        return FreeWord(tuple((i, e) for i, e in stack))
+        return FreeWord(_free_reduce(self.syllables, other.syllables))
 
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple((i, -e) for i, e in reversed(self.syllables)))
 
     def shift(self, k: int, m: int) -> "FreeWord":
         """Apply sigma^k, the index rotation x_j -> x_(j+k mod m)."""
-        return FreeWord(tuple(((i - 1 + k) % m + 1, e) for i, e in self.syllables))
+        return FreeWord(_shift(self.syllables, k, m))
 
     def length(self) -> int:
         return sum(abs(e) for _, e in self.syllables)
@@ -184,10 +249,6 @@ class PermutedProduct:
     k: int
     m: int  # rank of the free part; sigma has order m
 
-    @classmethod
-    def identity(cls, m: int) -> "PermutedProduct":
-        return cls(FreeWord(), 0, m)
-
     def __mul__(self, other: "PermutedProduct") -> "PermutedProduct":
         if self.m != other.m:
             raise ValueError("mixed ambient rank")
@@ -200,28 +261,58 @@ class PermutedProduct:
         return f"({self.w}, {self.k})"
 
 
-def bsmm_embed(w: Word, group: GroupSpec) -> PermutedProduct:
-    """Injective homomorphism B(m,m) -> F_m x| Z, a -> (x1, 0), b -> (1, 1)."""
-    if group.m != group.n or abs(group.m) < 2:
-        raise WrongFamily(f"{group} is not B(m,m) with |m| > 1")
-    m = abs(group.m)
-    result = PermutedProduct.identity(m)
-    for s in w:
-        if s.base == A:
-            piece = PermutedProduct(FreeWord.generator(1, s.exp), 0, m)
-        else:
-            piece = PermutedProduct(FreeWord(), s.exp, m)
-        result = result * piece
-    return result
+def _free_words(m: int, max_len: int) -> list:
+    """Reduced words over x_1..x_m of length <= max_len, shortest first."""
+    words = [()]
+    frontier = [()]
+    for _ in range(max_len):
+        nxt = []
+        for w in frontier:
+            for idx in range(1, m + 1):
+                for exp in (1, -1):
+                    if w and w[-1][0] == idx:
+                        if (w[-1][1] > 0) == (exp > 0):
+                            nxt.append(w[:-1] + ((idx, w[-1][1] + exp),))
+                    else:
+                        nxt.append(w + ((idx, exp),))
+        frontier = nxt
+        words.extend(frontier)
+    return words
 
 
-def permuted_to_word(e: PermutedProduct) -> Word:
-    """Inverse via x_j = b^(j-1) a b^-(j-1), then the b^k tail."""
-    pairs = []
-    for idx, exp in e.w.syllables:
-        pairs.extend([(B, idx - 1), (A, exp), (B, -(idx - 1))])
-    pairs.append((B, e.k))
-    return word(pairs)
+def _permuted_box(bounds: dict, group: GroupSpec) -> list:
+    k_max = bounds["k"]
+    return [(w, k) for w in _free_words(abs(group.m), bounds["l"])
+            for k in range(-k_max, k_max + 1)]
+
+
+def _permuted_key(element: PermutedProduct, bounds: dict):
+    return (element.w.syllables, element.k)
+
+
+def _permuted_twist(pg: PermutedProduct, fg: PermutedProduct, bounds: dict):
+    """(w, k) -> (pw sigma^pk(w) sigma^(pk+k)(fw), pk + k + fk)."""
+    m, pw, pk = pg.m, pg.w.syllables, pg.k
+    tails = [_shift(fg.w.syllables, r, m) for r in range(m)]
+    shift = pk + fg.k
+    products = {}  # the free part depends on w and (pk + k) mod m only
+
+    def image(key):
+        w, k = key
+        r = (pk + k) % m
+        product = products.get((w, r))
+        if product is None:
+            product = products[w, r] = _free_reduce(pw, _shift(w, pk, m), tails[r])
+        return (product, k + shift)
+    return image
+
+
+PERMUTED = ModelFamily(
+    name="permuted-product",  # a -> (x1, 0), b -> (1, 1)
+    a_power=lambda group, e: PermutedProduct(FreeWord.generator(1, e), 0, abs(group.m)),
+    b_power=lambda group, e: PermutedProduct(FreeWord(), e, abs(group.m)),
+    box=_permuted_box, key_of=_permuted_key, twist=_permuted_twist,
+    enumerate_bounds={"l": 4, "k": 6}, witness_bounds={"l": 3, "k": 12})
 
 
 # ---------------------------------------------------------------------------
@@ -246,54 +337,54 @@ class KleinElement:
         return f"({self.u}, {self.v})"
 
 
-KLEIN_IDENTITY = KleinElement(0, 0)
+def _klein_box(bounds: dict, group: GroupSpec) -> list:
+    u_max, v_max = bounds["u"], bounds["v"]
+    return [(u, v) for u in range(-u_max, u_max + 1)
+            for v in range(-v_max, v_max + 1)]
 
 
-def _is_klein(group: GroupSpec) -> bool:
-    return (group.m, group.n) in ((1, -1), (-1, 1))
+def _klein_key(element: KleinElement, bounds: dict):
+    return (element.u, element.v)
 
 
-def klein_embed(w: Word, group: GroupSpec) -> KleinElement:
-    """Isomorphism B(1,-1) -> Z x| Z, a -> (0,1), b -> (1,0)."""
-    if not _is_klein(group):
-        raise WrongFamily(f"{group} is not B(1,-1) up to sign")
-    result = KLEIN_IDENTITY
-    for s in w:
-        piece = KleinElement(0, s.exp) if s.base == A else KleinElement(s.exp, 0)
-        result = result * piece
-    return result
+def _klein_twist(pg: KleinElement, fg: KleinElement, bounds: dict):
+    """(u, v) -> (pu + s u + s (-1)^v fu, pv + v + fv), s = (-1)^pv."""
+    pu, fu, shift = pg.u, fg.u, pg.v + fg.v
+    sign = -1 if pg.v % 2 else 1
+
+    def image(key):
+        u, v = key
+        return (pu + sign * u + (-sign if v % 2 else sign) * fu, v + shift)
+    return image
 
 
-def klein_to_word(e: KleinElement) -> Word:
-    return word([(B, e.u), (A, e.v)])
+KLEIN = ModelFamily(
+    name="klein",  # a -> (0, 1), b -> (1, 0)
+    a_power=lambda group, e: KleinElement(0, e),
+    b_power=lambda group, e: KleinElement(e, 0),
+    box=_klein_box, key_of=_klein_key, twist=_klein_twist,
+    enumerate_bounds={"u": 64, "v": 8}, witness_bounds={"u": 48, "v": 10})
 
 
 # ---------------------------------------------------------------------------
 # Oracle dispatch
 
-AFFINE = "affine"
-PERMUTED = "permuted-product"
-KLEIN = "klein"
 
-
-def model_family(group: GroupSpec) -> str:
-    """Which faithful model applies, or WrongFamily if none does."""
-    if _is_klein(group):
+def model_family(group: GroupSpec) -> ModelFamily:
+    """The faithful model of `group`, or WrongFamily if none applies."""
+    m, n = group.m, group.n
+    if m * n == -1:
         return KLEIN
-    if abs(group.m) == 1 and abs(group.n) > 1:
+    if abs(m) == 1 and abs(n) > 1:
         return AFFINE
-    if group.m == group.n and abs(group.m) > 1:
+    if m == n and abs(m) > 1:
         return PERMUTED
     raise WrongFamily(f"no faithful model for {group}")
 
 
 def model_embed(w: Word, group: GroupSpec):
-    family = model_family(group)
-    if family == KLEIN:
-        return klein_embed(w, group)
-    if family == AFFINE:
-        return bs1n_embed(w, group)
-    return bsmm_embed(w, group)
+    """Image of w in the faithful model of its group."""
+    return model_family(group).embed(w, group)
 
 
 def model_equal_oracle(u: Word, v: Word, group: GroupSpec) -> bool:

@@ -16,14 +16,14 @@ from fractions import Fraction
 from typing import Callable
 
 from .abelian import AbelianMap, fixed_functional, twisted_class_count
-from .errors import BoxTooSmall, GroupMismatch, UnsupportedGroup, WrongFamily
+from .errors import (
+    BoxTooSmall, GroupMismatch, NotInKernel, UnsupportedGroup, WordSyntaxError,
+    WrongFamily,
+)
 from .homs import (
     EndoSpec, InducedData, endo_apply, endo_validate, identity_endo, kappa,
 )
-from .models import (
-    AFFINE, KLEIN, PERMUTED, AffineElement, KleinElement, PermutedProduct,
-    model_embed, model_family,
-)
+from .models import ModelFamily, model_family
 from .words import (
     A, B, GroupSpec, Word, are_equal, exp_sum, format_word, parse_word, relator,
     word,
@@ -233,8 +233,10 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
     Checks that each spec is an endomorphism of phi's group (trivial relator
     image), then recomputes the scale identities and the witnesses'
     lam-values; True iff lam is fixed and the values are pairwise distinct.
-    An omitted psi is the identity.  For kappa, kappa(phi(g_i)) = kappa(g_i)
-    is checked for every i through kappa(phi(b)) = 1 and (n/m)^(k-1) = 1.
+    A witness that does not parse, or lies outside lam's domain, refutes
+    the certificate.  An omitted psi is the identity.  For kappa,
+    kappa(phi(g_i)) = kappa(g_i) is checked for every i through
+    kappa(phi(b)) = 1 and (n/m)^(k-1) = 1.
     """
     group = phi.group
     specs = [phi] + ([psi] if psi is not None else [])
@@ -242,7 +244,10 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
         if spec.group != group or not are_equal(
                 endo_apply(spec, relator(group)), Word(), group):
             return False
-    witnesses = [parse_word(text, group) for text in cert.first_witnesses]
+    try:
+        witnesses = [parse_word(text, group) for text in cert.first_witnesses]
+    except WordSyntaxError:
+        return False
 
     if cert.invariant in (INV_A_SUM, INV_B_SUM):
         letter = A if cert.invariant == INV_A_SUM else B
@@ -264,7 +269,10 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
         ks += [1] * (2 - len(ks))
         if ks[0] == ks[1]:
             return False
-        values = [kappa(w, group) for w in witnesses]
+        try:
+            values = [kappa(w, group) for w in witnesses]
+        except NotInKernel:
+            return False
     else:
         return False
 
@@ -344,174 +352,14 @@ class IndexUnionFind:
             self.merges += 1
 
 
-# Each model family is a substrate: a box of plain int/tuple keys, the key
-# of a model element, and twist kernels.  A kernel is built once from the
-# model images psi(g) and phi(g)^-1 of one generator g and maps the key of
-# x to the key of (psi(g) x) phi(g)^-1 with Python ints only, or to None
-# when that image has no key.  Box membership is decided by the caller.
-
-
-def _klein_box(bounds: dict, group: GroupSpec) -> list:
-    u_max, v_max = bounds["u"], bounds["v"]
-    return [(u, v) for u in range(-u_max, u_max + 1)
-            for v in range(-v_max, v_max + 1)]
-
-
-def _klein_key(element: KleinElement, bounds: dict):
-    return (element.u, element.v)
-
-
-def _klein_twist(pg: KleinElement, fg: KleinElement, bounds: dict):
-    """(u, v) -> (pu + s u + s (-1)^v fu, pv + v + fv), s = (-1)^pv."""
-    pu, fu, shift = pg.u, fg.u, pg.v + fg.v
-    sign = -1 if pg.v % 2 else 1
-
-    def image(key):
-        u, v = key
-        return (pu + sign * u + (-sign if v % 2 else sign) * fu, v + shift)
-    return image
-
-
-def _affine_exp(bounds: dict) -> int:
-    """e: the box holds (p / |n|^e, k) for |p| <= t, |k| <= k."""
-    e = bounds.get("e", min(bounds["k"], 4))
-    if e < 0:
-        raise ValueError(f"the affine box needs e >= 0, got e = {e}")
-    return e
-
-
-def _affine_box(bounds: dict, group: GroupSpec) -> list:
-    k_max, t_max = bounds["k"], bounds["t"]
-    return [(p, k) for p in range(-t_max, t_max + 1)
-            for k in range(-k_max, k_max + 1)]
-
-
-def _affine_key(element: AffineElement, bounds: dict):
-    e = _affine_exp(bounds)
-    t = element.t
-    if t.exp > e:
-        return None  # finer denominator than the lattice carries
-    return (t.num * t.base ** (e - t.exp), element.k)
-
-
-def _affine_twist(pg: AffineElement, fg: AffineElement, bounds: dict):
-    """(p, k) -> key of (pt + t / n^pk + ft / n^(pk + k), pk + k + fk).
-
-    With t = p / |n|^e, every term is an integer over |n|^(e + lift) for
-    the `lift` below and every k in the box, so the image's numerator over
-    |n|^e is that integer divided by |n|^lift, and it exists exactly when
-    |n|^lift divides it (the lowest-terms exponent is at most e).
-    """
-    base, e, k_max = pg.t.base, _affine_exp(bounds), bounds["k"]
-    pk = pg.k
-
-    def sign(j):  # 1 / n^j = sign(j) / |n|^j
-        return -1 if pg.n < 0 and j % 2 else 1
-
-    lift = max(0, pg.t.exp - e, pk, fg.t.exp + pk + k_max - e)
-    unit = base ** lift
-    scale = sign(pk) * base ** (lift - pk)
-    const = pg.t.num * base ** (e + lift - pg.t.exp)
-    offset = {k: const + fg.t.num * sign(pk + k) * base ** (e + lift - fg.t.exp - pk - k)
-              for k in range(-k_max, k_max + 1)}
-    shift = pk + fg.k
-
-    def image(key):
-        p, k = key
-        num, rest = divmod(p * scale + offset[k], unit)
-        return None if rest else (num, k + shift)
-    return image
-
-
-def _free_reduce(*parts) -> tuple:
-    """Freely reduced product of syllable tuples ((index, exp), ...)."""
-    stack = []
-    for part in parts:
-        for idx, exp in part:
-            if stack and stack[-1][0] == idx:
-                exp += stack.pop()[1]
-                if not exp:
-                    continue
-            stack.append((idx, exp))
-    return tuple(stack)
-
-
-def _shift(syllables: tuple, k: int, m: int) -> tuple:
-    """sigma^k on a syllable tuple, x_j -> x_(j+k mod m)."""
-    return tuple(((i - 1 + k) % m + 1, e) for i, e in syllables)
-
-
-def _free_words(m: int, max_len: int) -> list:
-    """Reduced words over x_1..x_m of length <= max_len, shortest first."""
-    words = [()]
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for idx in range(1, m + 1):
-                for exp in (1, -1):
-                    if w and w[-1][0] == idx:
-                        if (w[-1][1] > 0) == (exp > 0):
-                            nxt.append(w[:-1] + ((idx, w[-1][1] + exp),))
-                    else:
-                        nxt.append(w + ((idx, exp),))
-        frontier = nxt
-        words.extend(frontier)
-    return words
-
-
-def _permuted_box(bounds: dict, group: GroupSpec) -> list:
-    k_max = bounds["k"]
-    return [(w, k) for w in _free_words(abs(group.m), bounds["l"])
-            for k in range(-k_max, k_max + 1)]
-
-
-def _permuted_key(element: PermutedProduct, bounds: dict):
-    return (element.w.syllables, element.k)
-
-
-def _permuted_twist(pg: PermutedProduct, fg: PermutedProduct, bounds: dict):
-    """(w, k) -> (pw sigma^pk(w) sigma^(pk+k)(fw), pk + k + fk)."""
-    m, pw, pk = pg.m, pg.w.syllables, pg.k
-    tails = [_shift(fg.w.syllables, r, m) for r in range(m)]
-    shift = pk + fg.k
-    products = {}  # the free part depends on w and (pk + k) mod m only
-
-    def image(key):
-        w, k = key
-        r = (pk + k) % m
-        product = products.get((w, r))
-        if product is None:
-            product = products[w, r] = _free_reduce(pw, _shift(w, pk, m), tails[r])
-        return (product, k + shift)
-    return image
-
-
-@dataclass(frozen=True)
-class _Substrate:
-    box: Callable  # (bounds, group) -> keys in box order
-    key_of: Callable  # (model element, bounds) -> key or None
-    twist: Callable  # (psi(g), phi(g)^-1, bounds) -> key -> key or None
-    enumerate_bounds: dict
-    witness_bounds: dict
-
-
-_SUBSTRATES = {
-    KLEIN: _Substrate(_klein_box, _klein_key, _klein_twist,
-                      {"u": 64, "v": 8}, {"u": 48, "v": 10}),
-    AFFINE: _Substrate(_affine_box, _affine_key, _affine_twist,
-                       {"k": 10, "t": 200, "e": 4}, {"k": 12, "t": 200, "e": 4}),
-    PERMUTED: _Substrate(_permuted_box, _permuted_key, _permuted_twist,
-                         {"l": 4, "k": 6}, {"l": 3, "k": 12}),
-}
 _GENERATORS = (word([(A, 1)]), word([(A, -1)]), word([(B, 1)]), word([(B, -1)]))
 
 
-def _twist_kernels(substrate: _Substrate, group: GroupSpec, phi: EndoSpec,
+def _twist_kernels(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
                    psi: EndoSpec, bounds: dict) -> list:
-    return [substrate.twist(model_embed(endo_apply(psi, g), group),
-                            model_embed(endo_apply(phi, g), group).inverse(),
-                            bounds)
+    return [family.twist(family.embed(endo_apply(psi, g), group),
+                         family.embed(endo_apply(phi, g), group).inverse(),
+                         bounds)
             for g in _GENERATORS]
 
 
@@ -521,11 +369,19 @@ def _check_inputs(group: GroupSpec, phi: EndoSpec, psi: EndoSpec | None) -> None
             raise GroupMismatch(f"{tag} is on {spec.group}, enumeration on {group}")
 
 
-def _enumerate_once(group: GroupSpec, phi: EndoSpec, psi: EndoSpec,
-                    bounds: dict, inner_margin: int):
-    substrate = _SUBSTRATES[model_family(group)]
-    kernels = _twist_kernels(substrate, group, phi, psi, bounds)
-    keys = substrate.box(bounds, group)
+def _check_bounds(family: ModelFamily, bounds: dict) -> None:
+    """Bounds give each of the family's box keys (the affine e may be
+    omitted: it defaults to min(k, 4)) and no other, none negative."""
+    known = set(family.enumerate_bounds)
+    if not known - {"e"} <= set(bounds) <= known or min(bounds.values()) < 0:
+        raise ValueError(f"{family.name} bounds take non-negative values for "
+                         f"{sorted(known)}, got {bounds}")
+
+
+def _enumerate_once(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
+                    psi: EndoSpec, bounds: dict, inner_margin: int):
+    kernels = _twist_kernels(family, group, phi, psi, bounds)
+    keys = family.box(bounds, group)
     position = {key: i for i, key in enumerate(keys)}
     # per kernel: the box index of each element's image, None outside the
     # box (a None image key is never in the box, so .get maps it to None)
@@ -554,7 +410,7 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
                            inner_margin: int = 2) -> BallReport:
     """Union-find over a model box under single-generator twists.
 
-    The model family of `group` picks a substrate: a box of integer keys
+    The model family of `group` brings its substrate: a box of integer keys
     ((u, v) for the Klein bottle group, (numerator over |n|^e, k) for
     B(1,n), (free-word syllables, k) for B(m,m)) and one twist kernel per
     generator g, which maps a key to the key of (psi(g) x) phi(g)^-1 in
@@ -563,28 +419,30 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
     `inner_margin` twist steps).  Stable counts are upper-bound evidence
     only; the stabilization flag compares the count against the doubled
     box.  Raises GroupMismatch when phi or psi lives on another group,
-    ValueError on a negative margin, and BoxTooSmall when nothing is stable.
+    ValueError on a negative margin or bounds that are not the family's,
+    and BoxTooSmall when nothing is stable.
     """
     _check_inputs(group, phi, psi)
     if inner_margin < 0:
         raise ValueError(f"inner_margin must be non-negative, got {inner_margin}")
     family = model_family(group)
+    if bounds is None:
+        bounds = family.enumerate_bounds
+    _check_bounds(family, bounds)
     if psi is None:
         psi = identity_endo(group)
     endo_validate(phi)
     endo_validate(psi)
-    if bounds is None:
-        bounds = _SUBSTRATES[family].enumerate_bounds
 
     uf, roots_inner, total, _ = _enumerate_once(
-        group, phi, psi, bounds, inner_margin)
+        family, group, phi, psi, bounds, inner_margin)
     if not roots_inner:
         raise BoxTooSmall(f"no stable class in box {bounds}")
     doubled = {k: 2 * v for k, v in bounds.items()}
     _, roots_inner_2, _, _ = _enumerate_once(
-        group, phi, psi, doubled, inner_margin)
+        family, group, phi, psi, doubled, inner_margin)
     return BallReport(
-        family=family,
+        family=family.name,
         bounds=dict(bounds),
         total_elements=total,
         merges_applied=uf.merges,
@@ -601,22 +459,24 @@ def witnesses_stay_separated(cert: Certificate, phi: EndoSpec,
 
     Vacuously true for groups outside the modeled families, where no
     enumeration substrate exists.  Raises GroupMismatch when psi lives on
-    another group than phi.
+    another group than phi, and ValueError on bounds that are not the
+    family's.
     """
     group = phi.group
     _check_inputs(group, phi, psi)
     try:
-        substrate = _SUBSTRATES[model_family(group)]
+        family = model_family(group)
     except WrongFamily:
         return True
+    if bounds is None:
+        bounds = family.witness_bounds
+    _check_bounds(family, bounds)
     if psi is None:
         psi = identity_endo(group)
-    if bounds is None:
-        bounds = substrate.witness_bounds
-    uf, _, _, position = _enumerate_once(group, phi, psi, bounds, 0)
+    uf, _, _, position = _enumerate_once(family, group, phi, psi, bounds, 0)
     roots = []
     for text in cert.first_witnesses:
-        key = substrate.key_of(model_embed(parse_word(text, group), group), bounds)
+        key = family.key_of(family.embed(parse_word(text, group), group), bounds)
         index = position.get(key)
         if index is None:
             continue  # witness outside the box: no merge evidence either way

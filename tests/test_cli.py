@@ -218,6 +218,26 @@ class TestEnumerate:
                            "--margin", "5")
         assert code == 1 and "box-too-small" in err
 
+    @pytest.mark.parametrize("bounds", ["u=64", "u=64,v=8,z=3", "u=-3,v=8"])
+    def test_bounds_outside_the_family_box_are_refused(self, capsys, tmp_path,
+                                                       bounds):
+        path = tmp_path / "flip.endo"
+        path.write_text("group 1 -1\na -> a^3\nb -> b^2\n")
+        code, out, err = run(capsys, "enumerate", "--group", "1,-1",
+                             "--spec", str(path), "--bounds", bounds)
+        assert code == 1 and "invalid-input" in err and out == ""
+
+
+class TestKochSearch:
+    def test_found(self, capsys, spec_file):
+        code, out, _ = run(capsys, "koch-search", "--spec", spec_file)
+        assert code == 0 and out.startswith("phi(b) = ")
+
+    def test_negative_radius_is_refused(self, capsys, spec_file):
+        code, out, err = run(capsys, "koch-search", "--spec", spec_file,
+                             "--radius", "-1")
+        assert code == 1 and "invalid-input" in err and out == ""
+
 
 class TestMatrixCommands:
     def test_snf(self, capsys):

@@ -17,7 +17,7 @@ from bstwist.models import (
     PermutedProduct, PowRational, model_embed, model_family,
 )
 from bstwist.reidemeister import (
-    _GENERATORS, _SUBSTRATES, INV_A_SUM, BallReport, Certificate,
+    _GENERATORS, INV_A_SUM, BallReport, Certificate,
     _twist_kernels, certify_infinite, enumerate_classes_ball,
     witnesses_stay_separated,
 )
@@ -68,12 +68,12 @@ def _ref_affine_n(group):
 def _ref_membership(group, bounds):
     """Box elements by key, in box order, and the key of an element."""
     family = model_family(group)
-    if family == KLEIN:
+    if family is KLEIN:
         membership = {(u, v): KleinElement(u, v)
                       for u in range(-bounds["u"], bounds["u"] + 1)
                       for v in range(-bounds["v"], bounds["v"] + 1)}
         return membership, lambda e: (e.u, e.v)
-    if family == AFFINE:
+    if family is AFFINE:
         n = _ref_affine_n(group)
         denom_exp = bounds.get("e", min(bounds["k"], 4))
         membership = {(p, k): AffineElement(PowRational.make(p, denom_exp, abs(n)), k, n)
@@ -121,7 +121,7 @@ def reference_report(group, phi, psi, bounds, margin):
         raise BoxTooSmall(str(bounds))
     doubled = {k: 2 * v for k, v in bounds.items()}
     roots_inner_2 = _ref_once(group, phi, psi, doubled, margin)[2]
-    return BallReport(model_family(group), dict(bounds), len(membership), uf.merges,
+    return BallReport(model_family(group).name, dict(bounds), len(membership), uf.merges,
                       len(roots_inner), len(roots_all),
                       len(roots_inner) == len(roots_inner_2))
 
@@ -166,9 +166,9 @@ short_words = st.lists(st.tuples(st.sampled_from((A, B)), st.integers(-2, 2)),
 def valid_map(group, i, l, j, g):
     """A valid endomorphism of each modeled family, conjugated by g."""
     family = model_family(group)
-    if family == KLEIN:
+    if family is KLEIN:
         i = i if i % 2 else i + 1  # a must go to an odd a-power
-    elif family == AFFINE:
+    elif family is AFFINE:
         i = 1  # a^-i b^j a^i = b^(n j) forces i = 1 unless j = 0
     gi = invert(g)
     image_a = multiply(multiply(g, word([(A, i), (B, l)])), gi)
@@ -183,9 +183,9 @@ maps = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2), sho
 
 def element_of(group, key, bounds):
     family = model_family(group)
-    if family == KLEIN:
+    if family is KLEIN:
         return KleinElement(*key)
-    if family == AFFINE:
+    if family is AFFINE:
         n = _ref_affine_n(group)
         e = bounds.get("e", min(bounds["k"], 4))
         return AffineElement(PowRational.make(key[0], e, abs(n)), key[1], n)
@@ -200,15 +200,15 @@ def test_twist_kernels_match_model_products(case, phi_args, psi_args):
     group, bounds = case.group, case.bounds
     phi = valid_map(group, *phi_args)
     psi = valid_map(group, *psi_args)
-    substrate = _SUBSTRATES[model_family(group)]
-    kernels = _twist_kernels(substrate, group, phi, psi, bounds)
+    family = model_family(group)
+    kernels = _twist_kernels(family, group, phi, psi, bounds)
     for gen, kernel in zip(_GENERATORS, kernels):
         pg = model_embed(endo_apply(psi, gen), group)
         fg = model_embed(endo_apply(phi, gen), group).inverse()
-        for key in substrate.box(bounds, group):
+        for key in family.box(bounds, group):
             x = element_of(group, key, bounds)
-            assert substrate.key_of(x, bounds) == key
-            assert kernel(key) == substrate.key_of((pg * x) * fg, bounds)
+            assert family.key_of(x, bounds) == key
+            assert kernel(key) == family.key_of((pg * x) * fg, bounds)
 
 
 def test_affine_kernel_leaves_the_lattice():
@@ -216,18 +216,16 @@ def test_affine_kernel_leaves_the_lattice():
     # (p/2, k) then has no key on the 1/2 lattice for odd p
     group, bounds = GroupSpec(1, 2), {"k": 2, "t": 4, "e": 1}
     psi = valid_map(group, 1, 1, 1, word([(A, -2), (B, 1), (A, 2)]))
-    substrate = _SUBSTRATES[AFFINE]
-    kernels = _twist_kernels(substrate, group, identity_endo(group), psi, bounds)
-    images = [kernel(key) for kernel in kernels for key in substrate.box(bounds, group)]
+    kernels = _twist_kernels(AFFINE, group, identity_endo(group), psi, bounds)
+    images = [kernel(key) for kernel in kernels for key in AFFINE.box(bounds, group)]
     assert None in images and any(image is not None for image in images)
 
 
 def test_box_keys_match_model_boxes():
     for case in CASES + [Case(GroupSpec(2, 2), {"l": 4, "k": 1}),
                          Case(GroupSpec(3, 3), {"l": 3, "k": 0})]:
-        substrate = _SUBSTRATES[model_family(case.group)]
         membership, _ = _ref_membership(case.group, case.bounds)
-        assert substrate.box(case.bounds, case.group) == list(membership)
+        assert model_family(case.group).box(case.bounds, case.group) == list(membership)
 
 
 REPORT_CASES = [

@@ -239,6 +239,11 @@ class TestKochSearch:
         spec = EndoSpec(g, parse_word("a"), parse_word("b^2 a b^2 a^-1"))
         assert koch_form_search(spec, 2) is None
 
+    def test_negative_radius_is_refused(self):
+        spec = EndoSpec(GroupSpec(2, 3), parse_word("a"), parse_word("b^2"))
+        with pytest.raises(ValueError):
+            koch_form_search(spec, -1)
+
 
 class TestEndoFiles:
     def test_round_trip(self):

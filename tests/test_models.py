@@ -3,13 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bstwist.errors import NotRepresentable, WrongFamily
+from bstwist.errors import WrongFamily
 from bstwist.models import (
     AFFINE, KLEIN, PERMUTED, AffineElement, FreeWord, KleinElement,
-    PermutedProduct, PowRational, affine_to_word, bs1n_embed, bsmm_embed,
-    klein_embed, klein_to_word, model_embed, model_equal_oracle, model_family,
-    permuted_to_word,
+    PermutedProduct, PowRational, model_embed, model_equal_oracle, model_family,
 )
 from bstwist.words import A, B, GroupSpec, Word, are_equal, multiply, parse_word, word
 
@@ -17,6 +16,66 @@ from test_words import random_word
 
 MODELED = [GroupSpec(1, 2), GroupSpec(1, 3), GroupSpec(1, -2),
            GroupSpec(2, 2), GroupSpec(3, 3), GroupSpec(1, -1)]
+
+
+# ---------------------------------------------------------------------------
+# Reference: the three per-family embeddings that model_embed replaced
+
+
+def ref_bs1n_embed(w, group):
+    n = group.n if group.m == 1 else -group.n
+    result = AffineElement(PowRational.integer(0, abs(n)), 0, n)
+    for s in w:
+        if s.base == A:
+            piece = AffineElement(PowRational.integer(0, abs(n)), s.exp, n)
+        else:
+            piece = AffineElement(PowRational.integer(s.exp, abs(n)), 0, n)
+        result = result * piece
+    return result
+
+
+def ref_bsmm_embed(w, group):
+    m = abs(group.m)
+    result = PermutedProduct(FreeWord(), 0, m)
+    for s in w:
+        if s.base == A:
+            piece = PermutedProduct(FreeWord.generator(1, s.exp), 0, m)
+        else:
+            piece = PermutedProduct(FreeWord(), s.exp, m)
+        result = result * piece
+    return result
+
+
+def ref_klein_embed(w, group):
+    result = KleinElement(0, 0)
+    for s in w:
+        piece = KleinElement(0, s.exp) if s.base == A else KleinElement(s.exp, 0)
+        result = result * piece
+    return result
+
+
+REF_EMBEDS = {
+    GroupSpec(1, 2): ref_bs1n_embed, GroupSpec(1, -3): ref_bs1n_embed,
+    GroupSpec(-1, 2): ref_bs1n_embed, GroupSpec(1, -1): ref_klein_embed,
+    GroupSpec(-1, 1): ref_klein_embed, GroupSpec(2, 2): ref_bsmm_embed,
+    GroupSpec(3, 3): ref_bsmm_embed, GroupSpec(-2, -2): ref_bsmm_embed,
+}
+
+words = st.lists(st.tuples(st.sampled_from((A, B)), st.integers(-3, 3)),
+                 max_size=8).map(word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(group=st.sampled_from(sorted(REF_EMBEDS, key=str)), w=words)
+def test_model_embed_matches_the_per_family_embeddings(group, w):
+    assert model_embed(w, group) == REF_EMBEDS[group](w, group)
+
+
+@settings(max_examples=200, deadline=None)
+@given(group=st.sampled_from(sorted(REF_EMBEDS, key=str)), u=words, v=words)
+def test_model_embed_is_a_homomorphism(group, u, v):
+    assert model_embed(multiply(u, v), group) == \
+        model_embed(u, group) * model_embed(v, group)
 
 
 class TestPowRational:
@@ -46,26 +105,26 @@ class TestAffine:
     def test_defining_relation(self):
         for n in (2, 3, -2, -3):
             g = GroupSpec(1, n)
-            a = bs1n_embed(parse_word("a"), g)
-            b = bs1n_embed(parse_word("b"), g)
+            a = model_embed(parse_word("a"), g)
+            b = model_embed(parse_word("b"), g)
             lhs = a.inverse() * b * a
-            rhs = bs1n_embed(word([(B, n)]), g)
+            rhs = model_embed(word([(B, n)]), g)
             assert lhs == rhs
 
     def test_group_axioms(self):
         g = GroupSpec(1, -2)
         rng = random.Random(3)
         for _ in range(100):
-            x = bs1n_embed(random_word(rng), g)
-            assert x * x.inverse() == AffineElement.identity(-2)
+            x = model_embed(random_word(rng), g)
+            assert x * x.inverse() == model_embed(Word(), g)
 
     def test_embed_is_homomorphism(self):
         rng = random.Random(31)
         for g in (GroupSpec(1, 2), GroupSpec(1, -3)):
             for _ in range(150):
                 u, v = random_word(rng), random_word(rng)
-                assert bs1n_embed(multiply(u, v), g) == \
-                    bs1n_embed(u, g) * bs1n_embed(v, g)
+                assert model_embed(multiply(u, v), g) == \
+                    model_embed(u, g) * model_embed(v, g)
 
     def test_m_minus_one_folds(self):
         g = GroupSpec(-1, 2)
@@ -74,42 +133,37 @@ class TestAffine:
                                   parse_word("b^2"), g)
 
     def test_wrong_family(self):
-        with pytest.raises(WrongFamily):
-            bs1n_embed(Word(), GroupSpec(2, 3))
-        with pytest.raises(WrongFamily):
-            bs1n_embed(Word(), GroupSpec(1, 1))
+        for g in (GroupSpec(2, 3), GroupSpec(1, 1), GroupSpec(-1, -1)):
+            with pytest.raises(WrongFamily):
+                model_embed(Word(), g)
 
     def test_to_word_round_trip(self):
         g = GroupSpec(1, 2)
-        e = bs1n_embed(parse_word("b^3 a^-2"), g)
-        assert are_equal(affine_to_word(e), parse_word("b^3 a^-2"), g)
-
-    def test_to_word_rejects_denominator(self):
-        g = GroupSpec(1, 2)
-        e = bs1n_embed(parse_word("a b a^-1"), g)  # translation 1/2
-        with pytest.raises(NotRepresentable):
-            affine_to_word(e)
+        w = parse_word("b^3 a^-2")
+        e = model_embed(w, g)
+        assert e.t.exp == 0  # denominator-free: (t, k) is b^t a^k
+        assert are_equal(word([(B, e.t.num), (A, e.k)]), w, g)
 
 
 class TestPermuted:
     def test_defining_relation(self):
         for m in (2, 3):
             g = GroupSpec(m, m)
-            lhs = bsmm_embed(parse_word(f"a^-1 b^{m} a"), g)
-            rhs = bsmm_embed(parse_word(f"b^{m}"), g)
+            lhs = model_embed(parse_word(f"a^-1 b^{m} a"), g)
+            rhs = model_embed(parse_word(f"b^{m}"), g)
             assert lhs == rhs
 
     def test_a_and_b_do_not_commute(self):
         g = GroupSpec(2, 2)
-        assert bsmm_embed(parse_word("a b"), g) != bsmm_embed(parse_word("b a"), g)
+        assert model_embed(parse_word("a b"), g) != model_embed(parse_word("b a"), g)
 
     def test_embed_is_homomorphism(self):
         rng = random.Random(37)
         for g in (GroupSpec(2, 2), GroupSpec(3, 3)):
             for _ in range(150):
                 u, v = random_word(rng), random_word(rng)
-                assert bsmm_embed(multiply(u, v), g) == \
-                    bsmm_embed(u, g) * bsmm_embed(v, g)
+                assert model_embed(multiply(u, v), g) == \
+                    model_embed(u, g) * model_embed(v, g)
 
     def test_sigma_has_order_m(self):
         w = FreeWord.generator(1) * FreeWord.generator(2, -1)
@@ -120,29 +174,33 @@ class TestPermuted:
         rng = random.Random(41)
         g = GroupSpec(3, 3)
         for _ in range(100):
-            x = bsmm_embed(random_word(rng), g)
-            assert x * x.inverse() == PermutedProduct.identity(3)
+            x = model_embed(random_word(rng), g)
+            assert x * x.inverse() == model_embed(Word(), g)
 
     def test_to_word_round_trip(self):
         rng = random.Random(43)
         g = GroupSpec(2, 2)
         for _ in range(100):
             w = random_word(rng)
-            e = bsmm_embed(w, g)
-            assert are_equal(permuted_to_word(e), w, g)
+            e = model_embed(w, g)
+            # x_j = b^(j-1) a b^-(j-1), then the b^k tail
+            pairs = []
+            for idx, exp in e.w.syllables:
+                pairs.extend([(B, idx - 1), (A, exp), (B, -(idx - 1))])
+            pairs.append((B, e.k))
+            assert are_equal(word(pairs), w, g)
 
     def test_wrong_family(self):
-        with pytest.raises(WrongFamily):
-            bsmm_embed(Word(), GroupSpec(2, 3))
-        with pytest.raises(WrongFamily):
-            bsmm_embed(Word(), GroupSpec(1, 1))
+        for g in (GroupSpec(2, -2), GroupSpec(2, 4), GroupSpec(-3, 3)):
+            with pytest.raises(WrongFamily):
+                model_embed(Word(), g)
 
 
 class TestKlein:
     def test_defining_relation(self):
         g = GroupSpec(1, -1)
-        assert klein_embed(parse_word("a^-1 b a"), g) == \
-            klein_embed(parse_word("b^-1"), g)
+        assert model_embed(parse_word("a^-1 b a"), g) == \
+            model_embed(parse_word("b^-1"), g)
 
     def test_multiplication_rule(self):
         assert KleinElement(1, 1) * KleinElement(1, 0) == KleinElement(0, 1)
@@ -153,22 +211,26 @@ class TestKlein:
         seen = set()
         for u in range(-3, 4):
             for v in range(-3, 4):
-                e = klein_embed(klein_to_word(KleinElement(u, v)), g)
+                e = model_embed(word([(B, u), (A, v)]), g)
                 assert e == KleinElement(u, v)
                 seen.add((e.u, e.v))
         assert len(seen) == 49
 
     def test_sign_variant_accepted(self):
         g = GroupSpec(-1, 1)
-        assert klein_embed(parse_word("a"), g) == KleinElement(0, 1)
+        assert model_embed(parse_word("a"), g) == KleinElement(0, 1)
 
 
 class TestDispatch:
     def test_families(self):
-        assert model_family(GroupSpec(1, 5)) == AFFINE
-        assert model_family(GroupSpec(-1, 3)) == AFFINE
-        assert model_family(GroupSpec(4, 4)) == PERMUTED
-        assert model_family(GroupSpec(1, -1)) == KLEIN
+        assert model_family(GroupSpec(1, 5)) is AFFINE
+        assert model_family(GroupSpec(-1, 3)) is AFFINE
+        assert model_family(GroupSpec(4, 4)) is PERMUTED
+        assert model_family(GroupSpec(-2, -2)) is PERMUTED
+        assert model_family(GroupSpec(1, -1)) is KLEIN
+        assert model_family(GroupSpec(-1, 1)) is KLEIN
+        assert [f.name for f in (KLEIN, AFFINE, PERMUTED)] == \
+            ["klein", "affine", "permuted-product"]
         with pytest.raises(WrongFamily):
             model_family(GroupSpec(2, 3))
         with pytest.raises(WrongFamily):

@@ -1,5 +1,7 @@
 """Infinitude certificates, coincidence, ball enumeration, power constraint."""
 
+from dataclasses import replace
+
 import pytest
 
 from bstwist.abelian import AbelianGroup, AbelianMap
@@ -85,6 +87,19 @@ class TestCheckCertificate:
                            cert.witness_base, cert.witness_step,
                            cert.first_witnesses, cert.values)
         assert not check_certificate(fake, endo(2, 3, "a", "b^2"))
+
+    def test_rejects_unparsable_witness(self):
+        spec = endo(2, 3, "a", "b^2")
+        cert = certify_infinite(spec).certificate
+        bad = replace(cert, first_witnesses=("x",) + cert.first_witnesses[1:])
+        assert not check_certificate(bad, spec)
+
+    def test_rejects_kappa_witness_off_the_kernel(self):
+        spec = endo(3, -3, "a^3", "b")
+        cert = certify_infinite(spec).certificate
+        assert cert.invariant == INV_KAPPA
+        bad = replace(cert, first_witnesses=("a",) + cert.first_witnesses[1:])
+        assert not check_certificate(bad, spec)
 
 
 class TestCoincidence:
@@ -191,6 +206,28 @@ class TestEnumeration:
         spec = endo(2, 3, "a", "b^2")
         cert = certify_infinite(spec).certificate
         assert witnesses_stay_separated(cert, spec)
+
+    @pytest.mark.parametrize("group, bounds", [
+        (GroupSpec(1, -1), {"u": 64}),
+        (GroupSpec(1, -1), {"u": 64, "v": 8, "z": 3}),
+        (GroupSpec(1, -1), {"u": -3, "v": 8}),
+        (GroupSpec(1, 2), {"t": 10, "e": 2}),
+        (GroupSpec(1, 2), {"k": 2, "t": 10, "e": -1}),
+        (GroupSpec(2, 2), {"l": 2, "k": 3, "e": 1}),
+    ])
+    def test_bounds_must_be_the_family_box(self, group, bounds):
+        spec = identity_endo(group)
+        fake = Certificate(INV_A_SUM, "Z", {}, "1", "a", ("a", "a^2"), ("1", "2"))
+        with pytest.raises(ValueError):
+            enumerate_classes_ball(group, spec, bounds=bounds)
+        with pytest.raises(ValueError):
+            witnesses_stay_separated(fake, spec, bounds=bounds)
+
+    def test_affine_e_may_be_omitted(self):
+        g = GroupSpec(1, 2)
+        report = enumerate_classes_ball(g, endo(1, 2, "a", "b^2"),
+                                        bounds={"k": 2, "t": 16})
+        assert report.bounds == {"k": 2, "t": 16}
 
     def test_merged_witnesses_detected(self):
         # under conjugation by the identity map, a and a b are NOT merged,
