@@ -329,7 +329,12 @@ class BallReport:
 
 
 class IndexUnionFind:
-    """Union-find over the indices 0..size-1, counting successful merges."""
+    """Union-find over the indices 0..size-1, counting successful merges.
+
+    Edges arrive a column at a time: `union_column` joins each i to
+    column[i], so the enumerator's inner loop is one method call per twist
+    generator rather than one per edge.
+    """
 
     def __init__(self, size: int):
         self.parent = list(range(size))
@@ -341,18 +346,26 @@ class IndexUnionFind:
             parent[x] = x = parent[parent[x]]  # path halving
         return x
 
-    def union(self, x: int, y: int) -> None:
+    def union_column(self, column: list) -> None:
+        """Merge i with column[i] for every i whose entry is not None."""
         parent = self.parent  # find, inlined: this is the enumerator's inner loop
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        if x != y:
-            parent[x] = y
-            self.merges += 1
+        merges = 0
+        for x, y in enumerate(column):
+            if y is None:
+                continue
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x != y:
+                parent[x] = y
+                merges += 1
+        self.merges += merges
 
 
-_GENERATORS = (word([(A, 1)]), word([(A, -1)]), word([(B, 1)]), word([(B, -1)]))
+# a and b only: the twist by g^-1 is the inverse of the twist by g (see
+# `_merge_box`), so its edges and neighbour lists follow from g's
+_GENERATORS = (word([(A, 1)]), word([(B, 1)]))
 
 
 def _twist_kernels(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
@@ -371,37 +384,61 @@ def _check_inputs(group: GroupSpec, phi: EndoSpec, psi: EndoSpec | None) -> None
 
 def _check_bounds(family: ModelFamily, bounds: dict) -> None:
     """Bounds give each of the family's box keys (the affine e may be
-    omitted: it defaults to min(k, 4)) and no other, none negative."""
+    omitted: it defaults to min(k, 4)) and no other, all positive: the
+    stabilization run doubles them, and a zero axis would not grow."""
     known = set(family.enumerate_bounds)
-    if not known - {"e"} <= set(bounds) <= known or min(bounds.values()) < 0:
-        raise ValueError(f"{family.name} bounds take non-negative values for "
+    if not known - {"e"} <= set(bounds) <= known or min(bounds.values()) < 1:
+        raise ValueError(f"{family.name} bounds take positive values for "
                          f"{sorted(known)}, got {bounds}")
 
 
-def _enumerate_once(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
-                    psi: EndoSpec, bounds: dict, inner_margin: int):
+def _merge_box(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
+               psi: EndoSpec, bounds: dict):
+    """The union-find of the box under the a and b twists, the box index
+    of each key, and the a and b twist columns.
+
+    column[i] is the box index of the twist of element i, None outside the
+    box.  Only a and b need columns: since phi and psi are homomorphisms,
+    tau_{g^-1}(x) = psi(g)^-1 x phi(g) = tau_g^-1(x), so inside the box the
+    g^-1 edges are the g edges reversed and merge nothing new.
+    """
     kernels = _twist_kernels(family, group, phi, psi, bounds)
     keys = family.box(bounds, group)
     position = {key: i for i, key in enumerate(keys)}
-    # per kernel: the box index of each element's image, None outside the
-    # box (a None image key is never in the box, so .get maps it to None)
+    # a None image key is never in the box, so .get maps it to None
     columns = [list(map(position.get, map(kernel, keys))) for kernel in kernels]
     uf = IndexUnionFind(len(keys))
     for column in columns:
-        for i, j in enumerate(column):
-            if j is not None:
-                uf.union(i, j)
+        uf.union_column(column)
+    return uf, position, columns
 
-    # inner region: elements whose twists stay inside, iterated margin times
-    inner = set(range(len(keys)))
+
+def _inverted(column: list, indices) -> list:
+    """The g^-1 column from the g column: back[j] = i where column[i] = j.
+
+    `indices` yields 0..len-1 as the int objects already stored in the
+    position map, so the scattered column holds no new ones.
+    """
+    back = [None] * len(column)
+    for i, j in zip(indices, column):
+        if j is not None:
+            back[j] = i
+    return back
+
+
+def _stable_roots(uf: IndexUnionFind, position: dict, columns: list,
+                  inner_margin: int) -> set:
+    """Roots of the classes meeting the inner region: the elements whose
+    twists by a, a^-1, b and b^-1 stay inside, iterated margin times."""
+    inner = set(position.values())
+    if inner_margin:
+        columns = columns + [_inverted(c, position.values()) for c in columns]
     for _ in range(inner_margin):
         kept = inner
         for column in columns:
             kept = {i for i in kept if column[i] in inner}
         inner = kept
-
-    roots_inner = {uf.find(i) for i in inner}
-    return uf, roots_inner, len(keys), position
+    return {uf.find(i) for i in inner}
 
 
 def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
@@ -412,15 +449,15 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
 
     The model family of `group` brings its substrate: a box of integer keys
     ((u, v) for the Klein bottle group, (numerator over |n|^e, k) for
-    B(1,n), (free-word syllables, k) for B(m,m)) and one twist kernel per
-    generator g, which maps a key to the key of (psi(g) x) phi(g)^-1 in
-    exact integer arithmetic.  Box elements joined by a twist are merged.
+    B(1,n), (free-word syllables, k) for B(m,m)) and one twist kernel for
+    each of g = a, b, which maps a key to the key of (psi(g) x) phi(g)^-1
+    in exact integer arithmetic.  Box elements joined by a twist are merged.
     A class is stable when it meets the inner region (the box eroded
     `inner_margin` twist steps).  Stable counts are upper-bound evidence
     only; the stabilization flag compares the count against the doubled
     box.  Raises GroupMismatch when phi or psi lives on another group,
-    ValueError on a negative margin or bounds that are not the family's,
-    and BoxTooSmall when nothing is stable.
+    ValueError on a negative margin or bounds that are not the family's
+    positive box, and BoxTooSmall when nothing is stable.
     """
     _check_inputs(group, phi, psi)
     if inner_margin < 0:
@@ -434,13 +471,14 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
     endo_validate(phi)
     endo_validate(psi)
 
-    uf, roots_inner, total, _ = _enumerate_once(
-        family, group, phi, psi, bounds, inner_margin)
+    uf, position, columns = _merge_box(family, group, phi, psi, bounds)
+    total = len(position)
+    roots_inner = _stable_roots(uf, position, columns, inner_margin)
     if not roots_inner:
         raise BoxTooSmall(f"no stable class in box {bounds}")
     doubled = {k: 2 * v for k, v in bounds.items()}
-    _, roots_inner_2, _, _ = _enumerate_once(
-        family, group, phi, psi, doubled, inner_margin)
+    roots_inner_2 = _stable_roots(
+        *_merge_box(family, group, phi, psi, doubled), inner_margin)
     return BallReport(
         family=family.name,
         bounds=dict(bounds),
@@ -460,7 +498,7 @@ def witnesses_stay_separated(cert: Certificate, phi: EndoSpec,
     Vacuously true for groups outside the modeled families, where no
     enumeration substrate exists.  Raises GroupMismatch when psi lives on
     another group than phi, and ValueError on bounds that are not the
-    family's.
+    family's positive box.
     """
     group = phi.group
     _check_inputs(group, phi, psi)
@@ -473,7 +511,7 @@ def witnesses_stay_separated(cert: Certificate, phi: EndoSpec,
     _check_bounds(family, bounds)
     if psi is None:
         psi = identity_endo(group)
-    uf, _, _, position = _enumerate_once(family, group, phi, psi, bounds, 0)
+    uf, position, _ = _merge_box(family, group, phi, psi, bounds)
     roots = []
     for text in cert.first_witnesses:
         key = family.key_of(family.embed(parse_word(text, group), group), bounds)

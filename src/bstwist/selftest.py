@@ -194,11 +194,9 @@ def _box_oracle(M: IntMatrix, d_max: int) -> int:
         points = [p + (x,) for p in points for x in range(-bound, bound + 1)]
     position = {p: i for i, p in enumerate(points)}
     uf = IndexUnionFind(len(points))
-    for i, p in enumerate(points):
-        for col in columns:
-            j = position.get(tuple(a + b for a, b in zip(p, col)))
-            if j is not None:
-                uf.union(i, j)
+    for col in columns:
+        uf.union_column([position.get(tuple(a + b for a, b in zip(p, col)))
+                         for p in points])
     reps = {uf.find(i) for i, p in enumerate(points) if all(abs(x) <= inner for x in p)}
     return len(reps)
 

@@ -227,6 +227,16 @@ class TestEnumerate:
                              "--spec", str(path), "--bounds", bounds)
         assert code == 1 and "invalid-input" in err and out == ""
 
+    def test_zero_bounds_are_refused(self, capsys, tmp_path):
+        # a zero box stays zero when doubled, so its one class of the
+        # identity map looked stable although R(id) is infinite
+        path = tmp_path / "id.endo"
+        path.write_text("group 1 -1\na -> a\nb -> b\n")
+        code, out, err = run(capsys, "enumerate", "--group", "1,-1",
+                             "--spec", str(path), "--bounds", "u=0,v=0",
+                             "--margin", "0")
+        assert code == 1 and "invalid-input" in err and out == ""
+
 
 class TestKochSearch:
     def test_found(self, capsys, spec_file):

@@ -17,7 +17,7 @@ from bstwist.models import (
     PermutedProduct, PowRational, model_embed, model_family,
 )
 from bstwist.reidemeister import (
-    _GENERATORS, INV_A_SUM, BallReport, Certificate,
+    _GENERATORS, INV_A_SUM, BallReport, Certificate, _inverted, _merge_box,
     _twist_kernels, certify_infinite, enumerate_classes_ball,
     witnesses_stay_separated,
 )
@@ -92,9 +92,15 @@ def _ref_membership(group, bounds):
     return membership, lambda e: (e.w.syllables, e.k)
 
 
+# all four twist generators, independent of the enumerator's (a, b): the
+# reference merges and erodes along a^-1 and b^-1 edges computed directly
+_REF_GENERATORS = (word([(A, 1)]), word([(A, -1)]), word([(B, 1)]), word([(B, -1)]))
+
+
 def _ref_once(group, phi, psi, bounds, margin):
-    psi_images = [model_embed(endo_apply(psi, g), group) for g in _GENERATORS]
-    phi_inv = [model_embed(endo_apply(phi, g), group).inverse() for g in _GENERATORS]
+    psi_images = [model_embed(endo_apply(psi, g), group) for g in _REF_GENERATORS]
+    phi_inv = [model_embed(endo_apply(phi, g), group).inverse()
+               for g in _REF_GENERATORS]
     membership, key = _ref_membership(group, bounds)
     uf = _RefUnionFind(membership)
     twists = {}
@@ -192,6 +198,14 @@ def element_of(group, key, bounds):
     return PermutedProduct(FreeWord(key[0]), key[1], abs(group.m))
 
 
+def _inverse_kernels(family, group, phi, psi, bounds):
+    """Twist kernels built directly for a^-1 and b^-1."""
+    return [family.twist(model_embed(endo_apply(psi, invert(g)), group),
+                         model_embed(endo_apply(phi, invert(g)), group).inverse(),
+                         bounds)
+            for g in _GENERATORS]
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=st.sampled_from(CASES), phi_args=maps, psi_args=maps)
 @example(case=CASES[2], phi_args=(1, 1, -1, word([(A, -2)])),
@@ -201,8 +215,9 @@ def test_twist_kernels_match_model_products(case, phi_args, psi_args):
     phi = valid_map(group, *phi_args)
     psi = valid_map(group, *psi_args)
     family = model_family(group)
-    kernels = _twist_kernels(family, group, phi, psi, bounds)
-    for gen, kernel in zip(_GENERATORS, kernels):
+    kernels = (_twist_kernels(family, group, phi, psi, bounds)
+               + _inverse_kernels(family, group, phi, psi, bounds))
+    for gen, kernel in zip(_GENERATORS + tuple(map(invert, _GENERATORS)), kernels):
         pg = model_embed(endo_apply(psi, gen), group)
         fg = model_embed(endo_apply(phi, gen), group).inverse()
         for key in family.box(bounds, group):
@@ -219,6 +234,42 @@ def test_affine_kernel_leaves_the_lattice():
     kernels = _twist_kernels(AFFINE, group, identity_endo(group), psi, bounds)
     images = [kernel(key) for kernel in kernels for key in AFFINE.box(bounds, group)]
     assert None in images and any(image is not None for image in images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(CASES), phi_args=maps, psi_args=maps)
+@example(case=CASES[2], phi_args=(1, 1, -1, word([(A, -3)])),
+         psi_args=(1, 0, 1, word([(A, 3), (B, 1)])))
+@example(case=CASES[6], phi_args=(2, 1, -1, word([(A, 1), (B, -1)])),
+         psi_args=(-1, 0, 1, word([])))
+def test_inverted_columns_are_the_inverse_twist_columns(case, phi_args, psi_args):
+    # tau_{g^-1} = tau_g^-1: scattering the g column gives exactly the box
+    # indices a kernel built for g^-1 computes, None where it leaves the box
+    group, bounds = case.group, case.bounds
+    phi = valid_map(group, *phi_args)
+    psi = valid_map(group, *psi_args)
+    family = model_family(group)
+    _, position, columns = _merge_box(family, group, phi, psi, bounds)
+    keys = family.box(bounds, group)
+    for column, kernel in zip(columns, _inverse_kernels(family, group, phi, psi, bounds)):
+        direct = [position.get(kernel(key)) for key in keys]
+        assert _inverted(column, position.values()) == direct
+
+
+def test_inverted_columns_of_an_affine_map_off_the_lattice():
+    # conjugating by a^-2 puts denominators 2^2 into psi(a), so twists of
+    # (p/2, k) leave the 1/2 lattice both ways; the scatter still agrees
+    group, bounds = GroupSpec(1, 2), {"k": 2, "t": 4, "e": 1}
+    psi = valid_map(group, 1, 1, 1, word([(A, -2), (B, 1), (A, 2)]))
+    phi = identity_endo(group)
+    _, position, columns = _merge_box(AFFINE, group, phi, psi, bounds)
+    keys = AFFINE.box(bounds, group)
+    off_lattice = 0
+    for column, kernel in zip(columns, _inverse_kernels(AFFINE, group, phi, psi, bounds)):
+        images = [kernel(key) for key in keys]
+        off_lattice += images.count(None)
+        assert _inverted(column, position.values()) == list(map(position.get, images))
+    assert off_lattice
 
 
 def test_box_keys_match_model_boxes():

@@ -214,6 +214,14 @@ class TestEnumeration:
         (GroupSpec(1, 2), {"t": 10, "e": 2}),
         (GroupSpec(1, 2), {"k": 2, "t": 10, "e": -1}),
         (GroupSpec(2, 2), {"l": 2, "k": 3, "e": 1}),
+        # zero axes: the doubled box would not grow along them
+        (GroupSpec(1, -1), {"u": 0, "v": 8}),
+        (GroupSpec(1, -1), {"u": 64, "v": 0}),
+        (GroupSpec(1, 2), {"k": 0, "t": 10}),
+        (GroupSpec(1, 2), {"k": 2, "t": 0, "e": 2}),
+        (GroupSpec(1, 2), {"k": 2, "t": 10, "e": 0}),
+        (GroupSpec(2, 2), {"l": 0, "k": 3}),
+        (GroupSpec(2, 2), {"l": 2, "k": 0}),
     ])
     def test_bounds_must_be_the_family_box(self, group, bounds):
         spec = identity_endo(group)
