@@ -4,14 +4,13 @@ analysis, and twisted-conjugacy (Reidemeister) certificates."""
 
 from .abelian import AbelianGroup, AbelianMap
 from .errors import (
-    BoxTooSmall, BSTwistError, GroupMismatch, KernelNotPreserved,
-    NotInKernel, RelationViolated, ShapeMismatch, UnsupportedGroup,
-    WordSyntaxError, WrongFamily,
+    BoxTooSmall, BSTwistError, GroupMismatch, NotInKernel, RelationViolated,
+    ShapeMismatch, UnsupportedGroup, WordSyntaxError, WrongFamily,
 )
 from .homs import (
     EndoSpec, InducedData, KernelDecomposition, endo_apply, endo_compose,
-    endo_validate, identity_endo, induced_on_Z, induced_on_ab, kappa,
-    kappa_scale, kernel_decompose, koch_form_search, parse_endo_file,
+    endo_validate, identity_endo, induced_on_ab, kappa, kappa_scale,
+    kernel_decompose, koch_form_search, parse_endo_file,
 )
 from .intmat import IntMatrix, SNFResult, coker_order, snf
 from .models import (
@@ -21,7 +20,7 @@ from .models import (
 from .reidemeister import (
     BallReport, Certificate, ReidemeisterOutcome, certify_infinite,
     check_certificate, coincidence_certify, enumerate_classes_ball,
-    power_constraint, reidemeister_abelian,
+    power_constraint,
 )
 from .words import (
     GroupSpec, NormalForm, Syllable, Word, are_equal, britton_reduce,

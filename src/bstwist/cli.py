@@ -1,6 +1,9 @@
 """Command-line surface: every library operation for batch use.
 
-Exit codes: 0 success, 1 domain error (machine-readable code on stderr),
+Each command is one handler that takes the parsed arguments and returns a
+JSON payload with its text rendering; `main` prints one of the two and maps
+errors to exit codes, once for all commands.  Exit codes: 0 success, 1
+domain error (machine-readable code on stderr) or a failed selftest check,
 2 usage or word-syntax error.  Every command that acts on a group takes it
 explicitly; there is no default, so family-specific commands cannot be
 misused silently.
@@ -71,223 +74,214 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+# ---------------------------------------------------------------------------
+# One handler per command: parsed args in, (JSON payload, text) out.
+
+
+def _normalize(args):
+    text = format_word(normal_form(parse_word(args.word, args.group),
+                                   args.group).word)
+    return {"normal_form": text}, text
+
+
+def _equal(args):
+    result = are_equal(parse_word(args.word1, args.group),
+                       parse_word(args.word2, args.group), args.group)
+    return {"equal": result}, "equal" if result else "not-equal"
+
+
+def _mult(args):
+    product = parse_word(args.words[0], args.group)
+    for text in args.words[1:]:
+        product = multiply(product, parse_word(text, args.group))
+    text = format_word(normal_form(product, args.group).word)
+    return {"product": text}, text
+
+
+def _model_check(args):
+    u = parse_word(args.word1, args.group)
+    v = parse_word(args.word2, args.group)
+    britton = are_equal(u, v, args.group)
+    model = model_equal_oracle(u, v, args.group)
+    return ({"britton": britton, "model": model, "agree": britton == model},
+            f"britton: {britton}  model: {model}  agree: {britton == model}")
+
+
+def _hom_validate(args):
+    spec = _load_spec(args.spec, args.group)
+    data = endo_validate(spec)
+    payload = data.as_dict()
+    lines = [f"valid endomorphism on {spec.group}",
+             f"k = {data.k}",
+             f"kernel_preserved = {data.kernel_preserved}",
+             f"abelianization: torsion Z_{payload['ab_torsion']}, "
+             f"matrix {payload['ab_matrix']}",
+             f"kappa_scale = {payload['kappa_scale']}"]
+    if data.injectivity_obstruction:
+        lines.append(data.injectivity_obstruction)
+    return payload, "\n".join(lines)
+
+
+def _kernel_decompose(args):
+    terms = list(kernel_decompose(parse_word(args.word, args.group),
+                                  args.group).terms)
+    return {"terms": terms}, " ".join(f"g_{i}^{e}" for i, e in terms) or "1"
+
+
+def _kappa(args):
+    value = kappa(parse_word(args.word, args.group), args.group)
+    return {"kappa": str(value)}, str(value)
+
+
+def _outcome(outcome):
+    if outcome.kind == "infinite":
+        cert = outcome.certificate
+        text = (f"infinite (invariant: {cert.invariant}; witnesses "
+                f"{cert.witness_base} * ({cert.witness_step})^j)")
+    else:
+        text = "unknown\n" + "\n".join(f"  tried {a}" for a in outcome.attempts)
+    return outcome.as_dict(), text
+
+
+def _certify(args):
+    return _outcome(certify_infinite(_load_spec(args.spec, args.group)))
+
+
+def _coincidence(args):
+    return _outcome(coincidence_certify(_load_spec(args.spec, args.group),
+                                        _load_spec(args.spec2, args.group)))
+
+
+def _enumerate(args):
+    phi = _load_spec(args.spec, args.group)
+    psi = _load_spec(args.spec2, args.group) if args.spec2 else None
+    report = enumerate_classes_ball(args.group, phi, psi, bounds=args.bounds,
+                                    inner_margin=args.margin)
+    return report.as_dict(), (
+        f"{report.family}: {report.stable_classes} stable / "
+        f"{report.tentative_classes} tentative classes over "
+        f"{report.total_elements} elements (stabilized: {report.stabilized})")
+
+
+def _snf(args):
+    rows = [[int(x) for x in row.split()] for row in args.matrix.split(";")]
+    if not any(rows):
+        raise ValueError(f"matrix has no entries: {args.matrix!r}")
+    M = IntMatrix.from_rows(rows)
+    result = snf(M)
+    order = coker_order(M) if M.rows == M.cols else None
+    payload = {"diagonal": list(result.diagonal),
+               "U": [list(r) for r in result.U.entries],
+               "V": [list(r) for r in result.V.entries],
+               "coker_order": order}
+    coker = "infinite" if order is None and M.rows == M.cols else order
+    return payload, f"diagonal: {list(result.diagonal)}  coker: {coker}"
+
+
+def _power_constraint(args):
+    solutions = sorted(power_constraint(args.group.m, args.group.n, args.range))
+    return {"solutions": solutions}, " ".join(map(str, solutions)) or "(none)"
+
+
+def _standardize(args):
+    target, (image_a, image_b) = standardize(args.group)
+    payload = {"m": target.m, "n": target.n,
+               "image_a": format_word(image_a), "image_b": format_word(image_b)}
+    return payload, (f"{target}  a -> {payload['image_a']}, "
+                     f"b -> {payload['image_b']}")
+
+
+def _koch_search(args):
+    witness = koch_form_search(_load_spec(args.spec, None), args.radius)
+    if witness is None:
+        return {"found": False}, f"no witness at radius {args.radius}"
+    gamma, r = witness
+    return ({"found": True, "gamma": format_word(gamma), "r": r},
+            f"phi(b) = ({format_word(gamma)}) b^{r} (...)^-1")
+
+
+def _selftest(args):
+    results = selftest_mod.run_all()
+    width = max(len(name) for name, _, _ in results)
+    payload = {"checks": [{"name": name, "passed": passed, "detail": detail}
+                          for name, passed, detail in results],
+               "passed": all(passed for _, passed, _ in results)}
+    return payload, "\n".join(
+        f"{name:<{width}}  {'PASS' if passed else 'FAIL'}  {detail}"
+        for name, passed, detail in results)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bs-twist",
         description="Exact computations in Baumslag-Solitar groups B(m,n)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, group=True, spec=False):
+    def command(name, handler, help, *words, group=True, spec=False,
+                **kwargs):
+        """The subparser `name` running `handler`; `words` are positional."""
+        p = sub.add_parser(name, help=help, **kwargs)
+        p.set_defaults(handler=handler)
         if group:
             p.add_argument("--group", type=_group, required=True,
                            metavar="m,n", help="group indices, e.g. 2,3")
         if spec:
             p.add_argument("--spec", required=True, help="endomorphism spec file")
         p.add_argument("--format", choices=("text", "json"), default="text")
+        for positional in words:
+            p.add_argument(positional)
         return p
 
-    p = common(sub.add_parser("normalize", help="canonical normal form"))
-    p.add_argument("word")
+    command("normalize", _normalize, "canonical normal form", "word")
+    command("equal", _equal, "word problem for two words", "word1", "word2")
 
-    p = common(sub.add_parser("equal", help="word problem for two words"))
-    p.add_argument("word1")
-    p.add_argument("word2")
-
-    p = common(sub.add_parser("mult", help="product of words, normalized"))
+    p = command("mult", _mult, "product of words, normalized")
     p.add_argument("words", nargs="+")
 
-    p = common(sub.add_parser("model-check",
-                              help="compare Britton equality with the model oracle"))
-    p.add_argument("word1")
-    p.add_argument("word2")
+    command("model-check", _model_check,
+            "compare Britton equality with the model oracle", "word1", "word2")
 
-    common(sub.add_parser("hom-validate", help="validate an endomorphism spec"),
-           spec=True)
-    common(sub.add_parser("hom-induced",
-                          help="induced maps of a validated endomorphism"),
-           spec=True)
+    command("hom-validate", _hom_validate,
+            "validate an endomorphism spec and print its induced maps",
+            spec=True, aliases=["hom-induced"])
 
-    p = common(sub.add_parser("kernel-decompose",
-                              help="decompose a kernel word into g_i powers"))
-    p.add_argument("word")
+    command("kernel-decompose", _kernel_decompose,
+            "decompose a kernel word into g_i powers", "word")
+    command("kappa", _kappa, "rational kernel invariant", "word")
 
-    p = common(sub.add_parser("kappa", help="rational kernel invariant"))
-    p.add_argument("word")
+    command("certify", _certify, "certificate that R(phi) is infinite",
+            spec=True)
 
-    common(sub.add_parser("certify",
-                          help="certificate that R(phi) is infinite"),
-           spec=True)
-
-    p = common(sub.add_parser("coincidence",
-                              help="coincidence certificate for a pair"),
-               spec=True)
+    p = command("coincidence", _coincidence,
+                "coincidence certificate for a pair", spec=True)
     p.add_argument("--spec2", required=True)
 
-    p = common(sub.add_parser("enumerate",
-                              help="twisted-class ball enumeration"),
-               spec=True)
+    p = command("enumerate", _enumerate, "twisted-class ball enumeration",
+                spec=True)
     p.add_argument("--spec2", help="second spec (psi); identity if omitted")
     p.add_argument("--bounds", type=_bounds, metavar="k=K,t=T",
                    help="model-specific box, e.g. u=64,v=8")
     p.add_argument("--margin", type=int, default=2)
 
-    p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
+    p = command("snf", _snf, "Smith normal form of an integer matrix",
+                group=False)
     p.add_argument("matrix", help="rows separated by ';', e.g. '2 4; 6 8'")
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("power-constraint",
-                       help="indices k with n^(k-1) = m^(k-1)")
-    p.add_argument("--group", type=_group, required=True, metavar="m,n")
+    p = command("power-constraint", _power_constraint,
+                "indices k with n^(k-1) = m^(k-1)")
     p.add_argument("--range", type=_int_range, default=(-10, 10),
                    metavar="lo,hi")
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    common(sub.add_parser("standardize",
-                          help="isomorphic indices with 0 < m <= |n|"))
+    command("standardize", _standardize,
+            "isomorphic indices with 0 < m <= |n|")
 
-    p = sub.add_parser("koch-search",
-                       help="bounded search for phi(b) = g b^r g^-1")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--radius", type=int, default=4)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p = command("koch-search", _koch_search,
+                "bounded search for phi(b) = g b^r g^-1", group=False,
+                spec=True)
+    p.add_argument("--radius", type=int, default=4, help="at least 1")
 
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    command("selftest", _selftest, "run the acceptance suite", group=False)
     return parser
-
-
-def _run(args) -> int:
-    if args.command == "normalize":
-        nf = normal_form(parse_word(args.word, args.group), args.group)
-        _emit(args, {"normal_form": format_word(nf.word)}, format_word(nf.word))
-
-    elif args.command == "equal":
-        u = parse_word(args.word1, args.group)
-        v = parse_word(args.word2, args.group)
-        result = are_equal(u, v, args.group)
-        _emit(args, {"equal": result}, "equal" if result else "not-equal")
-
-    elif args.command == "mult":
-        product = parse_word(args.words[0], args.group)
-        for text in args.words[1:]:
-            product = multiply(product, parse_word(text, args.group))
-        nf = normal_form(product, args.group)
-        _emit(args, {"product": format_word(nf.word)}, format_word(nf.word))
-
-    elif args.command == "model-check":
-        u = parse_word(args.word1, args.group)
-        v = parse_word(args.word2, args.group)
-        britton = are_equal(u, v, args.group)
-        model = model_equal_oracle(u, v, args.group)
-        payload = {"britton": britton, "model": model, "agree": britton == model}
-        _emit(args, payload,
-              f"britton: {britton}  model: {model}  agree: {britton == model}")
-
-    elif args.command in ("hom-validate", "hom-induced"):
-        spec = _load_spec(args.spec, args.group)
-        data = endo_validate(spec)
-        payload = data.as_dict()
-        lines = [f"valid endomorphism on {spec.group}",
-                 f"k = {data.k}",
-                 f"kernel_preserved = {data.kernel_preserved}",
-                 f"abelianization: torsion Z_{payload['ab_torsion']}, "
-                 f"matrix {payload['ab_matrix']}",
-                 f"kappa_scale = {payload['kappa_scale']}"]
-        if data.injectivity_obstruction:
-            lines.append(data.injectivity_obstruction)
-        _emit(args, payload, "\n".join(lines))
-
-    elif args.command == "kernel-decompose":
-        w = parse_word(args.word, args.group)
-        decomposition = kernel_decompose(w, args.group)
-        terms = list(decomposition.terms)
-        _emit(args, {"terms": terms},
-              " ".join(f"g_{i}^{e}" for i, e in terms) or "1")
-
-    elif args.command == "kappa":
-        w = parse_word(args.word, args.group)
-        value = kappa(w, args.group)
-        _emit(args, {"kappa": str(value)}, str(value))
-
-    elif args.command == "certify":
-        outcome = certify_infinite(_load_spec(args.spec, args.group))
-        _emit(args, outcome.as_dict(), _outcome_text(outcome))
-
-    elif args.command == "coincidence":
-        phi = _load_spec(args.spec, args.group)
-        psi = _load_spec(args.spec2, args.group)
-        outcome = coincidence_certify(phi, psi)
-        _emit(args, outcome.as_dict(), _outcome_text(outcome))
-
-    elif args.command == "enumerate":
-        phi = _load_spec(args.spec, args.group)
-        psi = _load_spec(args.spec2, args.group) if args.spec2 else None
-        report = enumerate_classes_ball(args.group, phi, psi,
-                                        bounds=args.bounds,
-                                        inner_margin=args.margin)
-        _emit(args, report.as_dict(),
-              f"{report.family}: {report.stable_classes} stable / "
-              f"{report.tentative_classes} tentative classes over "
-              f"{report.total_elements} elements "
-              f"(stabilized: {report.stabilized})")
-
-    elif args.command == "snf":
-        rows = [[int(x) for x in row.split()] for row in args.matrix.split(";")]
-        M = IntMatrix.from_rows(rows)
-        result = snf(M)
-        order = coker_order(M) if M.rows == M.cols else None
-        payload = {"diagonal": list(result.diagonal),
-                   "U": [list(r) for r in result.U.entries],
-                   "V": [list(r) for r in result.V.entries],
-                   "coker_order": order}
-        _emit(args, payload,
-              f"diagonal: {list(result.diagonal)}  coker: "
-              f"{'infinite' if order is None and M.rows == M.cols else order}")
-
-    elif args.command == "power-constraint":
-        solutions = sorted(power_constraint(args.group.m, args.group.n, args.range))
-        _emit(args, {"solutions": solutions}, " ".join(map(str, solutions)) or "(none)")
-
-    elif args.command == "standardize":
-        target, (image_a, image_b) = standardize(args.group)
-        payload = {"m": target.m, "n": target.n,
-                   "image_a": format_word(image_a),
-                   "image_b": format_word(image_b)}
-        _emit(args, payload,
-              f"{target}  a -> {format_word(image_a)}, b -> {format_word(image_b)}")
-
-    elif args.command == "koch-search":
-        witness = koch_form_search(_load_spec(args.spec, None), args.radius)
-        if witness is None:
-            _emit(args, {"found": False}, f"no witness at radius {args.radius}")
-        else:
-            gamma, r = witness
-            _emit(args, {"found": True, "gamma": format_word(gamma), "r": r},
-                  f"phi(b) = ({format_word(gamma)}) b^{r} (...)^-1")
-
-    elif args.command == "selftest":
-        results = selftest_mod.run_all()
-        if args.format == "json":
-            print(json.dumps([{"name": n, "passed": p, "detail": d}
-                              for n, p, d in results], indent=2))
-        else:
-            width = max(len(n) for n, _, _ in results)
-            for name, passed, detail in results:
-                print(f"{name:<{width}}  {'PASS' if passed else 'FAIL'}  {detail}")
-        if not all(p for _, p, _ in results):
-            return 1
-    return 0
-
-
-def _outcome_text(outcome) -> str:
-    if outcome.kind == "infinite":
-        cert = outcome.certificate
-        return (f"infinite (invariant: {cert.invariant}; witnesses "
-                f"{cert.witness_base} * ({cert.witness_step})^j)")
-    if outcome.kind == "finite":
-        return f"finite ({outcome.count})"
-    return "unknown\n" + "\n".join(f"  tried {a}" for a in outcome.attempts)
 
 
 def main(argv=None) -> int:
@@ -300,7 +294,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     args.config = shlex.join(argv)
     try:
-        return _run(args)
+        payload, text = args.handler(args)
     except WordSyntaxError as exc:
         print(f"syntax error [{exc.code}]: {exc}", file=sys.stderr)
         return 2
@@ -310,6 +304,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error [invalid-input]: {exc}", file=sys.stderr)
         return 1
+    _emit(args, payload, text)
+    # only selftest reports "passed"; a failed check exits 1 after its table
+    return 0 if payload.get("passed", True) else 1
 
 
 if __name__ == "__main__":

@@ -38,12 +38,6 @@ class RelationViolated(BSTwistError):
         self.residue = residue_text
 
 
-class KernelNotPreserved(BSTwistError):
-    """phi(b) has nonzero a-exponent sum, so the quotient map is undefined."""
-
-    code = "kernel-not-preserved"
-
-
 class NotInKernel(BSTwistError):
     """The word has nonzero a-exponent sum and is not in the kernel K."""
 

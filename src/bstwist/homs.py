@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import AbelianGroup, AbelianMap
-from .errors import KernelNotPreserved, NotInKernel, RelationViolated
+from .errors import NotInKernel, RelationViolated
 from .words import (
     A, B, GroupSpec, Word, are_equal, exp_sum, format_word, invert,
-    multiply, normal_form, power, relator, substitute, word,
+    multiply, normal_form, relator, substitute, word,
 )
 
 
@@ -123,26 +123,11 @@ def endo_validate(spec: EndoSpec) -> InducedData:
     )
 
 
-def induced_on_Z(spec: EndoSpec) -> int:
-    """The scale k of the induced endomorphism of Z = B(m,n)/K."""
-    if exp_sum(spec.image_b, A) != 0:
-        raise KernelNotPreserved(
-            f"|phi(b)|_a = {exp_sum(spec.image_b, A)} != 0")
-    return exp_sum(spec.image_a, A)
-
-
 @dataclass(frozen=True)
 class KernelDecomposition:
     """Ordered product of powers of the kernel generators g_i = a^-i b a^i."""
 
     terms: tuple[tuple[int, int], ...]  # (index i, nonzero exponent)
-
-    def recompose(self) -> Word:
-        result = Word()
-        for i, exp in self.terms:
-            g_i = word([(A, -i), (B, 1), (A, i)])
-            result = multiply(result, power(g_i, exp))
-        return result
 
 
 def kernel_decompose(w: Word, group: GroupSpec) -> KernelDecomposition:
@@ -214,11 +199,11 @@ def koch_form_search(spec: EndoSpec, radius: int) -> tuple[Word, int] | None:
     """Bounded search for phi(b) = gamma b^r gamma^-1 with |r| <= radius.
 
     Absence of a witness at this radius proves nothing; a witness is
-    returned as found, conjugators ordered by ball distance.  A negative
-    radius is a ValueError.
+    returned as found, conjugators ordered by ball distance.  A radius
+    below 1 searches no exponent r and is a ValueError.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
+    if radius < 1:
+        raise ValueError(f"radius must be at least 1, got {radius}")
     target = normal_form(spec.image_b, spec.group).word
     for gamma in _ball(spec.group, radius):
         gamma_inv = invert(gamma)

@@ -11,11 +11,10 @@ finiteness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .abelian import AbelianMap, fixed_functional, twisted_class_count
 from .errors import (
     BoxTooSmall, GroupMismatch, NotInKernel, UnsupportedGroup, WordSyntaxError,
     WrongFamily,
@@ -69,14 +68,9 @@ class Certificate:
 
 @dataclass(frozen=True)
 class ReidemeisterOutcome:
-    kind: str  # "finite" | "infinite" | "unknown"
-    count: int | None = None
+    kind: str  # "infinite" | "unknown"; nothing here proves finiteness
     certificate: Certificate | None = None
     attempts: tuple[str, ...] = ()
-
-    @classmethod
-    def finite(cls, count: int) -> "ReidemeisterOutcome":
-        return cls("finite", count=count)
 
     @classmethod
     def infinite(cls, certificate: Certificate) -> "ReidemeisterOutcome":
@@ -88,40 +82,11 @@ class ReidemeisterOutcome:
 
     def as_dict(self) -> dict:
         out = {"kind": self.kind}
-        if self.kind == "finite":
-            out["count"] = self.count
-        elif self.kind == "infinite":
+        if self.kind == "infinite":
             out["certificate"] = self.certificate.as_dict()
         else:
             out["attempts"] = list(self.attempts)
         return out
-
-
-# ---------------------------------------------------------------------------
-# Abelian twisted classes
-
-
-def reidemeister_abelian(f: AbelianMap, g: AbelianMap) -> ReidemeisterOutcome:
-    """Classes of alpha ~ alpha + (g - f)(tau) on a f.g. abelian group."""
-    count = twisted_class_count(f, g)
-    if count is not None:
-        return ReidemeisterOutcome.finite(count)
-    functional = fixed_functional(f, g)
-    if functional is None:  # pragma: no cover - infinite count always has one
-        return ReidemeisterOutcome.unknown(["no fixed functional found"])
-    step_index = max(range(len(functional)), key=lambda i: abs(functional[i]))
-    unit = functional[step_index]
-    witnesses = tuple(f"{j}*e{step_index + 1}" for j in range(10))
-    cert = Certificate(
-        invariant="linear-functional",
-        target=f"Z via u = {list(functional)} on {f.group.describe()}",
-        scale_checks={"u*(g-f)": "0"},
-        witness_base="0",
-        witness_step=f"e{step_index + 1}",
-        first_witnesses=witnesses,
-        values=tuple(str(j * unit) for j in range(10)),
-    )
-    return ReidemeisterOutcome.infinite(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +279,6 @@ class BallReport:
     stable_classes: int
     tentative_classes: int
     stabilized: bool
-    details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {

@@ -30,18 +30,6 @@ class GroupSpec:
         if self.m == 0 or self.n == 0:
             raise ValueError("B(m,n) requires m != 0 and n != 0")
 
-    @property
-    def is_solvable_case(self) -> bool:
-        return abs(self.m) == 1 or abs(self.n) == 1
-
-    @property
-    def is_equal_case(self) -> bool:
-        return self.m == self.n
-
-    @property
-    def is_minus_case(self) -> bool:
-        return self.m == -self.n
-
     def __str__(self):
         return f"B({self.m},{self.n})"
 

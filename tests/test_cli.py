@@ -1,5 +1,6 @@
 """CLI behavior: output, exit codes, and JSON schema conformance."""
 
+import argparse
 import json
 import pathlib
 import shlex
@@ -8,6 +9,7 @@ import sys
 import jsonschema
 import pytest
 
+from bstwist import selftest as selftest_mod
 from bstwist.cli import _build_parser, main
 
 SCHEMAS = pathlib.Path(__file__).resolve().parents[1] / "src/bstwist/schemas"
@@ -244,9 +246,11 @@ class TestKochSearch:
         assert code == 0 and out.startswith("phi(b) = ")
 
     def test_negative_radius_is_refused(self, capsys, spec_file):
-        code, out, err = run(capsys, "koch-search", "--spec", spec_file,
-                             "--radius", "-1")
-        assert code == 1 and "invalid-input" in err and out == ""
+        # radius 0 searches no exponent r, so it could never find a witness
+        for radius in ("-1", "0"):
+            code, out, err = run(capsys, "koch-search", "--spec", spec_file,
+                                 "--radius", radius)
+            assert code == 1 and "invalid-input" in err and out == ""
 
 
 class TestMatrixCommands:
@@ -254,6 +258,11 @@ class TestMatrixCommands:
         payload = run_json(capsys, "snf", "2 4; 6 8", "--format", "json")
         assert payload["diagonal"] == [2, 4]
         assert payload["coker_order"] == 8
+
+    @pytest.mark.parametrize("matrix", ["", ";", " ; "])
+    def test_snf_of_no_entries_is_refused(self, capsys, matrix):
+        code, out, err = run(capsys, "snf", matrix)
+        assert code == 1 and "invalid-input" in err and out == ""
 
     def test_power_constraint(self, capsys):
         payload = run_json(capsys, "power-constraint", "--group", "2,-2",
@@ -270,6 +279,32 @@ class TestMatrixCommands:
         payload = run_json(capsys, "standardize", "--group=-3,2",
                            "--format", "json")
         assert (payload["m"], payload["n"]) == (2, -3)
+
+
+class TestSelftest:
+    def test_json_has_checks_and_config(self, capsys, monkeypatch):
+        monkeypatch.setattr(selftest_mod, "ACCEPTANCE_CHECKS",
+                            [("ok", lambda: (True, "fine"))])
+        payload = run_json(capsys, "selftest", "--format", "json")
+        assert payload == {"checks": [{"name": "ok", "passed": True,
+                                       "detail": "fine"}],
+                           "passed": True, "config": "selftest --format json"}
+
+    def test_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["selftest", "--seed", "5"])
+        assert info.value.code == 2
+
+    def test_failed_check_exits_1_and_prints_the_table(self, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr(selftest_mod, "ACCEPTANCE_CHECKS", [
+            ("good", lambda: (True, "fine")),
+            ("broken", lambda: (False, "off by one"))])
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert out == "good    PASS  fine\nbroken  FAIL  off by one\n"
+        code, out, _ = run(capsys, "selftest", "--format", "json")
+        assert code == 1 and json.loads(out)["passed"] is False
 
 
 class TestExitCodes:
@@ -301,3 +336,85 @@ class TestRoundTrips:
             first = out.strip()
             code, out, _ = run(capsys, "normalize", "--group", "2,3", first)
             assert out.strip() == first
+
+
+# ---------------------------------------------------------------------------
+# Pinned output of every command: exit code, stdout and stderr, byte for
+# byte, in text and JSON.  The spec files are written to the working
+# directory under fixed names, so `config` is the same on every run.
+
+PIN_SPECS = {
+    "phi.endo": "group 2 3\na -> a\nb -> b^2\n",
+    "psi.endo": "group 2 3\na -> a b\nb -> b^2\n",
+    "kill.endo": "group 2 3\na -> a^2\nb -> 1\n",
+    "cube.endo": "group 3 -3\na -> a^3\nb -> b\n",
+    "flip.endo": "group 2 2\na -> a^-1\nb -> b^-1\n",
+    "klein.endo": "group 1 -1\na -> a^3\nb -> b^2\n",
+    "klein2.endo": "group 1 -1\na -> a b\nb -> b^-1\n",
+}
+
+PIN_CASES = {
+    "normalize": ["normalize", "--group", "2,3", "b^5 a"],
+    "normalize-syntax": ["normalize", "--group", "2,3", "c"],
+    "equal": ["equal", "--group", "1,2", "a^-1 b^2 a", "b^4"],
+    "not-equal": ["equal", "--group", "1,2", "a b", "b a"],
+    "mult": ["mult", "--group", "2,2", "a b", "b a^-1", "a"],
+    "model-check": ["model-check", "--group", "1,-1", "b a b^-1", "b^2 a"],
+    "hom-validate": ["hom-validate", "--group", "2,3", "--spec", "phi.endo"],
+    "hom-validate-missing": ["hom-validate", "--group", "2,3",
+                             "--spec", "missing.endo"],
+    "hom-induced": ["hom-induced", "--group", "2,3", "--spec", "kill.endo"],
+    "kernel-decompose": ["kernel-decompose", "--group", "2,3", "b a b a^-1"],
+    "kernel-decompose-empty": ["kernel-decompose", "--group", "2,3", "1"],
+    "kernel-decompose-outside": ["kernel-decompose", "--group", "2,3", "a"],
+    "kappa": ["kappa", "--group", "2,3", "a^-1 b a"],
+    "certify": ["certify", "--group", "2,3", "--spec", "phi.endo"],
+    "certify-kappa": ["certify", "--group", "3,-3", "--spec", "cube.endo"],
+    "certify-unknown": ["certify", "--group", "2,2", "--spec", "flip.endo"],
+    "certify-mismatch": ["certify", "--group", "1,2", "--spec", "phi.endo"],
+    "coincidence": ["coincidence", "--group", "2,3", "--spec", "phi.endo",
+                    "--spec2", "psi.endo"],
+    "enumerate": ["enumerate", "--group", "1,-1", "--spec", "klein.endo",
+                  "--bounds", "u=16,v=4"],
+    "enumerate-pair": ["enumerate", "--group", "1,-1", "--spec", "klein.endo",
+                       "--spec2", "klein2.endo", "--bounds", "u=12,v=4",
+                       "--margin", "1"],
+    "enumerate-too-small": ["enumerate", "--group", "1,-1", "--spec",
+                            "klein.endo", "--bounds", "u=1,v=1",
+                            "--margin", "5"],
+    "snf": ["snf", "2 4; 6 8"],
+    "snf-singular": ["snf", "2 4; 4 8"],
+    "snf-wide": ["snf", "1 2 3; 4 5 6"],
+    "snf-empty": ["snf", ""],
+    "snf-empty-rows": ["snf", ";"],
+    "snf-ragged": ["snf", "1 2;"],
+    "power-constraint": ["power-constraint", "--group", "2,-2",
+                         "--range=-3,3"],
+    "power-constraint-default": ["power-constraint", "--group", "2,3"],
+    "power-constraint-none": ["power-constraint", "--group", "2,3",
+                              "--range=2,5"],
+    "standardize": ["standardize", "--group=-3,2"],
+    "koch-search": ["koch-search", "--spec", "phi.endo"],
+    "koch-search-none": ["koch-search", "--spec", "phi.endo", "--radius", "1"],
+    "koch-search-zero": ["koch-search", "--spec", "phi.endo", "--radius", "0"],
+    "selftest": ["selftest"],
+}
+
+PIN_GOLDEN = GOLDEN / "cli_outputs.json"
+
+
+def test_every_command_is_pinned():
+    (sub,) = [action for action in _build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    assert set(sub.choices) == {argv[0] for argv in PIN_CASES.values()}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(PIN_CASES))
+def test_pinned_output(capsys, monkeypatch, tmp_path, case, fmt):
+    monkeypatch.chdir(tmp_path)
+    for name, text in PIN_SPECS.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *PIN_CASES[case], "--format", fmt)
+    expected = json.loads(PIN_GOLDEN.read_text())[f"{case}[{fmt}]"]
+    assert {"code": code, "out": out, "err": err} == expected

@@ -4,13 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from bstwist.abelian import AbelianGroup, AbelianMap
 from bstwist.errors import BoxTooSmall, GroupMismatch, UnsupportedGroup
 from bstwist.homs import EndoSpec, identity_endo, inner_by
 from bstwist.reidemeister import (
     INV_A_SUM, INV_B_SUM, INV_KAPPA, Certificate, certify_infinite,
     check_certificate, coincidence_certify, enumerate_classes_ball,
-    power_constraint, reidemeister_abelian, witnesses_stay_separated,
+    power_constraint, witnesses_stay_separated,
 )
 from bstwist.words import GroupSpec, parse_word
 
@@ -121,21 +120,6 @@ class TestCoincidence:
         outcome = coincidence_certify(phi, phi)
         if outcome.kind == "infinite":
             assert outcome.certificate.invariant != INV_KAPPA
-
-
-class TestAbelianOutcomes:
-    def test_finite(self):
-        g = AbelianGroup(rank=1)
-        f = AbelianMap.from_columns(g, [(3,)])
-        outcome = reidemeister_abelian(f, AbelianMap.identity(g))
-        assert outcome.kind == "finite" and outcome.count == 2
-
-    def test_infinite_with_certificate(self):
-        g = AbelianGroup(rank=1)
-        identity = AbelianMap.identity(g)
-        outcome = reidemeister_abelian(identity, identity)
-        assert outcome.kind == "infinite"
-        assert len(set(outcome.certificate.values)) == len(outcome.certificate.values)
 
 
 class TestPowerConstraint:

@@ -253,9 +253,3 @@ class TestGroupSpec:
             GroupSpec(0, 2)
         with pytest.raises(ValueError):
             GroupSpec(2, 0)
-
-    def test_case_flags(self):
-        assert GroupSpec(1, 5).is_solvable_case
-        assert GroupSpec(3, 3).is_equal_case
-        assert GroupSpec(2, -2).is_minus_case
-        assert not GroupSpec(2, 3).is_solvable_case
