@@ -179,6 +179,9 @@ def _snf(args):
 
 
 def _power_constraint(args):
+    lo, hi = args.range
+    if lo > hi:
+        raise ValueError(f"range must have lo <= hi, got {lo},{hi}")
     solutions = sorted(power_constraint(args.group.m, args.group.n, args.range))
     return {"solutions": solutions}, " ".join(map(str, solutions)) or "(none)"
 

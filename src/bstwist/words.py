@@ -5,6 +5,13 @@ sequences; the word problem is solved by pinch ("Britton") reduction:
 a^-1 b^(tm) a -> b^(tn) and a b^(tn) a^-1 -> b^(tm).  All exponents are
 plain Python integers, so the geometric growth of b-exponents under
 reduction is handled exactly.
+
+An a-syllable a^e is one item of every pass, however large e is.  Its
+units are spent one at a time only where something acts on each of them:
+a pinch in `britton_reduce`, a nonzero carry in `_carry_pass`.  Both
+passes return the same word as feeding a^e in as |e| separate units, so
+the innermost-leftmost reduction and the normal form text do not depend
+on how the exponents are grouped.
 """
 
 from __future__ import annotations
@@ -73,9 +80,6 @@ class Word:
 
     def __str__(self):
         return format_word(self)
-
-
-IDENTITY = Word()
 
 
 def _push(stack: list[list], base: str, exp: int) -> None:
@@ -152,23 +156,10 @@ def invert(w: Word) -> Word:
 
 
 def power(w: Word, k: int) -> Word:
+    """w^k, freely reduced in one stack pass over the k copies of w."""
     if k < 0:
         return power(invert(w), -k)
-    result = IDENTITY
-    for _ in range(k):
-        result = multiply(result, w)
-    return result
-
-
-def _tokens(w: Word) -> Iterator[tuple[str, int]]:
-    """Yield b-syllables whole and a-syllables as +-1 units."""
-    for s in w:
-        if s.base == B:
-            yield (B, s.exp)
-        else:
-            step = 1 if s.exp > 0 else -1
-            for _ in range(abs(s.exp)):
-                yield (A, step)
+    return word((s.base, s.exp) for _ in range(k) for s in w)
 
 
 def britton_reduce(w: Word, group: GroupSpec) -> Word:
@@ -176,29 +167,54 @@ def britton_reduce(w: Word, group: GroupSpec) -> Word:
 
     Each rewrite deletes two a-units, so the scan terminates; pinches are
     removed innermost-leftmost, which makes the result deterministic (any
-    strategy yields an equal element).
+    strategy yields an equal element).  An a-syllable a^e is taken whole:
+    it merges into or cancels against an a-syllable on top of the stack,
+    and against b^t with a^p below it (p of opposite sign) its units are
+    spent one pinch each, at most min(|p|, |e|), for as long as the
+    b-exponent stays divisible.  What is left of e then goes on against
+    the exposed stack, so the result is the same word as a reduction that
+    feeds the a-units in one at a time.
     """
     m, n = group.m, group.n
     stack: list[list] = []
-    for base, exp in _tokens(w):
-        if base == B:
-            _push(stack, B, exp)
+    for s in w:
+        if s.base == B:
+            _push(stack, B, s.exp)
             continue
-        # an a-unit; look for a pinch ending here
-        if len(stack) >= 2 and stack[-1][0] == B and stack[-2][0] == A:
-            t = stack[-1][1]
-            p = stack[-2][1]
-            if exp > 0 and p < 0 and t % m == 0:
-                stack.pop()
-                _push(stack, A, 1)
-                _push(stack, B, (t // m) * n)
+        e = s.exp
+        while e:
+            if stack and stack[-1][0] == A:
+                total = stack[-1][1] + e
+                if total == 0:
+                    stack.pop()
+                    break
+                if (total > 0) == (stack[-1][1] > 0):
+                    stack[-1][1] = total
+                    break
+                stack.pop()  # a^e used up the top syllable; b is exposed
+                e = total
                 continue
-            if exp < 0 and p > 0 and t % n == 0:
-                stack.pop()
-                _push(stack, A, -1)
-                _push(stack, B, (t // n) * m)
-                continue
-        _push(stack, A, exp)
+            # the top is b^t (or the stack is empty): pinch while it can
+            if len(stack) >= 2 and (stack[-2][1] > 0) != (e > 0):
+                t, p = stack[-1][1], stack[-2][1]
+                div, mul = (m, n) if e > 0 else (n, m)
+                lim = min(abs(p), abs(e))
+                j = 0
+                while j < lim and t % div == 0:
+                    t = t // div * mul
+                    j += 1
+                if j:
+                    step = j if e > 0 else -j
+                    e -= step
+                    if p + step == 0:
+                        del stack[-2:]
+                        _push(stack, B, t)
+                    else:
+                        stack[-2][1] = p + step
+                        stack[-1][1] = t
+                    continue
+            stack.append([A, e])
+            break
     return Word(tuple(Syllable(b, e) for b, e in stack))
 
 
@@ -218,26 +234,28 @@ def _carry_pass(w: Word, group: GroupSpec) -> Word:
 
     b^u a = b^r a b^(q n) for u = q m + r, r in [0, |m|);
     b^u a^-1 = b^r a^-1 b^(q m) for u = q n + r, r in [0, |n|).
+
+    The units of an a-syllable are walked one at a time only while the
+    carry is nonzero; once it is 0, the rest of the syllable is pushed in
+    one step, which is what the unit-by-unit rule would do.
     """
     m, n = group.m, group.n
     stack: list[list] = []
     carry = 0
-    for base, exp in _tokens(w):
-        if base == B:
-            carry += exp
+    for s in w:
+        if s.base == B:
+            carry += s.exp
             continue
-        if exp > 0:
-            r = carry % abs(m)
-            q = (carry - r) // m
+        step = 1 if s.exp > 0 else -1
+        div, mul = (m, n) if step > 0 else (n, m)
+        left = abs(s.exp)
+        while left and carry:
+            r = carry % abs(div)
             _push(stack, B, r)
-            _push(stack, A, 1)
-            carry = q * n
-        else:
-            r = carry % abs(n)
-            q = (carry - r) // n
-            _push(stack, B, r)
-            _push(stack, A, -1)
-            carry = q * m
+            _push(stack, A, step)
+            carry = (carry - r) // div * mul
+            left -= 1
+        _push(stack, A, step * left)
     _push(stack, B, carry)
     return Word(tuple(Syllable(b, e) for b, e in stack))
 

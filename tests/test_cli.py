@@ -356,6 +356,8 @@ PIN_SPECS = {
 PIN_CASES = {
     "normalize": ["normalize", "--group", "2,3", "b^5 a"],
     "normalize-syntax": ["normalize", "--group", "2,3", "c"],
+    "normalize-long-a": ["normalize", "--group", "2,3",
+                         "a^1000000 b a^-1000000"],
     "equal": ["equal", "--group", "1,2", "a^-1 b^2 a", "b^4"],
     "not-equal": ["equal", "--group", "1,2", "a b", "b a"],
     "mult": ["mult", "--group", "2,2", "a b", "b a^-1", "a"],
@@ -393,6 +395,8 @@ PIN_CASES = {
     "power-constraint-default": ["power-constraint", "--group", "2,3"],
     "power-constraint-none": ["power-constraint", "--group", "2,3",
                               "--range=2,5"],
+    "power-constraint-reversed": ["power-constraint", "--group", "2,3",
+                                  "--range=5,1"],
     "standardize": ["standardize", "--group=-3,2"],
     "koch-search": ["koch-search", "--spec", "phi.endo"],
     "koch-search-none": ["koch-search", "--spec", "phi.endo", "--radius", "1"],

@@ -3,12 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bstwist.errors import WordSyntaxError
 from bstwist.words import (
-    A, B, GroupSpec, Word, are_equal, britton_reduce, exp_sum, format_word,
-    invert, multiply, normal_form, parse_word, power, relator, standardize,
-    substitute, word,
+    A, B, GroupSpec, Syllable, Word, _push, are_equal,
+    britton_reduce, exp_sum, format_word, invert, multiply, normal_form,
+    parse_word, power, relator, standardize, substitute, word,
 )
 
 GRID = [GroupSpec(1, 2), GroupSpec(1, 3), GroupSpec(1, -2), GroupSpec(2, 3),
@@ -253,3 +254,157 @@ class TestGroupSpec:
             GroupSpec(0, 2)
         with pytest.raises(ValueError):
             GroupSpec(2, 0)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests of the syllable kernel against the unit-by-unit rules
+# it replaces: a-syllables split into +-1 units, one pinch check and one
+# carry step per unit, and w^k built by k successive multiplications.
+
+def _ref_tokens(w):
+    for s in w:
+        if s.base == B:
+            yield (B, s.exp)
+        else:
+            step = 1 if s.exp > 0 else -1
+            for _ in range(abs(s.exp)):
+                yield (A, step)
+
+
+def _ref_britton_reduce(w, group):
+    m, n = group.m, group.n
+    stack = []
+    for base, exp in _ref_tokens(w):
+        if base == B:
+            _push(stack, B, exp)
+            continue
+        if len(stack) >= 2 and stack[-1][0] == B and stack[-2][0] == A:
+            t = stack[-1][1]
+            p = stack[-2][1]
+            if exp > 0 and p < 0 and t % m == 0:
+                stack.pop()
+                _push(stack, A, 1)
+                _push(stack, B, (t // m) * n)
+                continue
+            if exp < 0 and p > 0 and t % n == 0:
+                stack.pop()
+                _push(stack, A, -1)
+                _push(stack, B, (t // n) * m)
+                continue
+        _push(stack, A, exp)
+    return Word(tuple(Syllable(b, e) for b, e in stack))
+
+
+def _ref_carry_pass(w, group):
+    m, n = group.m, group.n
+    stack = []
+    carry = 0
+    for base, exp in _ref_tokens(w):
+        if base == B:
+            carry += exp
+            continue
+        if exp > 0:
+            r = carry % abs(m)
+            q = (carry - r) // m
+            _push(stack, B, r)
+            _push(stack, A, 1)
+            carry = q * n
+        else:
+            r = carry % abs(n)
+            q = (carry - r) // n
+            _push(stack, B, r)
+            _push(stack, A, -1)
+            carry = q * m
+    _push(stack, B, carry)
+    return Word(tuple(Syllable(b, e) for b, e in stack))
+
+
+def _ref_normal_form(w, group):
+    current = _ref_britton_reduce(w, group)
+    while True:
+        candidate = _ref_carry_pass(current, group)
+        if candidate == current:
+            return current
+        current = _ref_britton_reduce(candidate, group)
+
+
+def _ref_power(w, k):
+    if k < 0:
+        return _ref_power(invert(w), -k)
+    result = Word()
+    for _ in range(k):
+        result = multiply(result, w)
+    return result
+
+
+# Non-coprime, negative and m = +-n indices, B(1,n), B(+-1,-+1), B(1,1) and
+# B(-1,-1): every branch of the pinch and carry rules.
+DIFF_GRID = [GroupSpec(m, n) for m, n in (
+    (2, 4), (4, 6), (6, 4), (-4, 2), (2, 3), (-2, 3), (2, -3), (3, 3),
+    (-2, -2), (3, -3), (2, -2), (1, 2), (1, -3), (1, 1), (-1, -1), (1, -1),
+    (-1, 1), (2, 1))]
+
+
+@st.composite
+def group_and_word(draw):
+    group = draw(st.sampled_from(DIFF_GRID))
+    m, n = group.m, group.n
+    sign = st.sampled_from((1, -1))
+    a_exp = st.one_of(st.integers(1, 3), st.integers(1, 50))
+    b_exp = st.sampled_from(sorted({m, n, m * n, 1, 2, 3}))
+    syllable = st.one_of(
+        st.tuples(st.just(A), st.builds(lambda e, s: e * s, a_exp, sign)),
+        st.tuples(st.just(B), st.builds(lambda e, s: e * s, b_exp, sign)))
+    w = word(draw(st.lists(syllable, max_size=14)))
+    if draw(st.booleans()):
+        # conjugate: u w u^-1 cancels across the copies of a power
+        u = word(draw(st.lists(syllable, max_size=4)))
+        w = multiply(multiply(u, w), invert(u))
+    return group, w
+
+
+class TestSyllableKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(group_and_word(), st.integers(-8, 8))
+    def test_same_text_as_unit_rules(self, case, k):
+        group, w = case
+        assert format_word(britton_reduce(w, group)) == \
+            format_word(_ref_britton_reduce(w, group))
+        assert format_word(normal_form(w, group).word) == \
+            format_word(_ref_normal_form(w, group))
+        assert format_word(power(w, k)) == format_word(_ref_power(w, k))
+
+    @pytest.mark.parametrize("m,n,text,reduced", [
+        (2, 2, "a^-3 b^2 a^2 b^-2 a^3 b^-2 a^-2", "b^-2"),
+        # a^3 cancels the a^-1 left on top once b^4 b^-4 is gone, then
+        # pinches twice against the exposed b^2 with a^-2 below it
+        (2, 2, "a^-2 b^2 a^-1 b^2 a^-1 b^2 a b^-4 a^3", "b^2"),
+        (1, 2, "a^-1 b a^-1 b a^-1 b a b^-3 a^2", "b^2"),
+    ])
+    def test_cancel_then_pinch(self, m, n, text, reduced):
+        group = GroupSpec(m, n)
+        w = parse_word(text)
+        assert format_word(britton_reduce(w, group)) == reduced
+        assert format_word(_ref_britton_reduce(w, group)) == reduced
+
+    def test_carry_stops_then_rest_whole(self):
+        # b^5 a = b^2 a b^2 in B(3,2); the carry 2 then leaves b^2 a as it
+        # is, and the remaining a^999999 goes on in one push
+        nf = normal_form(parse_word("b^5 a^1000000"), GroupSpec(3, 2))
+        assert format_word(nf.word) == "b^2 a b^2 a^999999"
+
+
+class TestLargeInputs:
+    def test_power_is_one_pass(self):
+        pairs = [(A, 1), (B, 1), (A, 2), (B, -1)]
+        assert power(word(pairs), 2000) == word(pairs * 2000)
+
+    def test_long_a_syllables_without_pinch(self):
+        w = parse_word("a^1000000 b a^-1000000")
+        assert normal_form(w, GroupSpec(2, 3)).word == w
+
+    def test_long_conjugates_equal(self):
+        g, big = GroupSpec(2, 3), 10 ** 6
+        lhs = word([(A, big), (B, g.m), (A, -big)])
+        rhs = word([(A, big + 1), (B, g.n), (A, -(big + 1))])
+        assert are_equal(lhs, rhs, g)
