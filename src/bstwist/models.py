@@ -7,8 +7,14 @@ oracles against Britton reduction and as substrates for the twisted-class
 ball enumerator.
 
 Each family is one `ModelFamily` record: its generator images and its
-enumeration substrate.  `model_family` is the only place that decides which
-record a group gets.
+enumeration substrate.  The substrate is an index grid, rows times one axis
+(rows v and axis u for the Klein bottle group, rows k and axis p, the
+numerator over |n|^e, for B(1,n), rows of reduced free words and axis k
+for B(m,m)), on which a twist sends each run of a row (the row, or one
+residue class of its axis) affinely onto one row; its columns are written
+one run at a time with slice assignments, and no element key or
+key-to-index map is built.
+`model_family` is the only place that decides which record a group gets.
 
 Sign convention: the Z-action on Z[1/|n|] is x -> x/n with the sign of n
 carried along; under it a = (0,1), b = (1,0) satisfy a^-1 b a = b^n, which
@@ -18,6 +24,7 @@ is verified by unit test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable
 
 from .errors import WrongFamily
@@ -26,18 +33,25 @@ from .words import A, GroupSpec, Word
 
 @dataclass(frozen=True, eq=False)
 class ModelFamily:
-    """A faithful model and its enumeration substrate: a box of int/tuple
-    keys, the key of a model element, and twist kernels.  A kernel is built
-    once from the images psi(g) and phi(g)^-1 of one generator g and maps
-    the key of x to the key of (psi(g) x) phi(g)^-1, or to None when that
-    has no key; box membership is decided by the caller."""
+    """A faithful model and its enumeration substrate.
+
+    The box is an index grid of rows times one axis: the element at axis
+    position j of row r has box index r * width + j.  `index_of` gives the
+    box index of a model element, or None outside the box.
+    `columns(psi(g), phi(g)^-1, bounds)` gives the twist by g as a pair
+    (column, back) of index lists: column[i] is the box index of
+    (psi(g) x_i) phi(g)^-1, and back[i] that of psi(g)^-1 (x_i phi(g)), the
+    inverse twist; None where the image leaves the box.  A twist sends each
+    run of a row (the row, or one residue class of its axis) affinely onto
+    one row, so each run is written with one slice assignment in both
+    lists, with no per-element arithmetic.
+    """
 
     name: str  # the `family` of a BallReport
     a_power: Callable  # (group, e) -> image of a^e
     b_power: Callable  # (group, e) -> image of b^e
-    box: Callable  # (bounds, group) -> keys in box order
-    key_of: Callable  # (model element, bounds) -> key or None
-    twist: Callable  # (psi(g), phi(g)^-1, bounds) -> key -> key or None
+    index_of: Callable  # (model element, bounds) -> box index or None
+    columns: Callable  # (psi(g), phi(g)^-1, bounds) -> (column, back)
     enumerate_bounds: dict
     witness_bounds: dict
 
@@ -47,6 +61,49 @@ class ModelFamily:
         for s in w:
             result = result * (self.a_power if s.base == A else self.b_power)(group, s.exp)
         return result
+
+
+def _span(r: range) -> slice:
+    """The list slice that picks the indices of r in order.  A descending r
+    that runs through index 0 stops below it; as a slice stop that would
+    count from the end, so it becomes None."""
+    return slice(r.start, r.stop if r.stop >= 0 else None, r.step)
+
+
+def _steps(x0: int, step: int, width: int) -> tuple[int, int]:
+    """(lo, hi): the j with 0 <= x0 + j * step < width are lo..hi."""
+    if step < 0:
+        lo, hi = _steps(x0, -step, width)
+        return -hi, -lo
+    return -(x0 // step), (width - 1 - x0) // step
+
+
+class _Columns:
+    """A twist column and its back column on a rows x width grid, written
+    a row run at a time."""
+
+    def __init__(self, rows: int, width: int):
+        self.rows, self.width = rows, width
+        self.column = [None] * (rows * width)
+        self.back = [None] * (rows * width)
+
+    def run(self, row: int, x0: int, step: int, to_row: int, y0: int, to_step: int):
+        """Send position x0 + j * step of `row` to y0 + j * to_step of
+        `to_row`, for every j that keeps both on the axis."""
+        width = self.width
+        if not 0 <= to_row < self.rows:
+            return
+        lo, hi = _steps(x0, step, width)
+        to_lo, to_hi = _steps(y0, to_step, width)
+        lo, hi = max(lo, to_lo), min(hi, to_hi) + 1
+        if lo >= hi:
+            return
+        x0 += row * width
+        y0 += to_row * width
+        src = range(x0 + lo * step, x0 + hi * step, step)
+        dst = range(y0 + lo * to_step, y0 + hi * to_step, to_step)
+        self.column[_span(src)] = dst
+        self.back[_span(dst)] = src
 
 
 # ---------------------------------------------------------------------------
@@ -138,29 +195,30 @@ def _affine_exp(bounds: dict) -> int:
     return bounds.get("e", min(bounds["k"], 4))
 
 
-def _affine_box(bounds: dict, group: GroupSpec) -> list:
-    k_max, t_max = bounds["k"], bounds["t"]
-    return [(p, k) for p in range(-t_max, t_max + 1)
-            for k in range(-k_max, k_max + 1)]
-
-
-def _affine_key(element: AffineElement, bounds: dict):
-    e = _affine_exp(bounds)
+def _affine_index(element: AffineElement, bounds: dict):
+    e, k_max, t_max = _affine_exp(bounds), bounds["k"], bounds["t"]
     t = element.t
     if t.exp > e:
         return None  # finer denominator than the lattice carries
-    return (t.num * t.base ** (e - t.exp), element.k)
+    p = t.num * t.base ** (e - t.exp)
+    if abs(p) > t_max or abs(element.k) > k_max:
+        return None
+    return (element.k + k_max) * (2 * t_max + 1) + p + t_max
 
 
-def _affine_twist(pg: AffineElement, fg: AffineElement, bounds: dict):
-    """(p, k) -> key of (pt + t / n^pk + ft / n^(pk + k), pk + k + fk).
+def _affine_columns(pg: AffineElement, fg: AffineElement, bounds: dict):
+    """(p, k) -> (p', k + pk + fk): the numerator over |n|^e of
+    pt + t / n^pk + ft / n^(pk + k).
 
     With t = p / |n|^e, every term is an integer over |n|^(e + lift) for
-    the `lift` below and every k in the box, so the image's numerator over
-    |n|^e is that integer divided by |n|^lift, and it exists exactly when
-    |n|^lift divides it (the lowest-terms exponent is at most e).
+    the `lift` below and every k in the box, so p' = (p scale + offset_k) /
+    unit with unit = |n|^lift, and p' exists exactly when unit divides the
+    numerator (the lowest-terms exponent is at most e).  scale and unit
+    are powers of |n| up to sign, so with g = gcd(scale, unit) that holds
+    on no p of row k unless g divides offset_k, and otherwise on the p
+    congruent to p0 modulo unit / g, where p' steps by scale / g.
     """
-    base, e, k_max = pg.t.base, _affine_exp(bounds), bounds["k"]
+    base, e, k_max, t_max = pg.t.base, _affine_exp(bounds), bounds["k"], bounds["t"]
     pk = pg.k
 
     def sign(j):  # 1 / n^j = sign(j) / |n|^j
@@ -170,22 +228,26 @@ def _affine_twist(pg: AffineElement, fg: AffineElement, bounds: dict):
     unit = base ** lift
     scale = sign(pk) * base ** (lift - pk)
     const = pg.t.num * base ** (e + lift - pg.t.exp)
-    offset = {k: const + fg.t.num * sign(pk + k) * base ** (e + lift - fg.t.exp - pk - k)
-              for k in range(-k_max, k_max + 1)}
+    g = gcd(scale, unit)
+    step, inverse = unit // g, pow(scale // g, -1, unit // g)
     shift = pk + fg.k
-
-    def image(key):
-        p, k = key
-        num, rest = divmod(p * scale + offset[k], unit)
-        return None if rest else (num, k + shift)
-    return image
+    grid = _Columns(2 * k_max + 1, 2 * t_max + 1)  # row k, axis p
+    for row in range(grid.rows):
+        k = row - k_max
+        offset = const + fg.t.num * sign(pk + k) * base ** (e + lift - fg.t.exp - pk - k)
+        if offset % g:
+            continue
+        p0 = -offset // g * inverse % step
+        grid.run(row, p0 + t_max, step,
+                 row + shift, (p0 * scale + offset) // unit + t_max, scale // g)
+    return grid.column, grid.back
 
 
 AFFINE = ModelFamily(
     name="affine",  # a -> (0, 1), b -> (1, 0)
     a_power=lambda group, e: _affine(group, 0, e),
     b_power=lambda group, e: _affine(group, e, 0),
-    box=_affine_box, key_of=_affine_key, twist=_affine_twist,
+    index_of=_affine_index, columns=_affine_columns,
     enumerate_bounds={"k": 10, "t": 200, "e": 4}, witness_bounds={"k": 12, "t": 200, "e": 4})
 
 
@@ -280,38 +342,46 @@ def _free_words(m: int, max_len: int) -> list:
     return words
 
 
-def _permuted_box(bounds: dict, group: GroupSpec) -> list:
+def _permuted_rows(m: int, max_len: int) -> dict:
+    """Row of each reduced word of length <= max_len (syllables -> row)."""
+    return {w: row for row, w in enumerate(_free_words(m, max_len))}
+
+
+def _permuted_index(element: PermutedProduct, bounds: dict):
     k_max = bounds["k"]
-    return [(w, k) for w in _free_words(abs(group.m), bounds["l"])
-            for k in range(-k_max, k_max + 1)]
+    row = _permuted_rows(element.m, bounds["l"]).get(element.w.syllables)
+    if row is None or abs(element.k) > k_max:
+        return None
+    return row * (2 * k_max + 1) + element.k + k_max
 
 
-def _permuted_key(element: PermutedProduct, bounds: dict):
-    return (element.w.syllables, element.k)
+def _permuted_columns(pg: PermutedProduct, fg: PermutedProduct, bounds: dict):
+    """(w, k) -> (pw sigma^pk(w) sigma^(pk+k)(fw), k + pk + fk).
 
-
-def _permuted_twist(pg: PermutedProduct, fg: PermutedProduct, bounds: dict):
-    """(w, k) -> (pw sigma^pk(w) sigma^(pk+k)(fw), pk + k + fk)."""
-    m, pw, pk = pg.m, pg.w.syllables, pg.k
+    The free part depends on w and r = (pk + k) mod m only, so each (w, r)
+    takes one free reduction, and the k of that r, which step by m, form
+    one run onto the row of the product.
+    """
+    m, pw, pk, k_max = pg.m, pg.w.syllables, pg.k, bounds["k"]
+    rows = _permuted_rows(m, bounds["l"])
+    grid = _Columns(len(rows), 2 * k_max + 1)  # row w, axis k
     tails = [_shift(fg.w.syllables, r, m) for r in range(m)]
     shift = pk + fg.k
-    products = {}  # the free part depends on w and (pk + k) mod m only
-
-    def image(key):
-        w, k = key
-        r = (pk + k) % m
-        product = products.get((w, r))
-        if product is None:
-            product = products[w, r] = _free_reduce(pw, _shift(w, pk, m), tails[r])
-        return (product, k + shift)
-    return image
+    for w, row in rows.items():
+        head = _shift(w, pk, m)
+        for r, tail in enumerate(tails):
+            to_row = rows.get(_free_reduce(pw, head, tail))
+            if to_row is not None:
+                x0 = (r - pk + k_max) % m  # axis position k + k_max of the first k
+                grid.run(row, x0, m, to_row, x0 + shift, m)
+    return grid.column, grid.back
 
 
 PERMUTED = ModelFamily(
     name="permuted-product",  # a -> (x1, 0), b -> (1, 1)
     a_power=lambda group, e: PermutedProduct(FreeWord.generator(1, e), 0, abs(group.m)),
     b_power=lambda group, e: PermutedProduct(FreeWord(), e, abs(group.m)),
-    box=_permuted_box, key_of=_permuted_key, twist=_permuted_twist,
+    index_of=_permuted_index, columns=_permuted_columns,
     enumerate_bounds={"l": 4, "k": 6}, witness_bounds={"l": 3, "k": 12})
 
 
@@ -337,32 +407,32 @@ class KleinElement:
         return f"({self.u}, {self.v})"
 
 
-def _klein_box(bounds: dict, group: GroupSpec) -> list:
+def _klein_index(element: KleinElement, bounds: dict):
     u_max, v_max = bounds["u"], bounds["v"]
-    return [(u, v) for u in range(-u_max, u_max + 1)
-            for v in range(-v_max, v_max + 1)]
+    if abs(element.u) > u_max or abs(element.v) > v_max:
+        return None
+    return (element.v + v_max) * (2 * u_max + 1) + element.u + u_max
 
 
-def _klein_key(element: KleinElement, bounds: dict):
-    return (element.u, element.v)
-
-
-def _klein_twist(pg: KleinElement, fg: KleinElement, bounds: dict):
-    """(u, v) -> (pu + s u + s (-1)^v fu, pv + v + fv), s = (-1)^pv."""
-    pu, fu, shift = pg.u, fg.u, pg.v + fg.v
+def _klein_columns(pg: KleinElement, fg: KleinElement, bounds: dict):
+    """(u, v) -> (pu + s u + s (-1)^v fu, v + pv + fv), s = (-1)^pv: row v
+    goes onto row v + pv + fv, reversed when pv is odd."""
+    u_max, v_max = bounds["u"], bounds["v"]
     sign = -1 if pg.v % 2 else 1
-
-    def image(key):
-        u, v = key
-        return (pu + sign * u + (-sign if v % 2 else sign) * fu, v + shift)
-    return image
+    shift = pg.v + fg.v
+    grid = _Columns(2 * v_max + 1, 2 * u_max + 1)  # row v, axis u
+    for row in range(grid.rows):
+        c = pg.u + (-sign if (row - v_max) % 2 else sign) * fg.u
+        # position 0 holds u = -u_max, whose image has position c - s u_max + u_max
+        grid.run(row, 0, 1, row + shift, c - sign * u_max + u_max, sign)
+    return grid.column, grid.back
 
 
 KLEIN = ModelFamily(
     name="klein",  # a -> (0, 1), b -> (1, 0)
     a_power=lambda group, e: KleinElement(0, e),
     b_power=lambda group, e: KleinElement(e, 0),
-    box=_klein_box, key_of=_klein_key, twist=_klein_twist,
+    index_of=_klein_index, columns=_klein_columns,
     enumerate_bounds={"u": 64, "v": 8}, witness_bounds={"u": 48, "v": 10})
 
 

@@ -328,16 +328,8 @@ class IndexUnionFind:
 
 
 # a and b only: the twist by g^-1 is the inverse of the twist by g (see
-# `_merge_box`), so its edges and neighbour lists follow from g's
+# `_merge_box`), so its column is written with g's
 _GENERATORS = (word([(A, 1)]), word([(B, 1)]))
-
-
-def _twist_kernels(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
-                   psi: EndoSpec, bounds: dict) -> list:
-    return [family.twist(family.embed(endo_apply(psi, g), group),
-                         family.embed(endo_apply(phi, g), group).inverse(),
-                         bounds)
-            for g in _GENERATORS]
 
 
 def _check_inputs(group: GroupSpec, phi: EndoSpec, psi: EndoSpec | None) -> None:
@@ -356,47 +348,38 @@ def _check_bounds(family: ModelFamily, bounds: dict) -> None:
                          f"{sorted(known)}, got {bounds}")
 
 
+def _doubled(bounds: dict) -> dict:
+    """The stabilization run's box: every bound doubled.  For the affine
+    family that doubles e too, so this box does not contain the first."""
+    return {k: 2 * v for k, v in bounds.items()}
+
+
 def _merge_box(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
                psi: EndoSpec, bounds: dict):
-    """The union-find of the box under the a and b twists, the box index
-    of each key, and the a and b twist columns.
+    """The union-find of the box under the a and b twists, and the twist
+    columns of a, a^-1, b and b^-1.
 
     column[i] is the box index of the twist of element i, None outside the
-    box.  Only a and b need columns: since phi and psi are homomorphisms,
-    tau_{g^-1}(x) = psi(g)^-1 x phi(g) = tau_g^-1(x), so inside the box the
-    g^-1 edges are the g edges reversed and merge nothing new.
+    box.  The family writes the g^-1 column with the g column: since phi
+    and psi are homomorphisms, tau_{g^-1}(x) = psi(g)^-1 x phi(g) =
+    tau_g^-1(x), so inside the box the g^-1 edges are the g edges reversed
+    and merge nothing new.
     """
-    kernels = _twist_kernels(family, group, phi, psi, bounds)
-    keys = family.box(bounds, group)
-    position = {key: i for i, key in enumerate(keys)}
-    # a None image key is never in the box, so .get maps it to None
-    columns = [list(map(position.get, map(kernel, keys))) for kernel in kernels]
-    uf = IndexUnionFind(len(keys))
-    for column in columns:
+    columns = []
+    for g in _GENERATORS:
+        columns += family.columns(family.embed(endo_apply(psi, g), group),
+                                  family.embed(endo_apply(phi, g), group).inverse(),
+                                  bounds)
+    uf = IndexUnionFind(len(columns[0]))
+    for column in columns[::2]:
         uf.union_column(column)
-    return uf, position, columns
+    return uf, columns
 
 
-def _inverted(column: list, indices) -> list:
-    """The g^-1 column from the g column: back[j] = i where column[i] = j.
-
-    `indices` yields 0..len-1 as the int objects already stored in the
-    position map, so the scattered column holds no new ones.
-    """
-    back = [None] * len(column)
-    for i, j in zip(indices, column):
-        if j is not None:
-            back[j] = i
-    return back
-
-
-def _stable_roots(uf: IndexUnionFind, position: dict, columns: list,
-                  inner_margin: int) -> set:
+def _stable_roots(uf: IndexUnionFind, columns: list, inner_margin: int) -> set:
     """Roots of the classes meeting the inner region: the elements whose
     twists by a, a^-1, b and b^-1 stay inside, iterated margin times."""
-    inner = set(position.values())
-    if inner_margin:
-        columns = columns + [_inverted(c, position.values()) for c in columns]
+    inner = set(range(len(uf.parent)))
     for _ in range(inner_margin):
         kept = inner
         for column in columns:
@@ -411,11 +394,12 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
                            inner_margin: int = 2) -> BallReport:
     """Union-find over a model box under single-generator twists.
 
-    The model family of `group` brings its substrate: a box of integer keys
-    ((u, v) for the Klein bottle group, (numerator over |n|^e, k) for
-    B(1,n), (free-word syllables, k) for B(m,m)) and one twist kernel for
-    each of g = a, b, which maps a key to the key of (psi(g) x) phi(g)^-1
-    in exact integer arithmetic.  Box elements joined by a twist are merged.
+    The model family of `group` brings its substrate: the box as an index
+    grid (rows v and axis u for the Klein bottle group, rows k and axis p,
+    the numerator over |n|^e, for B(1,n), rows of free words and axis k for
+    B(m,m)), and for each of g = a, b the column of box indices of the
+    twists (psi(g) x) phi(g)^-1, written a row run at a time in exact
+    integer arithmetic.  Box elements joined by a twist are merged.
     A class is stable when it meets the inner region (the box eroded
     `inner_margin` twist steps).  Stable counts are upper-bound evidence
     only; the stabilization flag compares the count against the doubled
@@ -435,14 +419,13 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
     endo_validate(phi)
     endo_validate(psi)
 
-    uf, position, columns = _merge_box(family, group, phi, psi, bounds)
-    total = len(position)
-    roots_inner = _stable_roots(uf, position, columns, inner_margin)
+    uf, columns = _merge_box(family, group, phi, psi, bounds)
+    total = len(uf.parent)
+    roots_inner = _stable_roots(uf, columns, inner_margin)
     if not roots_inner:
         raise BoxTooSmall(f"no stable class in box {bounds}")
-    doubled = {k: 2 * v for k, v in bounds.items()}
     roots_inner_2 = _stable_roots(
-        *_merge_box(family, group, phi, psi, doubled), inner_margin)
+        *_merge_box(family, group, phi, psi, _doubled(bounds)), inner_margin)
     return BallReport(
         family=family.name,
         bounds=dict(bounds),
@@ -475,11 +458,10 @@ def witnesses_stay_separated(cert: Certificate, phi: EndoSpec,
     _check_bounds(family, bounds)
     if psi is None:
         psi = identity_endo(group)
-    uf, position, _ = _merge_box(family, group, phi, psi, bounds)
+    uf, _ = _merge_box(family, group, phi, psi, bounds)
     roots = []
     for text in cert.first_witnesses:
-        key = family.key_of(family.embed(parse_word(text, group), group), bounds)
-        index = position.get(key)
+        index = family.index_of(family.embed(parse_word(text, group), group), bounds)
         if index is None:
             continue  # witness outside the box: no merge evidence either way
         roots.append(uf.find(index))

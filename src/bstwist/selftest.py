@@ -192,11 +192,15 @@ def _box_oracle(M: IntMatrix, d_max: int) -> int:
     points = [()]
     for _ in range(r):
         points = [p + (x,) for p in points for x in range(-bound, bound + 1)]
-    position = {p: i for i, p in enumerate(points)}
     uf = IndexUnionFind(len(points))
     for col in columns:
-        uf.union_column([position.get(tuple(a + b for a, b in zip(p, col)))
-                         for p in points])
+        # point i has the base-(2 bound + 1) digits p + bound, so a step
+        # that stays in the box adds the same offset to every index
+        offset = 0
+        for x in col:
+            offset = offset * (2 * bound + 1) + x
+        uf.union_column([i + offset if all(abs(a + b) <= bound for a, b in zip(p, col))
+                         else None for i, p in enumerate(points)])
     reps = {uf.find(i) for i, p in enumerate(points) if all(abs(x) <= inner for x in p)}
     return len(reps)
 

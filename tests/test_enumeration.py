@@ -1,10 +1,16 @@
-"""Substrate twist kernels and the ball enumerator against model arithmetic.
+"""Substrate twist columns and the ball enumerator against model arithmetic.
 
-The kernels work on plain int/tuple keys; here they are compared with the
-products (psi(g) x) phi(g)^-1 of the model classes, and whole reports with
-a copy of the enumerator that works on model elements directly.
+Each family lays its box out as an index grid (rows times one axis) and
+writes a twist column and its back column a row run at a time with slice
+assignments.  Here every entry of those columns is compared with the box
+index (`index_of`) of the product (psi(g) x) phi(g)^-1 of the model
+classes, the runs' edge cases are pinned, and whole reports are compared
+with a copy of the enumerator that works on model elements directly and
+with `golden/enumeration_reports.json`.
 """
 
+import json
+import pathlib
 from dataclasses import dataclass
 
 import pytest
@@ -17,8 +23,8 @@ from bstwist.models import (
     PermutedProduct, PowRational, model_embed, model_family,
 )
 from bstwist.reidemeister import (
-    _GENERATORS, INV_A_SUM, BallReport, Certificate, _inverted, _merge_box,
-    _twist_kernels, certify_infinite, enumerate_classes_ball,
+    _GENERATORS, INV_A_SUM, BallReport, Certificate, _doubled, _merge_box,
+    certify_infinite, coincidence_certify, enumerate_classes_ball,
     witnesses_stay_separated,
 )
 from bstwist.words import A, B, GroupSpec, invert, multiply, parse_word, word
@@ -187,23 +193,39 @@ def valid_map(group, i, l, j, g):
 maps = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2), short_words)
 
 
-def element_of(group, key, bounds):
+def _model_columns(group, phi, psi, bounds, generators=_REF_GENERATORS):
+    """For each generator g, the column of index_of((psi(g) x) phi(g)^-1)
+    over the reference box, placed at index_of(x).  Checks on the way that
+    an image has an index exactly when its reference key is in the box."""
     family = model_family(group)
-    if family is KLEIN:
-        return KleinElement(*key)
-    if family is AFFINE:
-        n = _ref_affine_n(group)
-        e = bounds.get("e", min(bounds["k"], 4))
-        return AffineElement(PowRational.make(key[0], e, abs(n)), key[1], n)
-    return PermutedProduct(FreeWord(key[0]), key[1], abs(group.m))
+    membership, key = _ref_membership(group, bounds)
+    columns = []
+    for gen in generators:
+        pg = model_embed(endo_apply(psi, gen), group)
+        fg = model_embed(endo_apply(phi, gen), group).inverse()
+        column = [None] * len(membership)
+        for x in membership.values():
+            image = (pg * x) * fg
+            index = family.index_of(image, bounds)
+            assert (index is None) == (key(image) not in membership)
+            column[family.index_of(x, bounds)] = index
+        columns.append(column)
+    return columns
 
 
-def _inverse_kernels(family, group, phi, psi, bounds):
-    """Twist kernels built directly for a^-1 and b^-1."""
-    return [family.twist(model_embed(endo_apply(psi, invert(g)), group),
-                         model_embed(endo_apply(phi, invert(g)), group).inverse(),
-                         bounds)
-            for g in _GENERATORS]
+def _off_lattice(group, phi, psi, bounds, gen):
+    """How many twists by gen of box elements have no key on the lattice."""
+    membership, key = _ref_membership(group, bounds)
+    pg = model_embed(endo_apply(psi, gen), group)
+    fg = model_embed(endo_apply(phi, gen), group).inverse()
+    return sum(key((pg * x) * fg) is None for x in membership.values())
+
+
+def _direct_columns(group, phi, psi, bounds, gen):
+    """(column, back) that the family writes for the twist by gen."""
+    return model_family(group).columns(
+        model_embed(endo_apply(psi, gen), group),
+        model_embed(endo_apply(phi, gen), group).inverse(), bounds)
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,19 +233,13 @@ def _inverse_kernels(family, group, phi, psi, bounds):
 @example(case=CASES[2], phi_args=(1, 1, -1, word([(A, -2)])),
          psi_args=(1, 0, 1, word([(A, 2), (B, 1)])))
 def test_twist_kernels_match_model_products(case, phi_args, psi_args):
+    # the enumerator's a, a^-1, b and b^-1 columns, entry by entry, against
+    # the box index of the model product, None included
     group, bounds = case.group, case.bounds
     phi = valid_map(group, *phi_args)
     psi = valid_map(group, *psi_args)
-    family = model_family(group)
-    kernels = (_twist_kernels(family, group, phi, psi, bounds)
-               + _inverse_kernels(family, group, phi, psi, bounds))
-    for gen, kernel in zip(_GENERATORS + tuple(map(invert, _GENERATORS)), kernels):
-        pg = model_embed(endo_apply(psi, gen), group)
-        fg = model_embed(endo_apply(phi, gen), group).inverse()
-        for key in family.box(bounds, group):
-            x = element_of(group, key, bounds)
-            assert family.key_of(x, bounds) == key
-            assert kernel(key) == family.key_of((pg * x) * fg, bounds)
+    _, columns = _merge_box(model_family(group), group, phi, psi, bounds)
+    assert columns == _model_columns(group, phi, psi, bounds)
 
 
 def test_affine_kernel_leaves_the_lattice():
@@ -231,9 +247,12 @@ def test_affine_kernel_leaves_the_lattice():
     # (p/2, k) then has no key on the 1/2 lattice for odd p
     group, bounds = GroupSpec(1, 2), {"k": 2, "t": 4, "e": 1}
     psi = valid_map(group, 1, 1, 1, word([(A, -2), (B, 1), (A, 2)]))
-    kernels = _twist_kernels(AFFINE, group, identity_endo(group), psi, bounds)
-    images = [kernel(key) for kernel in kernels for key in AFFINE.box(bounds, group)]
-    assert None in images and any(image is not None for image in images)
+    phi = identity_endo(group)
+    _, columns = _merge_box(AFFINE, group, phi, psi, bounds)
+    assert columns == _model_columns(group, phi, psi, bounds)
+    assert sum(_off_lattice(group, phi, psi, bounds, gen) for gen in _REF_GENERATORS)
+    entries = [entry for column in columns for entry in column]
+    assert None in entries and any(entry is not None for entry in entries)
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,42 +262,94 @@ def test_affine_kernel_leaves_the_lattice():
 @example(case=CASES[6], phi_args=(2, 1, -1, word([(A, 1), (B, -1)])),
          psi_args=(-1, 0, 1, word([])))
 def test_inverted_columns_are_the_inverse_twist_columns(case, phi_args, psi_args):
-    # tau_{g^-1} = tau_g^-1: scattering the g column gives exactly the box
-    # indices a kernel built for g^-1 computes, None where it leaves the box
+    # tau_{g^-1} = tau_g^-1: the back column written with g's runs is
+    # exactly the column written for g^-1, None where it leaves the box
     group, bounds = case.group, case.bounds
     phi = valid_map(group, *phi_args)
     psi = valid_map(group, *psi_args)
-    family = model_family(group)
-    _, position, columns = _merge_box(family, group, phi, psi, bounds)
-    keys = family.box(bounds, group)
-    for column, kernel in zip(columns, _inverse_kernels(family, group, phi, psi, bounds)):
-        direct = [position.get(kernel(key)) for key in keys]
-        assert _inverted(column, position.values()) == direct
+    for gen in _GENERATORS:
+        _, back = _direct_columns(group, phi, psi, bounds, gen)
+        assert back == _direct_columns(group, phi, psi, bounds, invert(gen))[0]
 
 
 def test_inverted_columns_of_an_affine_map_off_the_lattice():
     # conjugating by a^-2 puts denominators 2^2 into psi(a), so twists of
-    # (p/2, k) leave the 1/2 lattice both ways; the scatter still agrees
+    # (p/2, k) leave the 1/2 lattice both ways; the back columns still agree
     group, bounds = GroupSpec(1, 2), {"k": 2, "t": 4, "e": 1}
     psi = valid_map(group, 1, 1, 1, word([(A, -2), (B, 1), (A, 2)]))
     phi = identity_endo(group)
-    _, position, columns = _merge_box(AFFINE, group, phi, psi, bounds)
-    keys = AFFINE.box(bounds, group)
     off_lattice = 0
-    for column, kernel in zip(columns, _inverse_kernels(AFFINE, group, phi, psi, bounds)):
-        images = [kernel(key) for key in keys]
-        off_lattice += images.count(None)
-        assert _inverted(column, position.values()) == list(map(position.get, images))
+    for gen in _GENERATORS:
+        _, back = _direct_columns(group, phi, psi, bounds, gen)
+        direct, _ = _direct_columns(group, phi, psi, bounds, invert(gen))
+        assert back == direct
+        off_lattice += _off_lattice(group, phi, psi, bounds, invert(gen))
     assert off_lattice
 
 
 def test_box_keys_match_model_boxes():
+    # index_of is a bijection from the reference box onto the index range
+    # of the columns, and sends the elements of a wider box outside it to None
     for case in CASES + [Case(GroupSpec(2, 2), {"l": 4, "k": 1}),
                          Case(GroupSpec(3, 3), {"l": 3, "k": 0})]:
-        membership, _ = _ref_membership(case.group, case.bounds)
-        assert model_family(case.group).box(case.bounds, case.group) == list(membership)
+        group, bounds = case.group, case.bounds
+        family = model_family(group)
+        phi = identity_endo(group)
+        membership, _ = _ref_membership(group, bounds)
+        size = len(_direct_columns(group, phi, phi, bounds, word([(A, 1)]))[0])
+        indices = [family.index_of(x, bounds) for x in membership.values()]
+        assert sorted(indices) == list(range(size))
+        wider = {name: value + (name != "e") for name, value in bounds.items()}
+        if family is AFFINE:
+            wider["e"] = bounds.get("e", min(bounds["k"], 4))
+        for x_key, x in _ref_membership(group, wider)[0].items():
+            if x_key not in membership:
+                assert family.index_of(x, bounds) is None
 
 
+# ---------------------------------------------------------------------------
+# Slice edges: runs that end at index 0, stride along the axis, or are cut
+# at both ends, each against the model products
+
+
+def test_reversing_klein_run_ending_at_index_0():
+    # the a-twist of the identity map reverses every row in place: row
+    # v = -3 runs u = -6..6 onto u' = 6..-6, so its back run ends at index 0
+    group, bounds = GroupSpec(1, -1), {"u": 6, "v": 3}
+    phi = identity_endo(group)
+    column, back = _direct_columns(group, phi, phi, bounds, word([(A, 1)]))
+    assert column[12] == 0 and back[0] == 12
+    assert [column, back] == _model_columns(group, phi, phi, bounds, _REF_GENERATORS[:2])
+
+
+def test_affine_runs_with_strides():
+    group, bounds = GroupSpec(1, 2), {"k": 3, "t": 12, "e": 1}
+    phi, psi = valid_map(group, 1, 0, -1, word([(B, 1)])), identity_endo(group)
+    # a: scale 2^(lift - 1) and unit 2^lift share 2^(lift - 1) > 1, so on a
+    # row only every second p has an image; a^-1 has pk = -1 < 0, so p runs
+    # over every p while p' strides by 2
+    a_column, a_back = _direct_columns(group, phi, psi, bounds, word([(A, 1)]))
+    inverse, _ = _direct_columns(group, phi, psi, bounds, word([(A, -1)]))
+    assert [a_column, a_back] == _model_columns(group, phi, psi, bounds,
+                                                _REF_GENERATORS[:2])
+    assert inverse == a_back
+    strided = 0
+    for row in range(7):
+        entries = a_column[row * 25:(row + 1) * 25]
+        assert any(all(entry is None for entry in entries[s::2]) for s in (0, 1))
+        images = [entry for entry in inverse[row * 25:(row + 1) * 25] if entry is not None]
+        assert all(abs(y - x) == 2 for x, y in zip(images, images[1:]))
+        strided += len(images) > 1
+    assert strided
+
+
+def test_permuted_runs_cut_at_both_ends():
+    # B(3,3): k steps by 3 on a 9-wide axis, and the b-twist shifts k by
+    # 1 - j = 2 (b^-1: -2), so runs lose their last (first) entries
+    group, bounds = GroupSpec(3, 3), {"l": 1, "k": 4}
+    phi, psi = valid_map(group, 2, 1, -1, word([(A, 1)])), identity_endo(group)
+    assert _merge_box(model_family(group), group, phi, psi, bounds)[1] == \
+        _model_columns(group, phi, psi, bounds)
 REPORT_CASES = [
     (GroupSpec(1, -1), (3, 0, 2, word([])), None, {"u": 16, "v": 4}, 2),
     (GroupSpec(1, -1), (1, 1, -1, word([(A, 1), (B, 2)])), (-1, 0, 1, word([])),
@@ -308,6 +379,38 @@ def test_reports_match_the_model_enumerator():
         except BoxTooSmall:
             got = None
         assert got == want, (group, phi.describe(), bounds)
+
+
+def _report_or_none(call):
+    try:
+        return call()
+    except BoxTooSmall:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(CASES), phi_args=maps, psi_args=st.none() | maps,
+       margin=st.integers(0, 2))
+def test_random_reports_match_the_model_enumerator(case, phi_args, psi_args, margin):
+    group, bounds = case.group, case.bounds
+    phi = valid_map(group, *phi_args)
+    psi = None if psi_args is None else valid_map(group, *psi_args)
+    want = _report_or_none(lambda: reference_report(group, phi, psi, bounds, margin))
+    got = _report_or_none(lambda: enumerate_classes_ball(group, phi, psi, bounds=bounds,
+                                                         inner_margin=margin))
+    assert got == want
+
+
+@pytest.mark.xfail(strict=True, reason="doubling every affine bound doubles e, so the "
+                   "larger box reaches 2t/|n|^(2e) where the box reached t/|n|^e")
+def test_affine_larger_box_contains_the_box():
+    # on the benchmark's B(1,2) box, 1,560 of the 2,093 elements lie outside
+    # the stabilization run's box; a growth rule that keeps e fixes this
+    group, bounds = GroupSpec(1, 2), {"k": 6, "t": 80, "e": 3}
+    larger = _doubled(bounds)
+    membership, _ = _ref_membership(group, bounds)
+    outside = [x for x in membership.values() if AFFINE.index_of(x, larger) is None]
+    assert not outside
 
 
 def test_witness_separation_matches_the_model_enumerator():
@@ -346,3 +449,66 @@ def test_mismatched_groups_and_negative_margin_are_refused():
     with pytest.raises(ValueError):
         enumerate_classes_ball(affine, valid_map(affine, 1, 0, 1, word([])),
                                bounds={"k": 2, "t": 4, "e": -1})
+
+
+# ---------------------------------------------------------------------------
+# Pinned reports: the enumerate workload's ten shapes with fixed conjugators
+# at its boxes, and each family's default bounds
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "enumeration_reports.json"
+
+_WORKLOAD_BOXES = {"klein": ({"u": 80, "v": 10}, {"u": 24, "v": 4}),
+                   "affine": ({"k": 6, "t": 80, "e": 3}, {"k": 3, "t": 30, "e": 2}),
+                   "permuted-product": ({"l": 2, "k": 6}, {"l": 1, "k": 3})}
+
+# name: (group, phi args, psi args or None, margin, workload boxes?)
+PINS = {
+    "klein-acceptance": (GroupSpec(1, -1), (3, 0, 2, word([])), None, 2, True),
+    "klein-flip": (GroupSpec(1, -1), (-1, 0, 1, word([(B, 1), (A, -1)])), None, 2, True),
+    "klein-invert-b": (GroupSpec(1, -1), (1, 0, -1, word([(A, 1)])), None, 2, True),
+    "klein-pair": (GroupSpec(1, -1), (1, 1, -1, word([])), (-1, 0, 1, word([])), 2, True),
+    "affine-2-invert-b": (GroupSpec(1, 2), (1, 0, -1, word([(A, -1), (B, 1)])), None, 2,
+                          True),
+    "affine-minus2": (GroupSpec(1, -2), (1, 0, 1, word([(B, -1)])), None, 2, True),
+    "affine-2-pair": (GroupSpec(1, 2), (1, 0, 1, word([])), (1, 0, -1, word([])), 2, True),
+    "permuted-invert-b": (GroupSpec(2, 2), (1, 0, -1, word([(A, 1), (B, 1)])), None, 1,
+                          True),
+    "permuted-square-a": (GroupSpec(2, 2), (2, 0, 1, word([(B, -1), (A, -1)])), None, 1,
+                          True),
+    "permuted-pair": (GroupSpec(2, 2), (3, 0, 1, word([])), (1, 0, -1, word([])), 1, True),
+    "klein-default": (GroupSpec(1, -1), (3, 0, 2, word([])), None, 2, False),
+    "affine-2-default": (GroupSpec(1, 2), (1, 1, 1, word([])), None, 2, False),
+    "affine-minus3-default": (GroupSpec(1, -3), (1, 0, 1, word([(A, -1)])), None, 2, False),
+    "permuted-cube-a-default": (GroupSpec(2, 2), (3, 0, 1, word([])), None, 2, False),
+}
+
+
+def _pinned_entry(group, phi_args, psi_args, margin, workload):
+    phi = valid_map(group, *phi_args)
+    psi = None if psi_args is None else valid_map(group, *psi_args)
+    bounds, witness_bounds = (_WORKLOAD_BOXES[model_family(group).name] if workload
+                              else (None, None))
+    try:
+        report = enumerate_classes_ball(group, phi, psi, bounds=bounds,
+                                        inner_margin=margin).as_dict()
+    except BoxTooSmall:
+        report = "box-too-small"
+    outcome = certify_infinite(phi) if psi is None else coincidence_certify(phi, psi)
+    separated = None
+    if outcome.kind == "infinite":
+        separated = witnesses_stay_separated(outcome.certificate, phi, psi,
+                                             bounds=witness_bounds)
+    return {"report": report, "separated": separated}
+
+
+def pinned_reports_text() -> str:
+    entries = {name: _pinned_entry(*pin) for name, pin in PINS.items()}
+    return json.dumps(entries, indent=1, sort_keys=True) + "\n"
+
+
+def test_reports_match_the_pinned_file():
+    assert pinned_reports_text() == GOLDEN.read_text()
+
+
+if __name__ == "__main__":  # rewrite the pinned file: PYTHONPATH=src python tests/...
+    GOLDEN.write_text(pinned_reports_text())
