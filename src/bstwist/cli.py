@@ -16,7 +16,7 @@ import json
 import shlex
 import sys
 
-from . import selftest as selftest_mod
+from . import __version__, selftest as selftest_mod
 from .errors import BSTwistError, GroupMismatch, WordSyntaxError
 from .homs import (
     EndoSpec, endo_validate, kappa, kernel_decompose, koch_form_search,
@@ -69,6 +69,7 @@ def _load_spec(path: str, group: GroupSpec | None) -> EndoSpec:
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
         payload["config"] = args.config
+        payload["version"] = __version__
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)

@@ -13,7 +13,8 @@ numerator over |n|^e, for B(1,n), rows of reduced free words and axis k
 for B(m,m)), on which a twist sends each run of a row (the row, or one
 residue class of its axis) affinely onto one row; its columns are written
 one run at a time with slice assignments, and no element key or
-key-to-index map is built.
+key-to-index map is built.  The runs are kept with the columns, so the
+enumerator erodes its box a run at a time on a byte mask.
 `model_family` is the only place that decides which record a group gets.
 
 Sign convention: the Z-action on Z[1/|n|] is x -> x/n with the sign of n
@@ -38,20 +39,21 @@ class ModelFamily:
     The box is an index grid of rows times one axis: the element at axis
     position j of row r has box index r * width + j.  `index_of` gives the
     box index of a model element, or None outside the box.
-    `columns(psi(g), phi(g)^-1, bounds)` gives the twist by g as a pair
-    (column, back) of index lists: column[i] is the box index of
+    `columns(psi(g), phi(g)^-1, bounds)` gives the twist by g as a grid
+    with two index lists and its runs: column[i] is the box index of
     (psi(g) x_i) phi(g)^-1, and back[i] that of psi(g)^-1 (x_i phi(g)), the
     inverse twist; None where the image leaves the box.  A twist sends each
     run of a row (the row, or one residue class of its axis) affinely onto
     one row, so each run is written with one slice assignment in both
-    lists, with no per-element arithmetic.
+    lists, with no per-element arithmetic, and `runs` lists the runs as
+    slice pairs (src, dst) with column[src] = dst.
     """
 
     name: str  # the `family` of a BallReport
     a_power: Callable  # (group, e) -> image of a^e
     b_power: Callable  # (group, e) -> image of b^e
     index_of: Callable  # (model element, bounds) -> box index or None
-    columns: Callable  # (psi(g), phi(g)^-1, bounds) -> (column, back)
+    columns: Callable  # (psi(g), phi(g)^-1, bounds) -> grid: column, back, runs
     enumerate_bounds: dict
     witness_bounds: dict
 
@@ -80,12 +82,15 @@ def _steps(x0: int, step: int, width: int) -> tuple[int, int]:
 
 class _Columns:
     """A twist column and its back column on a rows x width grid, written
-    a row run at a time."""
+    a row run at a time.  `runs` keeps each run as a pair of slices
+    (src, dst) with column[src] = dst and back[dst] = src; the src slices
+    are pairwise disjoint, and so are the dst slices."""
 
     def __init__(self, rows: int, width: int):
         self.rows, self.width = rows, width
         self.column = [None] * (rows * width)
         self.back = [None] * (rows * width)
+        self.runs = []
 
     def run(self, row: int, x0: int, step: int, to_row: int, y0: int, to_step: int):
         """Send position x0 + j * step of `row` to y0 + j * to_step of
@@ -102,8 +107,10 @@ class _Columns:
         y0 += to_row * width
         src = range(x0 + lo * step, x0 + hi * step, step)
         dst = range(y0 + lo * to_step, y0 + hi * to_step, to_step)
-        self.column[_span(src)] = dst
-        self.back[_span(dst)] = src
+        src_span, dst_span = _span(src), _span(dst)
+        self.column[src_span] = dst
+        self.back[dst_span] = src
+        self.runs.append((src_span, dst_span))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +247,7 @@ def _affine_columns(pg: AffineElement, fg: AffineElement, bounds: dict):
         p0 = -offset // g * inverse % step
         grid.run(row, p0 + t_max, step,
                  row + shift, (p0 * scale + offset) // unit + t_max, scale // g)
-    return grid.column, grid.back
+    return grid
 
 
 AFFINE = ModelFamily(
@@ -360,21 +367,24 @@ def _permuted_columns(pg: PermutedProduct, fg: PermutedProduct, bounds: dict):
 
     The free part depends on w and r = (pk + k) mod m only, so each (w, r)
     takes one free reduction, and the k of that r, which step by m, form
-    one run onto the row of the product.
+    one run onto the row of the product.  A nontrivial reduced fw is moved
+    by every sigma^r with 0 < r < m, but a trivial one by none: then the
+    free part depends on w alone, and each row is one run with step 1.
     """
     m, pw, pk, k_max = pg.m, pg.w.syllables, pg.k, bounds["k"]
     rows = _permuted_rows(m, bounds["l"])
     grid = _Columns(len(rows), 2 * k_max + 1)  # row w, axis k
-    tails = [_shift(fg.w.syllables, r, m) for r in range(m)]
+    period = m if fg.w.syllables else 1
+    tails = [_shift(fg.w.syllables, r, m) for r in range(period)]
     shift = pk + fg.k
     for w, row in rows.items():
         head = _shift(w, pk, m)
         for r, tail in enumerate(tails):
             to_row = rows.get(_free_reduce(pw, head, tail))
             if to_row is not None:
-                x0 = (r - pk + k_max) % m  # axis position k + k_max of the first k
-                grid.run(row, x0, m, to_row, x0 + shift, m)
-    return grid.column, grid.back
+                x0 = (r - pk + k_max) % period  # axis position k + k_max of the first k
+                grid.run(row, x0, period, to_row, x0 + shift, period)
+    return grid
 
 
 PERMUTED = ModelFamily(
@@ -425,7 +435,7 @@ def _klein_columns(pg: KleinElement, fg: KleinElement, bounds: dict):
         c = pg.u + (-sign if (row - v_max) % 2 else sign) * fg.u
         # position 0 holds u = -u_max, whose image has position c - s u_max + u_max
         grid.run(row, 0, 1, row + shift, c - sign * u_max + u_max, sign)
-    return grid.column, grid.back
+    return grid
 
 
 KLEIN = ModelFamily(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable
 
 from .errors import (
@@ -357,7 +358,7 @@ def _doubled(bounds: dict) -> dict:
 def _merge_box(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
                psi: EndoSpec, bounds: dict):
     """The union-find of the box under the a and b twists, and the twist
-    columns of a, a^-1, b and b^-1.
+    grids of a and b (each with its column, back column and runs).
 
     column[i] is the box index of the twist of element i, None outside the
     box.  The family writes the g^-1 column with the g column: since phi
@@ -365,27 +366,44 @@ def _merge_box(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
     tau_g^-1(x), so inside the box the g^-1 edges are the g edges reversed
     and merge nothing new.
     """
-    columns = []
-    for g in _GENERATORS:
-        columns += family.columns(family.embed(endo_apply(psi, g), group),
-                                  family.embed(endo_apply(phi, g), group).inverse(),
-                                  bounds)
-    uf = IndexUnionFind(len(columns[0]))
-    for column in columns[::2]:
-        uf.union_column(column)
-    return uf, columns
+    grids = [family.columns(family.embed(endo_apply(psi, g), group),
+                            family.embed(endo_apply(phi, g), group).inverse(),
+                            bounds)
+             for g in _GENERATORS]
+    uf = IndexUnionFind(len(grids[0].column))
+    for grid in grids:
+        uf.union_column(grid.column)
+    return uf, grids
 
 
-def _stable_roots(uf: IndexUnionFind, columns: list, inner_margin: int) -> set:
+def _stable_roots(uf: IndexUnionFind, grids: list, inner_margin: int) -> set:
     """Roots of the classes meeting the inner region: the elements whose
-    twists by a, a^-1, b and b^-1 stay inside, iterated margin times."""
-    inner = set(range(len(uf.parent)))
+    twists by a, a^-1, b and b^-1 stay inside, iterated margin times.
+
+    The inner region is a 0/1 byte mask.  One erosion step reads it a run
+    at a time: pre[src] = inner[dst] over a grid's runs is the preimage
+    mask under the g column (0 where the image leaves the box), and
+    pre[dst] = inner[src] the one under the g^-1 column.  The four masks
+    are ANDed as integers, one byte per element.
+    """
+    size = len(uf.parent)
+    inner = b"\x01" * size
     for _ in range(inner_margin):
-        kept = inner
-        for column in columns:
-            kept = {i for i in kept if column[i] in inner}
-        inner = kept
-    return {uf.find(i) for i in inner}
+        kept = int.from_bytes(inner, "little")
+        for grid in grids:
+            pre, pre_back = bytearray(size), bytearray(size)
+            for src, dst in grid.runs:
+                pre[src] = inner[dst]
+                pre_back[dst] = inner[src]
+            kept &= int.from_bytes(pre, "little") & int.from_bytes(pre_back, "little")
+        inner = kept.to_bytes(size, "little")
+    parent = uf.parent  # find, inlined as in `IndexUnionFind.union_column`
+    roots = set()
+    for x in compress(range(size), inner):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        roots.add(x)
+    return roots
 
 
 def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
@@ -419,9 +437,9 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
     endo_validate(phi)
     endo_validate(psi)
 
-    uf, columns = _merge_box(family, group, phi, psi, bounds)
+    uf, grids = _merge_box(family, group, phi, psi, bounds)
     total = len(uf.parent)
-    roots_inner = _stable_roots(uf, columns, inner_margin)
+    roots_inner = _stable_roots(uf, grids, inner_margin)
     if not roots_inner:
         raise BoxTooSmall(f"no stable class in box {bounds}")
     roots_inner_2 = _stable_roots(

@@ -3,13 +3,14 @@
 import argparse
 import json
 import pathlib
+import re
 import shlex
 import sys
 
 import jsonschema
 import pytest
 
-from bstwist import selftest as selftest_mod
+from bstwist import __version__, selftest as selftest_mod
 from bstwist.cli import _build_parser, main
 
 SCHEMAS = pathlib.Path(__file__).resolve().parents[1] / "src/bstwist/schemas"
@@ -62,6 +63,13 @@ class TestWordCommands:
         argv = ["normalize", "--group=-2,3", "--format", "json", "a^-1 b"]
         payload = run_json(capsys, *argv)
         assert shlex.split(payload["config"]) == argv
+
+    def test_json_records_the_package_version(self, capsys):
+        payload = run_json(capsys, "normalize", "--group", "2,3",
+                           "--format", "json", "b^5 a")
+        pyproject = (SCHEMAS.parents[2] / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "(.*)"$', pyproject, re.M).group(1)
+        assert payload["version"] == __version__ == declared
 
     def test_equal(self, capsys):
         code, out, _ = run(capsys, "equal", "--group", "1,2",
@@ -133,6 +141,7 @@ class TestCertifyCommands:
                            "--spec", spec_file, "--format", "json")
         jsonschema.validate(payload, load_schema("certificate.schema.json"))
         payload.pop("config")
+        assert payload.pop("version") == __version__
         golden = json.loads((GOLDEN / "certificate.json").read_text())
         assert payload == golden
 
@@ -288,7 +297,8 @@ class TestSelftest:
         payload = run_json(capsys, "selftest", "--format", "json")
         assert payload == {"checks": [{"name": "ok", "passed": True,
                                        "detail": "fine"}],
-                           "passed": True, "config": "selftest --format json"}
+                           "passed": True, "config": "selftest --format json",
+                           "version": __version__}
 
     def test_seed_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -4,9 +4,10 @@ Each family lays its box out as an index grid (rows times one axis) and
 writes a twist column and its back column a row run at a time with slice
 assignments.  Here every entry of those columns is compared with the box
 index (`index_of`) of the product (psi(g) x) phi(g)^-1 of the model
-classes, the runs' edge cases are pinned, and whole reports are compared
-with a copy of the enumerator that works on model elements directly and
-with `golden/enumeration_reports.json`.
+classes, the runs' edge cases are pinned, the runs are checked to cover
+the columns disjointly, the byte-mask erosion is compared with a set
+erosion, and whole reports are compared with a copy of the enumerator that
+works on model elements directly and with `golden/enumeration_reports.json`.
 """
 
 import json
@@ -23,9 +24,9 @@ from bstwist.models import (
     PermutedProduct, PowRational, model_embed, model_family,
 )
 from bstwist.reidemeister import (
-    _GENERATORS, INV_A_SUM, BallReport, Certificate, _doubled, _merge_box,
-    certify_infinite, coincidence_certify, enumerate_classes_ball,
-    witnesses_stay_separated,
+    _GENERATORS, INV_A_SUM, BallReport, Certificate, IndexUnionFind, _doubled,
+    _merge_box, _stable_roots, certify_infinite, coincidence_certify,
+    enumerate_classes_ball, witnesses_stay_separated,
 )
 from bstwist.words import A, B, GroupSpec, invert, multiply, parse_word, word
 
@@ -221,11 +222,24 @@ def _off_lattice(group, phi, psi, bounds, gen):
     return sum(key((pg * x) * fg) is None for x in membership.values())
 
 
-def _direct_columns(group, phi, psi, bounds, gen):
-    """(column, back) that the family writes for the twist by gen."""
+def _direct_grid(group, phi, psi, bounds, gen):
+    """The grid (column, back and runs) the family writes for the twist by gen."""
     return model_family(group).columns(
         model_embed(endo_apply(psi, gen), group),
         model_embed(endo_apply(phi, gen), group).inverse(), bounds)
+
+
+def _direct_columns(group, phi, psi, bounds, gen):
+    """(column, back) that the family writes for the twist by gen."""
+    grid = _direct_grid(group, phi, psi, bounds, gen)
+    return grid.column, grid.back
+
+
+def _merged_columns(family, group, phi, psi, bounds):
+    """The enumerator's a, a^-1, b and b^-1 columns: the column and the
+    back column of each grid `_merge_box` returns."""
+    _, grids = _merge_box(family, group, phi, psi, bounds)
+    return [column for grid in grids for column in (grid.column, grid.back)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -238,7 +252,7 @@ def test_twist_kernels_match_model_products(case, phi_args, psi_args):
     group, bounds = case.group, case.bounds
     phi = valid_map(group, *phi_args)
     psi = valid_map(group, *psi_args)
-    _, columns = _merge_box(model_family(group), group, phi, psi, bounds)
+    columns = _merged_columns(model_family(group), group, phi, psi, bounds)
     assert columns == _model_columns(group, phi, psi, bounds)
 
 
@@ -248,7 +262,7 @@ def test_affine_kernel_leaves_the_lattice():
     group, bounds = GroupSpec(1, 2), {"k": 2, "t": 4, "e": 1}
     psi = valid_map(group, 1, 1, 1, word([(A, -2), (B, 1), (A, 2)]))
     phi = identity_endo(group)
-    _, columns = _merge_box(AFFINE, group, phi, psi, bounds)
+    columns = _merged_columns(AFFINE, group, phi, psi, bounds)
     assert columns == _model_columns(group, phi, psi, bounds)
     assert sum(_off_lattice(group, phi, psi, bounds, gen) for gen in _REF_GENERATORS)
     entries = [entry for column in columns for entry in column]
@@ -348,8 +362,104 @@ def test_permuted_runs_cut_at_both_ends():
     # 1 - j = 2 (b^-1: -2), so runs lose their last (first) entries
     group, bounds = GroupSpec(3, 3), {"l": 1, "k": 4}
     phi, psi = valid_map(group, 2, 1, -1, word([(A, 1)])), identity_endo(group)
-    assert _merge_box(model_family(group), group, phi, psi, bounds)[1] == \
+    assert _merged_columns(model_family(group), group, phi, psi, bounds) == \
         _model_columns(group, phi, psi, bounds)
+
+
+def test_permuted_rows_are_one_run_when_phi_g_has_no_free_part():
+    # B(3,3), b -> b^-1: phi(b)^-1 = (1, 1) has no free part, so the
+    # b-twist's free part does not depend on k and each row is one run of
+    # step 1; phi(a)^-1 = (x3^-2, -1) keeps one run per residue of k mod 3
+    group, bounds = GroupSpec(3, 3), {"l": 2, "k": 4}
+    phi, psi = valid_map(group, 2, 1, -1, word([])), identity_endo(group)
+    assert _merged_columns(model_family(group), group, phi, psi, bounds) == \
+        _model_columns(group, phi, psi, bounds)
+    rows = len(_ref_free_words(3, 2))
+    a_grid, b_grid = (_direct_grid(group, phi, psi, bounds, gen) for gen in _GENERATORS)
+    assert len(b_grid.runs) == rows
+    assert all(src.step == dst.step == 1 for src, dst in b_grid.runs)
+    assert a_grid.runs and all(src.step == dst.step == 3 for src, dst in a_grid.runs)
+
+
+# ---------------------------------------------------------------------------
+# Runs and the erosion: the byte-mask erosion reads each grid's runs in
+# place of its columns, so the runs must say exactly what the columns say
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(CASES), phi_args=maps, psi_args=st.none() | maps)
+def test_runs_cover_the_columns_disjointly(case, phi_args, psi_args):
+    group, bounds = case.group, case.bounds
+    phi = valid_map(group, *phi_args)
+    psi = identity_endo(group) if psi_args is None else valid_map(group, *psi_args)
+    for gen in _GENERATORS:
+        grid = _direct_grid(group, phi, psi, bounds, gen)
+        indices = range(len(grid.column))
+        srcs = [indices[src] for src, _ in grid.runs]
+        dsts = [indices[dst] for _, dst in grid.runs]
+        for src, dst in zip(srcs, dsts):
+            assert len(src) == len(dst) > 0
+            assert [grid.column[i] for i in src] == list(dst)
+            assert [grid.back[i] for i in dst] == list(src)
+        for spans, entries in ((srcs, grid.column), (dsts, grid.back)):
+            covered = [i for span in spans for i in span]
+            assert len(covered) == len(set(covered))  # pairwise disjoint
+            assert set(covered) == {i for i in indices if entries[i] is not None}
+
+
+def _set_erosion(uf, columns, inner_margin):
+    """The erosion as sets: each step keeps the indices whose entry in
+    every column is in the previous step's region."""
+    inner = set(range(len(uf.parent)))
+    for _ in range(inner_margin):
+        kept = inner
+        for column in columns:
+            kept = {i for i in kept if column[i] in inner}
+        inner = kept
+    return inner, {uf.find(i) for i in inner}
+
+
+def _erosion_pair(group, phi, psi, bounds, margin):
+    """(inner region, roots) from `_stable_roots` and from `_set_erosion`.
+    Over a union-find with no merges every index is its own root, so
+    `_stable_roots` of it is the inner region itself."""
+    family = model_family(group)
+    uf, grids = _merge_box(family, group, phi, psi, bounds)
+    columns = _merged_columns(family, group, phi, psi, bounds)
+    got = (_stable_roots(IndexUnionFind(len(uf.parent)), grids, margin),
+           _stable_roots(uf, grids, margin))
+    return got, _set_erosion(uf, columns, margin)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(CASES), phi_args=maps, psi_args=st.none() | maps,
+       margin=st.integers(0, 4))
+@example(case=CASES[1], phi_args=(3, 0, 1, word([])), psi_args=None, margin=0)
+@example(case=CASES[1], phi_args=(3, 0, 1, word([])), psi_args=None, margin=3)
+@example(case=CASES[6], phi_args=(1, 0, -1, word([(A, 1), (B, -1)])), psi_args=None,
+         margin=1)
+def test_mask_erosion_matches_the_set_erosion(case, phi_args, psi_args, margin):
+    group, bounds = case.group, case.bounds
+    phi = valid_map(group, *phi_args)
+    psi = identity_endo(group) if psi_args is None else valid_map(group, *psi_args)
+    got, want = _erosion_pair(group, phi, psi, bounds, margin)
+    assert got == want
+
+
+def test_mask_erosion_keeps_the_whole_box_and_can_erode_all_of_it():
+    # Klein a -> a^3: the a-twist moves v by 1 - 3 = -2 on a 5-row box
+    # (|v| <= 2), so margin 0 keeps all 45 elements; one step keeps row
+    # v = 0 only, and no element survives a second or third step
+    group, bounds = GroupSpec(-1, 1), {"u": 4, "v": 2}
+    phi, psi = valid_map(group, 3, 0, 1, word([])), identity_endo(group)
+    (inner, _), (want, _) = _erosion_pair(group, phi, psi, bounds, 0)
+    assert inner == want == set(range(45))
+    (inner, roots), (want, want_roots) = _erosion_pair(group, phi, psi, bounds, 3)
+    assert inner == want == set() and roots == want_roots == set()
+    with pytest.raises(BoxTooSmall):
+        enumerate_classes_ball(group, phi, psi, bounds=bounds, inner_margin=3)
+
+
 REPORT_CASES = [
     (GroupSpec(1, -1), (3, 0, 2, word([])), None, {"u": 16, "v": 4}, 2),
     (GroupSpec(1, -1), (1, 1, -1, word([(A, 1), (B, 2)])), (-1, 0, 1, word([])),
