@@ -231,8 +231,3 @@ def parse_endo_file(text: str) -> EndoSpec:
         raise ValueError("endo spec must give images for exactly a and b")
     return EndoSpec(group, images["a"], images["b"])
 
-
-def format_endo_file(spec: EndoSpec) -> str:
-    return (f"group {spec.group.m} {spec.group.n}\n"
-            f"a -> {format_word(spec.image_a)}\n"
-            f"b -> {format_word(spec.image_b)}\n")

@@ -28,10 +28,6 @@ class IntMatrix:
     def identity(cls, size: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -210,11 +206,7 @@ def left_kernel_functional(M: IntMatrix) -> tuple[int, ...] | None:
     return None
 
 
-def is_unimodular(M: IntMatrix) -> bool:
-    return M.rows == M.cols and abs(M.det()) == 1
-
-
 __all__ = [
     "IntMatrix", "SNFResult", "snf", "coker_order",
-    "left_kernel_functional", "is_unimodular",
+    "left_kernel_functional",
 ]

@@ -40,20 +40,21 @@ class ModelFamily:
     position j of row r has box index r * width + j.  `index_of` gives the
     box index of a model element, or None outside the box.
     `columns(psi(g), phi(g)^-1, bounds)` gives the twist by g as a grid
-    with two index lists and its runs: column[i] is the box index of
-    (psi(g) x_i) phi(g)^-1, and back[i] that of psi(g)^-1 (x_i phi(g)), the
-    inverse twist; None where the image leaves the box.  A twist sends each
-    run of a row (the row, or one residue class of its axis) affinely onto
-    one row, so each run is written with one slice assignment in both
-    lists, with no per-element arithmetic, and `runs` lists the runs as
-    slice pairs (src, dst) with column[src] = dst.
+    with an index list and its runs: column[i] is the box index of
+    (psi(g) x_i) phi(g)^-1, None where the image leaves the box.  A twist
+    sends each run of a row (the row, or one residue class of its axis)
+    affinely onto one row, so each run is written with one slice
+    assignment, with no per-element arithmetic, and `runs` lists the runs
+    as slice pairs (src, dst) with column[src] = dst.  Read the other way,
+    the runs give the inverse twist psi(g)^-1 (x phi(g)): it sends dst to
+    src.
     """
 
     name: str  # the `family` of a BallReport
     a_power: Callable  # (group, e) -> image of a^e
     b_power: Callable  # (group, e) -> image of b^e
     index_of: Callable  # (model element, bounds) -> box index or None
-    columns: Callable  # (psi(g), phi(g)^-1, bounds) -> grid: column, back, runs
+    columns: Callable  # (psi(g), phi(g)^-1, bounds) -> grid: column, runs
     enumerate_bounds: dict
     witness_bounds: dict
 
@@ -81,15 +82,14 @@ def _steps(x0: int, step: int, width: int) -> tuple[int, int]:
 
 
 class _Columns:
-    """A twist column and its back column on a rows x width grid, written
-    a row run at a time.  `runs` keeps each run as a pair of slices
-    (src, dst) with column[src] = dst and back[dst] = src; the src slices
-    are pairwise disjoint, and so are the dst slices."""
+    """A twist column on a rows x width grid, written a row run at a time.
+    `runs` keeps each run as a pair of slices (src, dst) with
+    column[src] = dst; the src slices are pairwise disjoint, and so are the
+    dst slices."""
 
     def __init__(self, rows: int, width: int):
         self.rows, self.width = rows, width
         self.column = [None] * (rows * width)
-        self.back = [None] * (rows * width)
         self.runs = []
 
     def run(self, row: int, x0: int, step: int, to_row: int, y0: int, to_step: int):
@@ -109,7 +109,6 @@ class _Columns:
         dst = range(y0 + lo * to_step, y0 + hi * to_step, to_step)
         src_span, dst_span = _span(src), _span(dst)
         self.column[src_span] = dst
-        self.back[dst_span] = src
         self.runs.append((src_span, dst_span))
 
 

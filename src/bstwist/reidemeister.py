@@ -329,7 +329,7 @@ class IndexUnionFind:
 
 
 # a and b only: the twist by g^-1 is the inverse of the twist by g (see
-# `_merge_box`), so its column is written with g's
+# `_merge_box`), so g's runs read backwards give it
 _GENERATORS = (word([(A, 1)]), word([(B, 1)]))
 
 
@@ -358,13 +358,13 @@ def _doubled(bounds: dict) -> dict:
 def _merge_box(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
                psi: EndoSpec, bounds: dict):
     """The union-find of the box under the a and b twists, and the twist
-    grids of a and b (each with its column, back column and runs).
+    grids of a and b (each with its column and runs).
 
     column[i] is the box index of the twist of element i, None outside the
-    box.  The family writes the g^-1 column with the g column: since phi
-    and psi are homomorphisms, tau_{g^-1}(x) = psi(g)^-1 x phi(g) =
-    tau_g^-1(x), so inside the box the g^-1 edges are the g edges reversed
-    and merge nothing new.
+    box.  No g^-1 column is written: since phi and psi are homomorphisms,
+    tau_{g^-1}(x) = psi(g)^-1 x phi(g) = tau_g^-1(x), so inside the box
+    the g^-1 edges are the g edges reversed (the runs read dst to src) and
+    merge nothing new.
     """
     grids = [family.columns(family.embed(endo_apply(psi, g), group),
                             family.embed(endo_apply(phi, g), group).inverse(),
@@ -384,19 +384,26 @@ def _stable_roots(uf: IndexUnionFind, grids: list, inner_margin: int) -> set:
     at a time: pre[src] = inner[dst] over a grid's runs is the preimage
     mask under the g column (0 where the image leaves the box), and
     pre[dst] = inner[src] the one under the g^-1 column.  The four masks
-    are ANDed as integers, one byte per element.
+    are ANDed as integers, one byte per element.  After each step, a run
+    whose src or dst lies wholly outside the region is dropped: all it
+    could write lands where the region is already 0, and the region only
+    shrinks, so it stays spent.
     """
     size = len(uf.parent)
     inner = b"\x01" * size
-    for _ in range(inner_margin):
+    live = [grid.runs for grid in grids]
+    for step in range(inner_margin):
         kept = int.from_bytes(inner, "little")
-        for grid in grids:
+        for runs in live:
             pre, pre_back = bytearray(size), bytearray(size)
-            for src, dst in grid.runs:
+            for src, dst in runs:
                 pre[src] = inner[dst]
                 pre_back[dst] = inner[src]
             kept &= int.from_bytes(pre, "little") & int.from_bytes(pre_back, "little")
         inner = kept.to_bytes(size, "little")
+        if step + 1 < inner_margin:
+            live = [[(src, dst) for src, dst in runs if 1 in inner[src] and 1 in inner[dst]]
+                    for runs in live]
     parent = uf.parent  # find, inlined as in `IndexUnionFind.union_column`
     roots = set()
     for x in compress(range(size), inner):

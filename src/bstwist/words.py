@@ -12,6 +12,11 @@ a pinch in `britton_reduce`, a nonzero carry in `_carry_pass`.  Both
 passes return the same word as feeding a^e in as |e| separate units, so
 the innermost-leftmost reduction and the normal form text do not depend
 on how the exponents are grouped.
+
+Powers and substitutions are built in conjugate form.  A word is split
+once as w = u·c·u⁻¹ with c cyclically reduced (c·c cancels nothing), so
+w^k = u·c^k·u⁻¹: u, then |k| copies of c (or of c⁻¹), then u⁻¹ go straight
+into one stack, and a core of one syllable goes in once as its k-th power.
 """
 
 from __future__ import annotations
@@ -155,11 +160,65 @@ def invert(w: Word) -> Word:
     return Word(tuple(Syllable(s.base, -s.exp) for s in reversed(w.syllables)))
 
 
+_Pairs = list[tuple[str, int]]
+
+
+def _conjugate_form(w: Word) -> tuple[_Pairs, _Pairs]:
+    """Split w = u·c·u⁻¹ with c cyclically reduced; returns (u, c) as pairs.
+
+    u takes the syllables that cancel between the two ends of w.  If the
+    ends then share a base with exponents of opposite sign, the shorter one
+    goes into u whole and the longer keeps the difference, so c's first
+    and last syllables either differ in base or repeat with a common sign:
+    consecutive copies of c merge there at most, they never cancel.
+    """
+    syls = w.syllables
+    i, j = 0, len(syls) - 1
+    while i < j and syls[i].base == syls[j].base and syls[i].exp == -syls[j].exp:
+        i += 1
+        j -= 1
+    u = [(s.base, s.exp) for s in syls[:i]]
+    c = [(s.base, s.exp) for s in syls[i:j + 1]]
+    if i < j:
+        first, last = syls[i], syls[j]
+        if first.base == last.base and (first.exp > 0) != (last.exp > 0):
+            total = first.exp + last.exp
+            if abs(first.exp) < abs(last.exp):
+                u.append((first.base, first.exp))
+                c = c[1:-1] + [(last.base, total)]
+            else:
+                u.append((last.base, -last.exp))
+                c = [(first.base, total)] + c[1:-1]
+    return u, c
+
+
+def _push_power(stack: list[list], u: _Pairs, c: _Pairs, k: int) -> None:
+    """Push (u·c·u⁻¹)^k = u·c^k·u⁻¹ onto a syllable stack."""
+    if k == 0 or not c:
+        return
+    for base, exp in u:
+        _push(stack, base, exp)
+    if len(c) == 1:
+        _push(stack, c[0][0], c[0][1] * k)
+    else:
+        if k < 0:
+            c = [(base, -exp) for base, exp in reversed(c)]
+        for _ in range(abs(k)):
+            for base, exp in c:
+                _push(stack, base, exp)
+    for base, exp in reversed(u):
+        _push(stack, base, -exp)
+
+
 def power(w: Word, k: int) -> Word:
-    """w^k, freely reduced in one stack pass over the k copies of w."""
-    if k < 0:
-        return power(invert(w), -k)
-    return word((s.base, s.exp) for _ in range(k) for s in w)
+    """w^k, freely reduced in one stack pass as u·c^k·u⁻¹.
+
+    The pieces multiply to w^k in the free group, and a freely reduced
+    word is unique, so the result is the word k copies of w reduce to.
+    """
+    stack: list[list] = []
+    _push_power(stack, *_conjugate_form(w), k)
+    return Word(tuple(Syllable(b, e) for b, e in stack))
 
 
 def britton_reduce(w: Word, group: GroupSpec) -> Word:
@@ -290,14 +349,19 @@ def exp_sum(w: Word, base: str) -> int:
 
 
 def substitute(w: Word, image_a: Word, image_b: Word) -> Word:
-    """Replace each generator by its image word and freely reduce."""
-    result_stack: list[list] = []
+    """Replace each generator by its image word and freely reduce.
+
+    Each image is split once as u·c·u⁻¹ (see `power`), and a syllable x^e
+    of w pushes u, c^e and u⁻¹ straight into the one result stack; an image
+    g·b^j·g⁻¹ costs 2|g| + 1 pushes whatever e is.  The result
+    is the free reduction of the product of the images, hence the same
+    word as pushing each image power one syllable at a time.
+    """
+    forms = {A: _conjugate_form(image_a), B: _conjugate_form(image_b)}
+    stack: list[list] = []
     for s in w:
-        image = image_a if s.base == A else image_b
-        piece = power(image, s.exp)
-        for syl in piece:
-            _push(result_stack, syl.base, syl.exp)
-    return Word(tuple(Syllable(b, e) for b, e in result_stack))
+        _push_power(stack, *forms[s.base], s.exp)
+    return Word(tuple(Syllable(b, e) for b, e in stack))
 
 
 def relator(group: GroupSpec) -> Word:

@@ -1,8 +1,9 @@
 """Substrate twist columns and the ball enumerator against model arithmetic.
 
 Each family lays its box out as an index grid (rows times one axis) and
-writes a twist column and its back column a row run at a time with slice
-assignments.  Here every entry of those columns is compared with the box
+writes a twist column a row run at a time with slice assignments; its
+runs, read backwards, give the column of the inverse twist (the back
+column).  Here every entry of those columns is compared with the box
 index (`index_of`) of the product (psi(g) x) phi(g)^-1 of the model
 classes, the runs' edge cases are pinned, the runs are checked to cover
 the columns disjointly, the byte-mask erosion is compared with a set
@@ -223,23 +224,33 @@ def _off_lattice(group, phi, psi, bounds, gen):
 
 
 def _direct_grid(group, phi, psi, bounds, gen):
-    """The grid (column, back and runs) the family writes for the twist by gen."""
+    """The grid (column and runs) the family writes for the twist by gen."""
     return model_family(group).columns(
         model_embed(endo_apply(psi, gen), group),
         model_embed(endo_apply(phi, gen), group).inverse(), bounds)
 
 
+def _back(grid):
+    """The back column of a grid, rebuilt from its runs: back[dst] = src,
+    None where no run lands."""
+    indices = range(len(grid.column))
+    back = [None] * len(indices)
+    for src, dst in grid.runs:
+        back[dst] = indices[src]
+    return back
+
+
 def _direct_columns(group, phi, psi, bounds, gen):
-    """(column, back) that the family writes for the twist by gen."""
+    """(column, back) of the grid the family writes for the twist by gen."""
     grid = _direct_grid(group, phi, psi, bounds, gen)
-    return grid.column, grid.back
+    return grid.column, _back(grid)
 
 
 def _merged_columns(family, group, phi, psi, bounds):
     """The enumerator's a, a^-1, b and b^-1 columns: the column and the
     back column of each grid `_merge_box` returns."""
     _, grids = _merge_box(family, group, phi, psi, bounds)
-    return [column for grid in grids for column in (grid.column, grid.back)]
+    return [column for grid in grids for column in (grid.column, _back(grid))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -276,7 +287,7 @@ def test_affine_kernel_leaves_the_lattice():
 @example(case=CASES[6], phi_args=(2, 1, -1, word([(A, 1), (B, -1)])),
          psi_args=(-1, 0, 1, word([])))
 def test_inverted_columns_are_the_inverse_twist_columns(case, phi_args, psi_args):
-    # tau_{g^-1} = tau_g^-1: the back column written with g's runs is
+    # tau_{g^-1} = tau_g^-1: the back column read from g's runs is
     # exactly the column written for g^-1, None where it leaves the box
     group, bounds = case.group, case.bounds
     phi = valid_map(group, *phi_args)
@@ -394,14 +405,15 @@ def test_runs_cover_the_columns_disjointly(case, phi_args, psi_args):
     psi = identity_endo(group) if psi_args is None else valid_map(group, *psi_args)
     for gen in _GENERATORS:
         grid = _direct_grid(group, phi, psi, bounds, gen)
+        back = _back(grid)
         indices = range(len(grid.column))
         srcs = [indices[src] for src, _ in grid.runs]
         dsts = [indices[dst] for _, dst in grid.runs]
         for src, dst in zip(srcs, dsts):
             assert len(src) == len(dst) > 0
             assert [grid.column[i] for i in src] == list(dst)
-            assert [grid.back[i] for i in dst] == list(src)
-        for spans, entries in ((srcs, grid.column), (dsts, grid.back)):
+            assert [back[i] for i in dst] == list(src)
+        for spans, entries in ((srcs, grid.column), (dsts, back)):
             covered = [i for span in spans for i in span]
             assert len(covered) == len(set(covered))  # pairwise disjoint
             assert set(covered) == {i for i in indices if entries[i] is not None}

@@ -7,12 +7,13 @@ import pytest
 
 from bstwist.errors import NotInKernel, RelationViolated
 from bstwist.homs import (
-    EndoSpec, endo_apply, endo_compose, endo_validate, format_endo_file,
-    identity_endo, induced_on_ab, inner_by, kappa, kappa_scale,
-    kernel_decompose, kernel_generator, koch_form_search, parse_endo_file,
+    EndoSpec, endo_apply, endo_compose, endo_validate, identity_endo,
+    induced_on_ab, inner_by, kappa, kappa_scale, kernel_decompose,
+    kernel_generator, koch_form_search, parse_endo_file,
 )
 from bstwist.words import (
-    GroupSpec, Word, are_equal, invert, multiply, parse_word, relator, word,
+    GroupSpec, Word, are_equal, format_word, invert, multiply, parse_word,
+    relator, word,
 )
 
 from test_words import random_word
@@ -235,6 +236,13 @@ class TestKochSearch:
         for radius in (-1, 0):
             with pytest.raises(ValueError):
                 koch_form_search(spec, radius)
+
+
+def format_endo_file(spec):
+    """Test-local writer of the three-line format `parse_endo_file` reads."""
+    return (f"group {spec.group.m} {spec.group.n}\n"
+            f"a -> {format_word(spec.image_a)}\n"
+            f"b -> {format_word(spec.image_b)}\n")
 
 
 class TestEndoFiles:

@@ -1,13 +1,14 @@
 """Word arithmetic, pinch reduction, and canonical normal forms."""
 
 import random
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bstwist.errors import WordSyntaxError
 from bstwist.words import (
-    A, B, GroupSpec, Syllable, Word, _push, are_equal,
+    A, B, GroupSpec, Syllable, Word, _conjugate_form, _push, are_equal,
     britton_reduce, exp_sum, format_word, invert, multiply, normal_form,
     parse_word, power, relator, standardize, substitute, word,
 )
@@ -408,3 +409,100 @@ class TestLargeInputs:
         lhs = word([(A, big), (B, g.m), (A, -big)])
         rhs = word([(A, big + 1), (B, g.n), (A, -(big + 1))])
         assert are_equal(lhs, rhs, g)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests of the conjugate-form power and substitute against the
+# copy-by-copy kernel they replace
+
+
+def _copy_substitute(w, image_a, image_b):
+    """Each syllable x^e of w becomes the word image(x)^e, built a copy at
+    a time, whose syllables are then pushed one at a time into the result."""
+    stack = []
+    for s in w:
+        for syl in _ref_power(image_a if s.base == A else image_b, s.exp):
+            _push(stack, syl.base, syl.exp)
+    return Word(tuple(Syllable(b, e) for b, e in stack))
+
+
+_syllable = st.tuples(st.sampled_from((A, B)),
+                      st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)))
+_exp = st.integers(1, 4) | st.integers(-4, -1)
+
+
+def _conjugate(g, core):
+    return multiply(multiply(g, core), invert(g))
+
+
+@st.composite
+def images(draw):
+    """A conjugated image g·a^i b^l·g^-1 or g·b^j·g^-1, the trivial image, a
+    conjugated core whose first and last syllables share a base (with equal
+    or opposite signs), or any word."""
+    g = word(draw(st.lists(_syllable, max_size=4)))
+    shape = draw(st.sampled_from(("ab", "b", "one", "same-base", "any")))
+    if shape == "ab":
+        return _conjugate(g, word([(A, draw(_exp)), (B, draw(_exp))]))
+    if shape == "b":
+        return _conjugate(g, word([(B, draw(_exp))]))
+    if shape == "one":
+        return Word()
+    if shape == "same-base":
+        base = draw(st.sampled_from((A, B)))
+        other = B if base == A else A
+        core = [(base, draw(_exp)), (other, draw(_exp))]
+        core += draw(st.lists(_syllable, max_size=3))
+        core += [(other, draw(_exp)), (base, draw(_exp))]
+        return _conjugate(g, word(core))
+    return word(draw(st.lists(_syllable, max_size=8)))
+
+
+_A3 = word([(A, 3)])
+_B2 = word([(B, 2)])
+_G = word([(A, 2), (B, -1)])
+_SAME_BASE = word([(A, 2), (B, 1), (A, -3)])
+
+
+class TestConjugateForm:
+    @settings(max_examples=300, deadline=None)
+    @given(images(), st.integers(-7, 7))
+    @example(_conjugate(_G, word([(A, 1), (B, 2)])), -3)
+    @example(_conjugate(_G, _B2), -5)
+    @example(Word(), 4)
+    @example(_SAME_BASE, -2)
+    @example(_conjugate(_G, word([(A, 2), (B, 1), (A, 3)])), -2)
+    def test_power_matches_copies(self, w, k):
+        assert power(w, k) == _ref_power(w, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_syllable, max_size=8).map(word), images(), images())
+    @example(parse_word("a^-1 b^2 a b^-2"), _conjugate(_G, word([(A, 1), (B, 2)])),
+             _conjugate(_G, _B2))
+    @example(parse_word("a^2 b^-3 a^-1 b"), _A3, Word())
+    @example(parse_word("b^-2 a b^3"), _SAME_BASE, _conjugate(_G, _SAME_BASE))
+    def test_substitute_matches_copies(self, w, image_a, image_b):
+        assert substitute(w, image_a, image_b) == _copy_substitute(w, image_a, image_b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(images())
+    @example(_SAME_BASE)
+    @example(parse_word("a^3 b a^-1"))
+    def test_split_is_u_c_u_inverse_with_a_cyclically_reduced_core(self, w):
+        u, c = _conjugate_form(w)
+        assert _conjugate(word(u), word(c)) == w
+        # u and c, and consecutive copies of c, merge at their ends at most
+        assert len(word(u + c)) >= len(u) + len(c) - 1
+        assert len(word(c + c)) >= 2 * len(c) - 1
+
+    def test_huge_exponent_on_a_conjugate_is_one_push(self):
+        u = parse_word("a^2 b^-1 a")
+        w = _conjugate(u, word([(B, 1)]))
+        k = 10 ** 5
+        start = time.process_time()
+        powers = (power(w, k), power(w, -k), substitute(word([(A, -k)]), _A3, w),
+                  substitute(word([(B, k)]), _A3, w))
+        assert time.process_time() - start < 0.05
+        assert powers[0] == powers[3] == _conjugate(u, word([(B, k)]))
+        assert powers[1] == _conjugate(u, word([(B, -k)]))
+        assert powers[2] == word([(A, -3 * k)])
