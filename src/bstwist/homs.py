@@ -21,7 +21,7 @@ from .abelian import AbelianGroup, AbelianMap
 from .errors import NotInKernel, RelationViolated
 from .words import (
     A, B, GroupSpec, Word, are_equal, exp_sum, format_word, invert,
-    multiply, normal_form, relator, substitute, word,
+    multiply, normal_form, parse_word, relator, substitute, word,
 )
 
 
@@ -180,14 +180,14 @@ def kappa_scale(spec: EndoSpec) -> Fraction | None:
 def _ball(group: GroupSpec, radius: int) -> list[Word]:
     """All distinct elements within `radius` generator steps of 1, as words."""
     gens = [word([(A, 1)]), word([(A, -1)]), word([(B, 1)]), word([(B, -1)])]
-    seen = {format_word(normal_form(Word(), group).word): Word()}
+    seen = {Word(): Word()}  # normal form -> the first word reaching it
     frontier = [Word()]
     for _ in range(radius):
         next_frontier = []
         for w in frontier:
             for g in gens:
                 candidate = multiply(w, g)
-                key = format_word(normal_form(candidate, group).word)
+                key = normal_form(candidate, group).word
                 if key not in seen:
                     seen[key] = candidate
                     next_frontier.append(candidate)
@@ -204,20 +204,17 @@ def koch_form_search(spec: EndoSpec, radius: int) -> tuple[Word, int] | None:
     """
     if radius < 1:
         raise ValueError(f"radius must be at least 1, got {radius}")
-    target = normal_form(spec.image_b, spec.group).word
     for gamma in _ball(spec.group, radius):
         gamma_inv = invert(gamma)
         for r in itertools.chain.from_iterable((r, -r) for r in range(1, radius + 1)):
             candidate = multiply(multiply(gamma, word([(B, r)])), gamma_inv)
-            if are_equal(candidate, target, spec.group):
+            if are_equal(candidate, spec.image_b, spec.group):
                 return gamma, r
     return None
 
 
 def parse_endo_file(text: str) -> EndoSpec:
     """Three-line format: 'group m n', 'a -> <word>', 'b -> <word>'."""
-    from .words import parse_word
-
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if len(lines) != 3 or not lines[0].startswith("group"):
         raise ValueError("endo spec needs lines: 'group m n', 'a -> w', 'b -> w'")

@@ -13,6 +13,11 @@ passes return the same word as feeding a^e in as |e| separate units, so
 the innermost-leftmost reduction and the normal form text do not depend
 on how the exponents are grouped.
 
+The normal form is one Britton pass, then one carry pass.  On a reduced
+word the carry pass leaves a nonzero b-residue between opposite a-units, so
+it exposes no cancellation and no pinch, and running it again changes
+nothing (see `normal_form`).
+
 Powers and substitutions are built in conjugate form.  A word is split
 once as w = u·c·u⁻¹ with c cyclically reduced (c·c cancels nothing), so
 w^k = u·c^k·u⁻¹: u, then |k| copies of c (or of c⁻¹), then u⁻¹ go straight
@@ -88,16 +93,21 @@ class Word:
 
 
 def _push(stack: list[list], base: str, exp: int) -> None:
-    """Append (base, exp) to a syllable stack, merging and cascading."""
+    """Append (base, exp) to a freely reduced syllable stack.
+
+    It merges with the top when the bases match, and a zero sum pops the
+    top; the stack alternates bases, so a pop exposes the other base.
+    """
     if exp == 0:
         return
-    stack.append([base, exp])
-    # merge adjacent equal bases; a zero merge exposes a new adjacency
-    while len(stack) >= 2 and stack[-1][0] == stack[-2][0]:
-        top = stack.pop()
-        stack[-1][1] += top[1]
-        if stack[-1][1] == 0:
+    if stack and stack[-1][0] == base:
+        total = stack[-1][1] + exp
+        if total:
+            stack[-1][1] = total
+        else:
             stack.pop()
+    else:
+        stack.append([base, exp])
 
 
 def word(pairs: Iterable[tuple[str, int]]) -> Word:
@@ -321,16 +331,15 @@ def _carry_pass(w: Word, group: GroupSpec) -> Word:
 
 def normal_form(w: Word, group: GroupSpec) -> NormalForm:
     """Deterministic canonical form; idempotent, and syntactic equality of
-    normal forms coincides with equality in the group."""
-    current = britton_reduce(w, group)
-    # A carry pass may cancel a-units and re-expose pinches; every such
-    # cancellation shortens the a-length, so this loop terminates.
-    for _ in range(sum(abs(s.exp) for s in current if s.base == A) + 2):
-        candidate = _carry_pass(current, group)
-        if candidate == current:
-            return NormalForm(current, group)
-        current = britton_reduce(candidate, group)
-    raise RuntimeError("normal form iteration failed to stabilize")  # pragma: no cover
+    normal forms coincides with equality in the group.
+
+    On a Britton-reduced word the carry that reaches b^t between a^-1 and
+    a is q m, so the residue left there is (q m + t) mod |m| = t mod |m|,
+    not 0 since a^-1 b^t a was no pinch (likewise with n between a and
+    a^-1).  So the carry pass exposes no cancellation and no pinch, and a
+    second one finds every interior b-exponent already in coset range.
+    """
+    return NormalForm(_carry_pass(britton_reduce(w, group), group), group)
 
 
 def are_equal(u: Word, v: Word, group: GroupSpec) -> bool:

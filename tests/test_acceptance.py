@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from bstwist import selftest
 from bstwist.selftest import ACCEPTANCE_CHECKS
 
 BUDGETS = {  # seconds, where the criterion carries one
@@ -27,3 +28,15 @@ def test_acceptance(name, check, capsys):
     assert passed, detail
     if name in BUDGETS:
         assert elapsed < BUDGETS[name], f"{name} took {elapsed:.1f}s"
+
+
+def test_a_validation_crash_fails_the_check(monkeypatch):
+    # every spec the certificate checks use is valid, so a raise is a fault
+    # and must not leave a check with nothing to certify and a PASS
+    def refuse(spec):
+        raise RuntimeError("validation refused")
+
+    monkeypatch.setattr(selftest, "endo_validate", refuse)
+    results = {name: (passed, detail) for name, passed, detail in selftest.run_all()}
+    for name in ("coincidence-certificates", "infinitude-certificates"):
+        assert results[name] == (False, "raised RuntimeError: validation refused")

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bstwist.errors import WordSyntaxError
 from bstwist.words import (
-    A, B, GroupSpec, Syllable, Word, _conjugate_form, _push, are_equal,
+    A, B, GroupSpec, Syllable, Word, _carry_pass, _conjugate_form, are_equal,
     britton_reduce, exp_sum, format_word, invert, multiply, normal_form,
     parse_word, power, relator, standardize, substitute, word,
 )
@@ -260,7 +260,27 @@ class TestGroupSpec:
 # ---------------------------------------------------------------------------
 # Differential tests of the syllable kernel against the unit-by-unit rules
 # it replaces: a-syllables split into +-1 units, one pinch check and one
-# carry step per unit, and w^k built by k successive multiplications.
+# carry step per unit, w^k built from k copies, and a stack push that
+# cascades merges for as long as equal bases meet.
+
+def _ref_push(stack, base, exp):
+    if exp == 0:
+        return
+    stack.append([base, exp])
+    # merge adjacent equal bases; a zero merge exposes a new adjacency
+    while len(stack) >= 2 and stack[-1][0] == stack[-2][0]:
+        top = stack.pop()
+        stack[-1][1] += top[1]
+        if stack[-1][1] == 0:
+            stack.pop()
+
+
+def _ref_word(pairs):
+    stack = []
+    for base, exp in pairs:
+        _ref_push(stack, base, exp)
+    return Word(tuple(Syllable(b, e) for b, e in stack))
+
 
 def _ref_tokens(w):
     for s in w:
@@ -277,22 +297,22 @@ def _ref_britton_reduce(w, group):
     stack = []
     for base, exp in _ref_tokens(w):
         if base == B:
-            _push(stack, B, exp)
+            _ref_push(stack, B, exp)
             continue
         if len(stack) >= 2 and stack[-1][0] == B and stack[-2][0] == A:
             t = stack[-1][1]
             p = stack[-2][1]
             if exp > 0 and p < 0 and t % m == 0:
                 stack.pop()
-                _push(stack, A, 1)
-                _push(stack, B, (t // m) * n)
+                _ref_push(stack, A, 1)
+                _ref_push(stack, B, (t // m) * n)
                 continue
             if exp < 0 and p > 0 and t % n == 0:
                 stack.pop()
-                _push(stack, A, -1)
-                _push(stack, B, (t // n) * m)
+                _ref_push(stack, A, -1)
+                _ref_push(stack, B, (t // n) * m)
                 continue
-        _push(stack, A, exp)
+        _ref_push(stack, A, exp)
     return Word(tuple(Syllable(b, e) for b, e in stack))
 
 
@@ -307,16 +327,16 @@ def _ref_carry_pass(w, group):
         if exp > 0:
             r = carry % abs(m)
             q = (carry - r) // m
-            _push(stack, B, r)
-            _push(stack, A, 1)
+            _ref_push(stack, B, r)
+            _ref_push(stack, A, 1)
             carry = q * n
         else:
             r = carry % abs(n)
             q = (carry - r) // n
-            _push(stack, B, r)
-            _push(stack, A, -1)
+            _ref_push(stack, B, r)
+            _ref_push(stack, A, -1)
             carry = q * m
-    _push(stack, B, carry)
+    _ref_push(stack, B, carry)
     return Word(tuple(Syllable(b, e) for b, e in stack))
 
 
@@ -332,10 +352,7 @@ def _ref_normal_form(w, group):
 def _ref_power(w, k):
     if k < 0:
         return _ref_power(invert(w), -k)
-    result = Word()
-    for _ in range(k):
-        result = multiply(result, w)
-    return result
+    return _ref_word((s.base, s.exp) for _ in range(k) for s in w)
 
 
 # Non-coprime, negative and m = +-n indices, B(1,n), B(+-1,-+1), B(1,1) and
@@ -364,6 +381,20 @@ def group_and_word(draw):
     return group, w
 
 
+@st.composite
+def unreduced_pairs(draw):
+    """Pair lists with zero exponents, equal bases side by side, and runs
+    that cancel to nothing in the middle."""
+    pair = st.tuples(st.sampled_from((A, B)), st.integers(-3, 3))
+    pairs = draw(st.lists(pair, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        run = draw(st.lists(pair, max_size=5))
+        cut = draw(st.integers(0, len(pairs)))
+        inverse = [(base, -exp) for base, exp in reversed(run)]
+        pairs = pairs[:cut] + run + inverse + pairs[cut:]
+    return pairs
+
+
 class TestSyllableKernel:
     @settings(max_examples=400, deadline=None)
     @given(group_and_word(), st.integers(-8, 8))
@@ -374,6 +405,23 @@ class TestSyllableKernel:
         assert format_word(normal_form(w, group).word) == \
             format_word(_ref_normal_form(w, group))
         assert format_word(power(w, k)) == format_word(_ref_power(w, k))
+
+    @settings(max_examples=400, deadline=None)
+    @given(group_and_word())
+    def test_one_carry_pass_is_a_fixed_point(self, case):
+        # normal_form is one Britton pass and one carry pass: the carry
+        # exposes no pinch, and a second carry changes nothing
+        group, w = case
+        c = _carry_pass(britton_reduce(w, group), group)
+        assert britton_reduce(c, group) == c
+        assert _carry_pass(c, group) == c
+
+    @settings(max_examples=400, deadline=None)
+    @given(unreduced_pairs())
+    @example([(A, 1), (B, 2), (B, 0), (B, -2), (A, -1), (A, 3)])
+    @example([(B, 1), (A, 2), (B, 3), (B, -3), (A, -2), (B, -1), (A, 0)])
+    def test_word_matches_cascading_push(self, pairs):
+        assert word(pairs) == _ref_word(pairs)
 
     @pytest.mark.parametrize("m,n,text,reduced", [
         (2, 2, "a^-3 b^2 a^2 b^-2 a^3 b^-2 a^-2", "b^-2"),
@@ -419,11 +467,8 @@ class TestLargeInputs:
 def _copy_substitute(w, image_a, image_b):
     """Each syllable x^e of w becomes the word image(x)^e, built a copy at
     a time, whose syllables are then pushed one at a time into the result."""
-    stack = []
-    for s in w:
-        for syl in _ref_power(image_a if s.base == A else image_b, s.exp):
-            _push(stack, syl.base, syl.exp)
-    return Word(tuple(Syllable(b, e) for b, e in stack))
+    return _ref_word((syl.base, syl.exp) for s in w
+                     for syl in _ref_power(image_a if s.base == A else image_b, s.exp))
 
 
 _syllable = st.tuples(st.sampled_from((A, B)),
