@@ -1,13 +1,17 @@
 """Endomorphisms of B(m,n): validation, induced maps, and kernel invariants.
 
 An endomorphism is given by image words for the generators a and b.  It is
-valid iff the image of the defining relator is trivial.  Valid maps induce
-multiplication by k = |phi(a)|_a on the quotient Z = B(m,n)/K and a map on
-the abelianization Z_{|n-m|} + Z.  On the kernel K = ker|.|_a, generated
-by g_i = a^-i b a^i with relations g_{i+1}^m = g_i^n, the rational
-invariant kappa(g_i) = (n/m)^i is a homomorphism K -> Q.  Conjugation by
-x scales kappa on K by (n/m)^(|x|_a), so an endomorphism preserving K
-scales it by a single d = kappa(phi(b)) exactly when kappa(phi(b)) = 0 or
+valid iff the image of the defining relator is trivial.  A spec is
+immutable, so that check runs once per spec object: `EndoSpec.induced`
+caches the `InducedData`, which `endo_validate` and the certificate catalog
+read.  The certificate checker never reads it and applies the relator
+itself.  Valid maps induce multiplication by k = |phi(a)|_a on the quotient
+Z = B(m,n)/K and a map on the abelianization Z_{|n-m|} + Z.  On the kernel
+K = ker|.|_a, generated by g_i = a^-i b a^i with relations
+g_{i+1}^m = g_i^n, the rational invariant kappa(g_i) = (n/m)^i is a
+homomorphism K -> Q, evaluated as one integer fraction.  Conjugation by x
+scales kappa on K by (n/m)^(|x|_a), so an endomorphism preserving K scales
+it by a single d = kappa(phi(b)) exactly when kappa(phi(b)) = 0 or
 (n/m)^(k-1) = 1; `kappa_scale` uses that closed form.
 """
 
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .abelian import AbelianGroup, AbelianMap
@@ -33,6 +38,14 @@ class EndoSpec:
 
     def describe(self) -> str:
         return f"a -> {format_word(self.image_a)}, b -> {format_word(self.image_b)}"
+
+    @cached_property
+    def induced(self) -> InducedData:
+        """The spec's `InducedData`, computed on first use (see
+        `endo_validate`).  The fields are immutable words, so the value is
+        a function of them; a raise is not cached and repeats on every read.
+        """
+        return _induced(self)
 
 
 def identity_endo(group: GroupSpec) -> EndoSpec:
@@ -102,7 +115,17 @@ def _injectivity_obstruction(group: GroupSpec, k: int) -> str | None:
 
 
 def endo_validate(spec: EndoSpec) -> InducedData:
-    """Check the relation image and compute every induced invariant."""
+    """Check the relation image and compute every induced invariant.
+
+    Raises RelationViolated, with the normal form of the relator image, when
+    the spec is no endomorphism.  The result is cached on the spec
+    (`EndoSpec.induced`), so each spec object applies the relator once
+    however often it is validated; an invalid spec raises on every call.
+    """
+    return spec.induced
+
+
+def _induced(spec: EndoSpec) -> InducedData:
     image = endo_apply(spec, relator(spec.group))
     if not are_equal(image, Word(), spec.group):
         raise RelationViolated(format_word(normal_form(image, spec.group).word))
@@ -147,11 +170,17 @@ def kernel_decompose(w: Word, group: GroupSpec) -> KernelDecomposition:
 def kappa(w: Word, group: GroupSpec) -> Fraction:
     """The homomorphism K -> Q with kappa(g_i) = (n/m)^i.
 
-    It kills the kernel relations: m (n/m)^(i+1) = n (n/m)^i.
+    It kills the kernel relations: m (n/m)^(i+1) = n (n/m)^i.  In closed
+    form, with hi = max(0, max i) and lo = min(0, min i) over the terms
+    e g_i of the decomposition, kappa = sum e n^(i-lo) m^(hi-i) over
+    m^hi n^-lo: one integer numerator and one reduction to lowest terms.
     """
-    ratio = Fraction(group.n, group.m)
-    decomposition = kernel_decompose(w, group)
-    return sum((exp * ratio ** i for i, exp in decomposition.terms), Fraction(0))
+    m, n = group.m, group.n
+    terms = kernel_decompose(w, group).terms
+    levels = [0] + [i for i, _ in terms]
+    hi, lo = max(levels), min(levels)
+    numerator = sum(exp * n ** (i - lo) * m ** (hi - i) for i, exp in terms)
+    return Fraction(numerator, m ** hi * n ** -lo)
 
 
 def kernel_generator(i: int) -> Word:
@@ -214,15 +243,23 @@ def koch_form_search(spec: EndoSpec, radius: int) -> tuple[Word, int] | None:
 
 
 def parse_endo_file(text: str) -> EndoSpec:
-    """Three-line format: 'group m n', 'a -> <word>', 'b -> <word>'."""
+    """Three-line format: 'group m n', 'a -> <word>', 'b -> <word>'.
+
+    The header is exactly the three tokens 'group', m and n, and every
+    image is nonempty (the identity is written 1); anything else is a
+    ValueError.
+    """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if len(lines) != 3 or not lines[0].startswith("group"):
+    header = lines[0].split() if lines else []
+    if len(lines) != 3 or len(header) != 3 or header[0] != "group":
         raise ValueError("endo spec needs lines: 'group m n', 'a -> w', 'b -> w'")
-    _, m_text, n_text = lines[0].split()
-    group = GroupSpec(int(m_text), int(n_text))
+    group = GroupSpec(int(header[1]), int(header[2]))
     images = {}
     for line in lines[1:]:
-        gen, _, image_text = line.partition("->")
+        gen, arrow, image_text = line.partition("->")
+        if not arrow or not image_text.strip():
+            raise ValueError(f"endo spec line {line!r} needs 'x -> w' with a "
+                             "nonempty image; the identity is written 1")
         images[gen.strip()] = parse_word(image_text.strip(), group)
     if set(images) != {"a", "b"}:
         raise ValueError("endo spec must give images for exactly a and b")

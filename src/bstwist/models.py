@@ -25,6 +25,7 @@ is verified by unit test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Callable
 
@@ -348,8 +349,13 @@ def _free_words(m: int, max_len: int) -> list:
     return words
 
 
+@lru_cache
 def _permuted_rows(m: int, max_len: int) -> dict:
-    """Row of each reduced word of length <= max_len (syllables -> row)."""
+    """Row of each reduced word of length <= max_len (syllables -> row).
+
+    Built once per (m, max_len) and shared by every caller, which only
+    reads it.
+    """
     return {w: row for row, w in enumerate(_free_words(m, max_len))}
 
 

@@ -25,8 +25,8 @@ from .homs import (
 )
 from .models import ModelFamily, model_family
 from .words import (
-    A, B, GroupSpec, Word, are_equal, exp_sum, format_word, parse_word, relator,
-    word,
+    A, B, GroupSpec, Word, are_equal, exp_sum, format_word, multiply,
+    parse_word, relator, word,
 )
 
 INV_A_SUM = "a-exponent-sum"
@@ -197,9 +197,12 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
     """Independent soundness check of an emitted certificate.
 
     Checks that each spec is an endomorphism of phi's group (trivial relator
-    image), then recomputes the scale identities and the witnesses'
-    lam-values; True iff lam is fixed and the values are pairwise distinct.
-    A witness that does not parse, or lies outside lam's domain, refutes
+    image, computed here by the word problem: the cached `endo_validate`
+    result is never read), then recomputes the scale identities and the
+    witnesses' lam-values; True iff lam is fixed and the values are
+    pairwise distinct.  The witnesses must be the family they name: the
+    j-th is base * step^j as a freely reduced word.  A base, step or
+    witness that does not parse, or a witness outside lam's domain, refutes
     the certificate.  An omitted psi is the identity.  For kappa,
     kappa(phi(g_i)) = kappa(g_i) is checked for every i through
     kappa(phi(b)) = 1 and (n/m)^(k-1) = 1.
@@ -211,8 +214,15 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
                 endo_apply(spec, relator(group)), Word(), group):
             return False
     try:
+        base = parse_word(cert.witness_base, group)
+        step = parse_word(cert.witness_step, group)
         witnesses = [parse_word(text, group) for text in cert.first_witnesses]
     except WordSyntaxError:
+        return False
+    # w_0 = base and w_j = w_(j-1) step give w_j = base step^j by induction
+    if witnesses and witnesses[0] != base:
+        return False
+    if any(multiply(prev, step) != w for prev, w in zip(witnesses, witnesses[1:])):
         return False
 
     if cert.invariant in (INV_A_SUM, INV_B_SUM):

@@ -129,6 +129,17 @@ class TestHomCommands:
         assert code == 1
         assert "relation-violated" in err
 
+    @pytest.mark.parametrize("text", ["groupie 2 3\na -> a\nb -> b^2\n",
+                                      "group 2 3\na -> \nb -> b^2\n"])
+    def test_lenient_spec_files_are_refused(self, capsys, tmp_path, text):
+        # a header that only starts with "group", and an empty image that
+        # once read as the identity (written 1)
+        path = tmp_path / "lenient.endo"
+        path.write_text(text)
+        code, out, err = run(capsys, "hom-validate", "--group", "2,3",
+                             "--spec", str(path))
+        assert code == 1 and "invalid-input" in err and out == ""
+
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run(capsys, "hom-validate", "--group", "2,3",
                            "--spec", "/nonexistent.endo")

@@ -22,7 +22,7 @@ from bstwist.errors import BoxTooSmall, GroupMismatch
 from bstwist.homs import EndoSpec, endo_apply, endo_validate, identity_endo
 from bstwist.models import (
     AFFINE, KLEIN, AffineElement, FreeWord, KleinElement,
-    PermutedProduct, PowRational, model_embed, model_family,
+    PermutedProduct, PowRational, _permuted_rows, model_embed, model_family,
 )
 from bstwist.reidemeister import (
     _GENERATORS, INV_A_SUM, BallReport, Certificate, IndexUnionFind, _doubled,
@@ -375,6 +375,14 @@ def test_permuted_runs_cut_at_both_ends():
     phi, psi = valid_map(group, 2, 1, -1, word([(A, 1)])), identity_endo(group)
     assert _merged_columns(model_family(group), group, phi, psi, bounds) == \
         _model_columns(group, phi, psi, bounds)
+
+
+@pytest.mark.parametrize("m,max_len", [(2, 3), (2, 4), (3, 2)])
+def test_permuted_rows_are_built_once(m, max_len):
+    rows = _permuted_rows(m, max_len)
+    assert set(rows) == {w.syllables for w in _ref_free_words(m, max_len)}
+    assert sorted(rows.values()) == list(range(len(rows)))
+    assert _permuted_rows(m, max_len) is rows
 
 
 def test_permuted_rows_are_one_run_when_phi_g_has_no_free_part():

@@ -4,19 +4,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bstwist import homs
 from bstwist.errors import NotInKernel, RelationViolated
 from bstwist.homs import (
-    EndoSpec, endo_apply, endo_compose, endo_validate, identity_endo,
-    induced_on_ab, inner_by, kappa, kappa_scale, kernel_decompose,
-    kernel_generator, koch_form_search, parse_endo_file,
+    EndoSpec, InducedData, endo_apply, endo_compose, endo_validate,
+    identity_endo, induced_on_ab, inner_by, kappa, kappa_scale,
+    kernel_decompose, kernel_generator, koch_form_search, parse_endo_file,
 )
+from bstwist.reidemeister import certify_infinite, check_certificate
 from bstwist.words import (
-    GroupSpec, Word, are_equal, format_word, invert, multiply, parse_word,
-    relator, word,
+    A, B, GroupSpec, Word, are_equal, format_word, invert, multiply,
+    parse_word, relator, substitute, word,
 )
 
-from test_words import random_word
+from test_words import DIFF_GRID, random_word
 
 
 class TestValidate:
@@ -68,6 +71,54 @@ class TestValidate:
         spec = EndoSpec(g, parse_word("a^2"), Word())
         data = endo_validate(spec)
         assert data.injectivity_obstruction is not None
+
+
+class TestValidateOnce:
+    def test_relator_is_applied_once_per_spec(self, monkeypatch):
+        applied = []
+
+        def counting_substitute(w, image_a, image_b):
+            applied.append(w)
+            return substitute(w, image_a, image_b)
+
+        monkeypatch.setattr(homs, "substitute", counting_substitute)
+        phi = EndoSpec(GroupSpec(2, 3), parse_word("a"), parse_word("b^2"))
+        endo_validate(phi)
+        assert certify_infinite(phi).kind == "infinite"
+        assert applied == [relator(phi.group)]
+
+    def test_invalid_spec_raises_on_every_call(self):
+        spec = EndoSpec(GroupSpec(2, 3), parse_word("a"), parse_word("b a"))
+        residues = []
+        for _ in range(2):
+            with pytest.raises(RelationViolated) as info:
+                endo_validate(spec)
+            residues.append(info.value.residue)
+        assert residues[0] == residues[1]
+        assert "induced" not in vars(spec)
+
+    def test_cache_keeps_equality_hash_and_repr(self):
+        spec = EndoSpec(GroupSpec(2, 3), parse_word("a"), parse_word("b^2"))
+        twin = EndoSpec(GroupSpec(2, 3), parse_word("a"), parse_word("b^2"))
+        before = repr(spec)
+        assert endo_validate(spec) is endo_validate(spec)
+        assert spec == twin and hash(spec) == hash(twin)
+        assert repr(spec) == before
+
+    def test_checker_ignores_a_forged_validation(self):
+        # a -> a, b -> b a b a^-1 fixes both a-exponent sums of the a-sum
+        # certificate but is no endomorphism of B(2,3); with valid-looking
+        # induced data forged into its cache the catalog certifies it, and
+        # only the checker's own relator check refuses the certificate
+        spec = EndoSpec(GroupSpec(2, 3), parse_word("a"), parse_word("b a b a^-1"))
+        with pytest.raises(RelationViolated):
+            endo_validate(spec)
+        vars(spec)["induced"] = InducedData(
+            k=1, kernel_preserved=True, ab_map=induced_on_ab(spec),
+            kappa_scale=None)
+        outcome = certify_infinite(spec)
+        assert outcome.kind == "infinite"
+        assert not check_certificate(outcome.certificate, spec)
 
 
 class TestApplyCompose:
@@ -191,6 +242,54 @@ class TestKappa:
         assert kappa(u, g) == kappa(v, g) == 3
 
 
+def _ref_kappa(w, group):
+    """Reference: kappa as a sum of Fraction powers e (n/m)^i."""
+    ratio = Fraction(group.n, group.m)
+    decomposition = kernel_decompose(w, group)
+    return sum((exp * ratio ** i for i, exp in decomposition.terms), Fraction(0))
+
+
+@st.composite
+def group_and_kernel_word(draw):
+    """A product of kernel generators g_i^e, levels |i| up to 50, over signed,
+    coprime and non-coprime (m, n)."""
+    group = draw(st.sampled_from(DIFF_GRID))
+    level = st.one_of(st.integers(-3, 3), st.integers(-50, 50))
+    terms = draw(st.lists(st.tuples(level, st.integers(-6, 6)), max_size=8))
+    return group, word([p for i, e in terms for p in ((A, -i), (B, e), (A, i))])
+
+
+class TestKappaClosedForm:
+    @settings(max_examples=300, deadline=None)
+    @given(group_and_kernel_word())
+    def test_matches_the_fraction_sum(self, case):
+        group, w = case
+        value = kappa(w, group)
+        assert type(value) is Fraction
+        assert value == _ref_kappa(w, group)
+
+    @settings(max_examples=300, deadline=None)
+    @given(group_and_kernel_word(), st.integers(-3, 3))
+    def test_scale_matches_the_fraction_sum(self, case, k):
+        # a single scale d = kappa(phi(b)) exists iff kappa(phi(g_1)) =
+        # d kappa(g_1), since kappa(phi(g_i)) = (n/m)^(k i) d
+        group, image_b = case
+        spec = EndoSpec(group, word([(A, k)]), image_b)
+        d = _ref_kappa(image_b, group)
+        image_g1 = endo_apply(spec, kernel_generator(1))
+        fits = _ref_kappa(image_g1, group) == d * Fraction(group.n, group.m)
+        assert kappa_scale(spec) == (d if fits else None)
+
+    @pytest.mark.parametrize("group", DIFF_GRID, ids=str)
+    def test_generators_are_exact_powers(self, group):
+        for i in range(-50, 51):
+            assert kappa(kernel_generator(i), group) == Fraction(group.n, group.m) ** i
+
+    def test_raises_off_the_kernel(self):
+        with pytest.raises(NotInKernel):
+            kappa(parse_word("a b"), GroupSpec(2, 3))
+
+
 class TestKappaScale:
     def test_b_power(self):
         g = GroupSpec(2, 3)
@@ -261,3 +360,18 @@ class TestEndoFiles:
             parse_endo_file("group 1 2\na -> a\n")
         with pytest.raises(ValueError):
             parse_endo_file("group 1 2\na -> a\nc -> b\nb -> b")
+
+    @pytest.mark.parametrize("header", ["groupie 2 3", "group 2 3 4", "group 2",
+                                        "group2 3", "GROUP 2 3"])
+    def test_header_is_exactly_group_m_n(self, header):
+        with pytest.raises(ValueError):
+            parse_endo_file(f"{header}\na -> a\nb -> b^2\n")
+
+    @pytest.mark.parametrize("line", ["a -> ", "a ->", "a", "a b"])
+    def test_empty_image_is_refused(self, line):
+        with pytest.raises(ValueError):
+            parse_endo_file(f"group 2 3\n{line}\nb -> b^2\n")
+
+    def test_identity_is_written_1(self):
+        spec = parse_endo_file("group 2 3\na -> 1\nb -> b^2\n")
+        assert spec.image_a == Word()

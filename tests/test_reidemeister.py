@@ -93,6 +93,27 @@ class TestCheckCertificate:
         bad = replace(cert, first_witnesses=("x",) + cert.first_witnesses[1:])
         assert not check_certificate(bad, spec)
 
+    def test_rejects_unparsable_witness_family(self):
+        spec = endo(2, 3, "a", "b")
+        cert = certify_infinite(spec).certificate
+        for base, step in (("zz", "x"), ("1", "x"), ("zz", "a")):
+            bad = replace(cert, witness_base=base, witness_step=step)
+            assert not check_certificate(bad, spec)
+
+    def test_rejects_witnesses_outside_the_named_family(self):
+        spec = endo(2, 3, "a", "b^2")
+        cert = certify_infinite(spec).certificate
+        for base, step in (("b", "a"), ("1", "a^2"), ("1", "b"), ("a", "1")):
+            assert not check_certificate(
+                replace(cert, witness_base=base, witness_step=step), spec)
+
+    def test_accepts_the_family_in_another_spelling(self):
+        # the family is compared as freely reduced words, not as text
+        spec = endo(2, 3, "a", "b^2")
+        cert = certify_infinite(spec).certificate
+        assert check_certificate(
+            replace(cert, witness_base="b B", witness_step="a^2 b B a^-1"), spec)
+
     def test_rejects_kappa_witness_off_the_kernel(self):
         spec = endo(3, -3, "a^3", "b")
         cert = certify_infinite(spec).certificate
