@@ -23,7 +23,7 @@ from .errors import (
 from .homs import (
     EndoSpec, InducedData, endo_apply, endo_validate, identity_endo, kappa,
 )
-from .models import ModelFamily, model_family
+from .models import ModelFamily, _affine_exp, model_family
 from .words import (
     A, B, GroupSpec, Word, are_equal, exp_sum, format_word, multiply,
     parse_word, relator, word,
@@ -360,9 +360,13 @@ def _check_bounds(family: ModelFamily, bounds: dict) -> None:
 
 
 def _doubled(bounds: dict) -> dict:
-    """The stabilization run's box: every bound doubled.  For the affine
-    family that doubles e too, so this box does not contain the first."""
-    return {k: 2 * v for k, v in bounds.items()}
+    """The stabilization run's box: every bound doubled but the affine e,
+    which keeps the box's own (min(k, 4) when omitted), so that the lattice
+    1/|n|^e is the same and this box contains the first."""
+    larger = {k: 2 * v for k, v in bounds.items() if k != "e"}
+    if "t" in bounds:
+        larger["e"] = _affine_exp(bounds)
+    return larger
 
 
 def _merge_box(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
