@@ -11,10 +11,12 @@ enumeration substrate.  The substrate is an index grid, rows times one axis
 (rows v and axis u for the Klein bottle group, rows k and axis p, the
 numerator over |n|^e, for B(1,n), rows of reduced free words and axis k
 for B(m,m)), on which a twist sends each run of a row (the row, or one
-residue class of its axis) affinely onto one row; its columns are written
-one run at a time with slice assignments, and no element key or
-key-to-index map is built.  The runs are kept with the columns, so the
-enumerator erodes its box a run at a time on a byte mask.
+residue class of its axis) affinely onto one row.  A twist is kept as
+those runs only, one slice pair each, and no element key, key-to-index map
+or per-element column is built, so the enumerator merges and erodes its
+box a run at a time.  Each family also names its stabilization box, a
+larger grid that holds the box as a sub-grid, so one set of runs serves
+both.
 `model_family` is the only place that decides which record a group gets.
 
 Sign convention: the Z-action on Z[1/|n|] is x -> x/n with the sign of n
@@ -40,22 +42,28 @@ class ModelFamily:
     The box is an index grid of rows times one axis: the element at axis
     position j of row r has box index r * width + j.  `index_of` gives the
     box index of a model element, or None outside the box.
-    `columns(psi(g), phi(g)^-1, bounds)` gives the twist by g as a grid
-    with an index list and its runs: column[i] is the box index of
-    (psi(g) x_i) phi(g)^-1, None where the image leaves the box.  A twist
-    sends each run of a row (the row, or one residue class of its axis)
-    affinely onto one row, so each run is written with one slice
-    assignment, with no per-element arithmetic, and `runs` lists the runs
-    as slice pairs (src, dst) with column[src] = dst.  Read the other way,
-    the runs give the inverse twist psi(g)^-1 (x phi(g)): it sends dst to
-    src.
+    `columns(psi(g), phi(g)^-1, bounds)` gives the twist by g as a grid of
+    runs.  A twist sends each run of a row (the row, or one residue class
+    of its axis) affinely onto one row, so `runs` lists slice pairs
+    (src, dst): the element at box index src[j] goes to (psi(g) x) phi(g)^-1
+    at box index dst[j], and an element in no src leaves the box.  Read the
+    other way, the runs give the inverse twist psi(g)^-1 (x phi(g)): it
+    sends dst to src.
+
+    `stabilization(group, bounds)` gives (larger, rows, axis): the bounds
+    of the stabilization box and where the box sits in its grid, as the
+    sub-grid of those rows and axis positions, row order kept.  The box's
+    element at (r, j) is the larger box's at (rows[r], axis[j]).  The
+    sub-grid is centred for the Klein and affine families; for B(m,m) it is
+    the leading rows, since the free words are listed shortest first.
     """
 
     name: str  # the `family` of a BallReport
     a_power: Callable  # (group, e) -> image of a^e
     b_power: Callable  # (group, e) -> image of b^e
     index_of: Callable  # (model element, bounds) -> box index or None
-    columns: Callable  # (psi(g), phi(g)^-1, bounds) -> grid: column, runs
+    columns: Callable  # (psi(g), phi(g)^-1, bounds) -> grid of runs
+    stabilization: Callable  # (group, bounds) -> (larger bounds, rows, axis)
     enumerate_bounds: dict
     witness_bounds: dict
 
@@ -74,6 +82,11 @@ def _span(r: range) -> slice:
     return slice(r.start, r.stop if r.stop >= 0 else None, r.step)
 
 
+def _range(span: slice) -> range:
+    """The indices a `_span` picks, as a range: the inverse of `_span`."""
+    return range(span.start, -1 if span.stop is None else span.stop, span.step)
+
+
 def _steps(x0: int, step: int, width: int) -> tuple[int, int]:
     """(lo, hi): the j with 0 <= x0 + j * step < width are lo..hi."""
     if step < 0:
@@ -82,15 +95,19 @@ def _steps(x0: int, step: int, width: int) -> tuple[int, int]:
     return -(x0 // step), (width - 1 - x0) // step
 
 
+def _middle(radius: int) -> range:
+    """Axis positions of |x| <= radius on the axis |x| <= 2 radius."""
+    return range(radius, 3 * radius + 1)
+
+
 class _Columns:
-    """A twist column on a rows x width grid, written a row run at a time.
-    `runs` keeps each run as a pair of slices (src, dst) with
-    column[src] = dst; the src slices are pairwise disjoint, and so are the
-    dst slices."""
+    """A twist on a rows x width grid, kept as its runs.  `runs` holds each
+    run as a pair of slices (src, dst) of box indices: the twist sends
+    src[j] to dst[j].  The src slices are pairwise disjoint, and so are the
+    dst slices; no per-element column is written."""
 
     def __init__(self, rows: int, width: int):
         self.rows, self.width = rows, width
-        self.column = [None] * (rows * width)
         self.runs = []
 
     def run(self, row: int, x0: int, step: int, to_row: int, y0: int, to_step: int):
@@ -108,9 +125,30 @@ class _Columns:
         y0 += to_row * width
         src = range(x0 + lo * step, x0 + hi * step, step)
         dst = range(y0 + lo * to_step, y0 + hi * to_step, to_step)
-        src_span, dst_span = _span(src), _span(dst)
-        self.column[src_span] = dst
-        self.runs.append((src_span, dst_span))
+        self.runs.append((_span(src), _span(dst)))
+
+    def split(self, rows: range, axis: range) -> tuple[list, list]:
+        """(inside, rest): each run cut into its part with both ends in the
+        sub-grid rows x axis, and the parts before and after that.  A run
+        stays in one row and steps evenly along the axis, so its inside
+        part is one `_steps` clip, not a test per element."""
+        width, inside, rest = self.width, [], []
+        for run in self.runs:
+            src, dst = _range(run[0]), _range(run[1])
+            (row, x0), (to_row, y0) = divmod(src.start, width), divmod(dst.start, width)
+            lo = hi = 0
+            if row in rows and to_row in rows:
+                lo, hi = _steps(x0 - axis.start, src.step, len(axis))
+                to_lo, to_hi = _steps(y0 - axis.start, dst.step, len(axis))
+                lo, hi = max(lo, to_lo, 0), min(hi, to_hi, len(src) - 1) + 1
+            if lo >= hi:
+                rest.append(run)
+                continue
+            inside.append((_span(src[lo:hi]), _span(dst[lo:hi])))
+            for part in (slice(lo), slice(hi, None)):
+                if src[part]:
+                    rest.append((_span(src[part]), _span(dst[part])))
+        return inside, rest
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +288,20 @@ def _affine_columns(pg: AffineElement, fg: AffineElement, bounds: dict):
     return grid
 
 
+def _affine_stabilization(group: GroupSpec, bounds: dict):
+    """k and t doubled, e kept: the same lattice 1/|n|^e, so the box sits
+    centred in the larger one."""
+    k, t = bounds["k"], bounds["t"]
+    return ({"k": 2 * k, "t": 2 * t, "e": _affine_exp(bounds)},
+            _middle(k), _middle(t))
+
+
 AFFINE = ModelFamily(
     name="affine",  # a -> (0, 1), b -> (1, 0)
     a_power=lambda group, e: _affine(group, 0, e),
     b_power=lambda group, e: _affine(group, e, 0),
     index_of=_affine_index, columns=_affine_columns,
+    stabilization=_affine_stabilization,
     enumerate_bounds={"k": 10, "t": 200, "e": 4}, witness_bounds={"k": 12, "t": 200, "e": 4})
 
 
@@ -392,11 +439,20 @@ def _permuted_columns(pg: PermutedProduct, fg: PermutedProduct, bounds: dict):
     return grid
 
 
+def _permuted_stabilization(group: GroupSpec, bounds: dict):
+    """l and k doubled: the words of length <= l are the leading rows of
+    those of length <= 2 l, in the same order, and k sits centred."""
+    l, k = bounds["l"], bounds["k"]
+    return ({"l": 2 * l, "k": 2 * k},
+            range(len(_permuted_rows(abs(group.m), l))), _middle(k))
+
+
 PERMUTED = ModelFamily(
     name="permuted-product",  # a -> (x1, 0), b -> (1, 1)
     a_power=lambda group, e: PermutedProduct(FreeWord.generator(1, e), 0, abs(group.m)),
     b_power=lambda group, e: PermutedProduct(FreeWord(), e, abs(group.m)),
     index_of=_permuted_index, columns=_permuted_columns,
+    stabilization=_permuted_stabilization,
     enumerate_bounds={"l": 4, "k": 6}, witness_bounds={"l": 3, "k": 12})
 
 
@@ -443,11 +499,18 @@ def _klein_columns(pg: KleinElement, fg: KleinElement, bounds: dict):
     return grid
 
 
+def _klein_stabilization(group: GroupSpec, bounds: dict):
+    """u and v doubled, the box centred."""
+    u, v = bounds["u"], bounds["v"]
+    return {"u": 2 * u, "v": 2 * v}, _middle(v), _middle(u)
+
+
 KLEIN = ModelFamily(
     name="klein",  # a -> (0, 1), b -> (1, 0)
     a_power=lambda group, e: KleinElement(0, e),
     b_power=lambda group, e: KleinElement(e, 0),
     index_of=_klein_index, columns=_klein_columns,
+    stabilization=_klein_stabilization,
     enumerate_bounds={"u": 64, "v": 8}, witness_bounds={"u": 48, "v": 10})
 
 

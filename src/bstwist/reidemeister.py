@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Callable
 
 from .errors import (
@@ -23,7 +22,7 @@ from .errors import (
 from .homs import (
     EndoSpec, InducedData, endo_apply, endo_validate, identity_endo, kappa,
 )
-from .models import ModelFamily, _affine_exp, model_family
+from .models import ModelFamily, model_family
 from .words import (
     A, B, GroupSpec, Word, are_equal, exp_sum, format_word, multiply,
     parse_word, relator, word,
@@ -306,13 +305,16 @@ class BallReport:
 class IndexUnionFind:
     """Union-find over the indices 0..size-1, counting successful merges.
 
-    Edges arrive a column at a time: `union_column` joins each i to
-    column[i], so the enumerator's inner loop is one method call per twist
-    generator rather than one per edge.
+    Edges arrive a run at a time: `union_runs` joins src[j] to dst[j] for
+    each slice pair (src, dst), so the enumerator's inner loop is one method
+    call per batch of runs rather than one per edge.
     """
 
     def __init__(self, size: int):
         self.parent = list(range(size))
+        # the indices once more: a run's slice of this list yields the
+        # stored ints, where a slice of range(size) makes a new int per step
+        self.indices = self.parent[:]
         self.merges = 0
 
     def find(self, x: int) -> int:
@@ -321,25 +323,24 @@ class IndexUnionFind:
             parent[x] = x = parent[parent[x]]  # path halving
         return x
 
-    def union_column(self, column: list) -> None:
-        """Merge i with column[i] for every i whose entry is not None."""
-        parent = self.parent  # find, inlined: this is the enumerator's inner loop
+    def union_runs(self, runs) -> None:
+        """Merge src[j] with dst[j] for every run (src, dst) of index slices."""
+        parent, indices = self.parent, self.indices  # find, inlined: the inner loop
         merges = 0
-        for x, y in enumerate(column):
-            if y is None:
-                continue
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            while parent[y] != y:
-                parent[y] = y = parent[parent[y]]
-            if x != y:
-                parent[x] = y
-                merges += 1
+        for src, dst in runs:
+            for x, y in zip(indices[src], indices[dst]):
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x != y:
+                    parent[x] = y
+                    merges += 1
         self.merges += merges
 
 
 # a and b only: the twist by g^-1 is the inverse of the twist by g (see
-# `_merge_box`), so g's runs read backwards give it
+# `_twist_grids`), so g's runs read backwards give it
 _GENERATORS = (word([(A, 1)]), word([(B, 1)]))
 
 
@@ -352,60 +353,58 @@ def _check_inputs(group: GroupSpec, phi: EndoSpec, psi: EndoSpec | None) -> None
 def _check_bounds(family: ModelFamily, bounds: dict) -> None:
     """Bounds give each of the family's box keys (the affine e may be
     omitted: it defaults to min(k, 4)) and no other, all positive: the
-    stabilization run doubles them, and a zero axis would not grow."""
+    stabilization box doubles them (all but the affine e, which it keeps),
+    and a zero axis would not grow."""
     known = set(family.enumerate_bounds)
     if not known - {"e"} <= set(bounds) <= known or min(bounds.values()) < 1:
         raise ValueError(f"{family.name} bounds take positive values for "
                          f"{sorted(known)}, got {bounds}")
 
 
-def _doubled(bounds: dict) -> dict:
-    """The stabilization run's box: every bound doubled but the affine e,
-    which keeps the box's own (min(k, 4) when omitted), so that the lattice
-    1/|n|^e is the same and this box contains the first."""
-    larger = {k: 2 * v for k, v in bounds.items() if k != "e"}
-    if "t" in bounds:
-        larger["e"] = _affine_exp(bounds)
-    return larger
+def _twist_grids(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
+                 psi: EndoSpec, bounds: dict) -> list:
+    """The twist grids of a and b on the box, each a list of runs.
+
+    No g^-1 grid is built: since phi and psi are homomorphisms,
+    tau_{g^-1}(x) = psi(g)^-1 x phi(g) = tau_g^-1(x), so inside the box
+    the g^-1 edges are the g edges reversed (the runs read dst to src) and
+    merge nothing new.
+    """
+    return [family.columns(family.embed(endo_apply(psi, g), group),
+                           family.embed(endo_apply(phi, g), group).inverse(),
+                           bounds)
+            for g in _GENERATORS]
 
 
 def _merge_box(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
                psi: EndoSpec, bounds: dict):
     """The union-find of the box under the a and b twists, and the twist
-    grids of a and b (each with its column and runs).
-
-    column[i] is the box index of the twist of element i, None outside the
-    box.  No g^-1 column is written: since phi and psi are homomorphisms,
-    tau_{g^-1}(x) = psi(g)^-1 x phi(g) = tau_g^-1(x), so inside the box
-    the g^-1 edges are the g edges reversed (the runs read dst to src) and
-    merge nothing new.
-    """
-    grids = [family.columns(family.embed(endo_apply(psi, g), group),
-                            family.embed(endo_apply(phi, g), group).inverse(),
-                            bounds)
-             for g in _GENERATORS]
-    uf = IndexUnionFind(len(grids[0].column))
+    grids of a and b."""
+    grids = _twist_grids(family, group, phi, psi, bounds)
+    uf = IndexUnionFind(grids[0].rows * grids[0].width)
     for grid in grids:
-        uf.union_column(grid.column)
+        uf.union_runs(grid.runs)
     return uf, grids
 
 
-def _stable_roots(uf: IndexUnionFind, grids: list, inner_margin: int) -> set:
-    """Roots of the classes meeting the inner region: the elements whose
-    twists by a, a^-1, b and b^-1 stay inside, iterated margin times.
+def _stable_roots(uf: IndexUnionFind, runs: list, inner_margin: int,
+                  region: bytes | None = None) -> set:
+    """Roots of the classes meeting the inner region: the elements of
+    `region` (a 0/1 byte mask, the whole grid when None) whose twists by
+    a, a^-1, b and b^-1 stay inside it, iterated margin times.  `runs`
+    holds the runs of each twist grid, and only those edges count.
 
-    The inner region is a 0/1 byte mask.  One erosion step reads it a run
-    at a time: pre[src] = inner[dst] over a grid's runs is the preimage
-    mask under the g column (0 where the image leaves the box), and
-    pre[dst] = inner[src] the one under the g^-1 column.  The four masks
-    are ANDed as integers, one byte per element.  After each step, a run
-    whose src or dst lies wholly outside the region is dropped: all it
-    could write lands where the region is already 0, and the region only
-    shrinks, so it stays spent.
+    One erosion step reads the region a run at a time: pre[src] =
+    inner[dst] over a grid's runs is the preimage mask under the g twist
+    (0 where the image leaves the region), and pre[dst] = inner[src] the
+    one under the g^-1 twist.  The four masks are ANDed as integers, one
+    byte per element.  After each step, a run whose src or dst lies wholly
+    outside the region is dropped: all it could write lands where the
+    region is already 0, and the region only shrinks, so it stays spent.
     """
     size = len(uf.parent)
-    inner = b"\x01" * size
-    live = [grid.runs for grid in grids]
+    inner = b"\x01" * size if region is None else region
+    live = runs
     for step in range(inner_margin):
         kept = int.from_bytes(inner, "little")
         for runs in live:
@@ -418,12 +417,18 @@ def _stable_roots(uf: IndexUnionFind, grids: list, inner_margin: int) -> set:
         if step + 1 < inner_margin:
             live = [[(src, dst) for src, dst in runs if 1 in inner[src] and 1 in inner[dst]]
                     for runs in live]
-    parent = uf.parent  # find, inlined as in `IndexUnionFind.union_column`
+    parent = uf.parent  # find, inlined as in `IndexUnionFind.union_runs`
     roots = set()
-    for x in compress(range(size), inner):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        roots.add(x)
+    start = inner.find(1)
+    while start >= 0:  # each stretch of 1 bytes, found at memchr speed
+        stop = inner.find(0, start)
+        if stop < 0:
+            stop = size
+        for x in uf.indices[start:stop]:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            roots.add(x)
+        start = inner.find(1, stop)
     return roots
 
 
@@ -436,15 +441,22 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
     The model family of `group` brings its substrate: the box as an index
     grid (rows v and axis u for the Klein bottle group, rows k and axis p,
     the numerator over |n|^e, for B(1,n), rows of free words and axis k for
-    B(m,m)), and for each of g = a, b the column of box indices of the
-    twists (psi(g) x) phi(g)^-1, written a row run at a time in exact
-    integer arithmetic.  Box elements joined by a twist are merged.
-    A class is stable when it meets the inner region (the box eroded
-    `inner_margin` twist steps).  Stable counts are upper-bound evidence
-    only; the stabilization flag compares the count against the doubled
-    box.  Raises GroupMismatch when phi or psi lives on another group,
-    ValueError on a negative margin or bounds that are not the family's
-    positive box, and BoxTooSmall when nothing is stable.
+    B(m,m)), and for each of g = a, b the twists (psi(g) x) phi(g)^-1 as
+    row runs of box indices, in exact integer arithmetic.  Box elements
+    joined by a twist are merged.  A class is stable when it meets the
+    inner region (the box eroded `inner_margin` twist steps).  Stable
+    counts are upper-bound evidence only; the stabilization flag compares
+    the count against the family's stabilization box, which holds the box
+    as a sub-grid.
+
+    One pass: the twist grids are built once, on the stabilization box.
+    Each run is split into its part with both ends in the box and the rest.
+    The inside parts are exactly the box's own edges, so merging them
+    first gives the box's merges, and eroding the box's mask along them
+    its stable classes; the rest is merged after, and the whole larger
+    box eroded along all runs.  Raises GroupMismatch when phi or psi lives
+    on another group, ValueError on a negative margin or bounds that are
+    not the family's positive box, and BoxTooSmall when nothing is stable.
     """
     _check_inputs(group, phi, psi)
     if inner_margin < 0:
@@ -458,20 +470,31 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
     endo_validate(phi)
     endo_validate(psi)
 
-    uf, grids = _merge_box(family, group, phi, psi, bounds)
-    total = len(uf.parent)
-    roots_inner = _stable_roots(uf, grids, inner_margin)
+    larger, rows, axis = family.stabilization(group, bounds)
+    grids = _twist_grids(family, group, phi, psi, larger)
+    width = grids[0].width
+    uf = IndexUnionFind(grids[0].rows * width)
+    inside, rest = zip(*(grid.split(rows, axis) for grid in grids))
+    for runs in inside:
+        uf.union_runs(runs)
+    merges = uf.merges
+    box = bytearray(len(uf.parent))  # the box as a region of the larger grid
+    for row in rows:
+        box[row * width + axis.start:row * width + axis.stop] = b"\x01" * len(axis)
+    roots_inner = _stable_roots(uf, inside, inner_margin, box)
     if not roots_inner:
         raise BoxTooSmall(f"no stable class in box {bounds}")
-    roots_inner_2 = _stable_roots(
-        *_merge_box(family, group, phi, psi, _doubled(bounds)), inner_margin)
+    for runs in rest:
+        uf.union_runs(runs)
+    roots_inner_2 = _stable_roots(uf, [grid.runs for grid in grids], inner_margin)
+    total = len(rows) * len(axis)
     return BallReport(
         family=family.name,
         bounds=dict(bounds),
         total_elements=total,
-        merges_applied=uf.merges,
+        merges_applied=merges,
         stable_classes=len(roots_inner),
-        tentative_classes=total - uf.merges,  # each merge joins two classes
+        tentative_classes=total - merges,  # each merge joins two classes
         stabilized=len(roots_inner) == len(roots_inner_2),
     )
 

@@ -7,6 +7,7 @@ tolerance is exact.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from .homs import EndoSpec, endo_validate
 from .intmat import IntMatrix, coker_order, snf
@@ -183,15 +184,26 @@ def _box_oracle(M: IntMatrix, d_max: int) -> int:
     points = [()]
     for _ in range(r):
         points = [p + (x,) for p in points for x in range(-bound, bound + 1)]
+    width = 2 * bound + 1
     uf = IndexUnionFind(len(points))
     for col in columns:
-        # point i has the base-(2 bound + 1) digits p + bound, so a step
-        # that stays in the box adds the same offset to every index
+        # point i has the base-width digits p + bound, so a step that stays
+        # in the box adds the same offset to every index; the points it
+        # keeps in the box have digits in `keep`, a run along the last one
+        # for each choice of the others
         offset = 0
         for x in col:
-            offset = offset * (2 * bound + 1) + x
-        uf.union_column([i + offset if all(abs(a + b) <= bound for a, b in zip(p, col))
-                         else None for i, p in enumerate(points)])
+            offset = offset * width + x
+        keep = [range(max(0, -x), min(width, width - x)) for x in col]
+        runs = []
+        for prefix in product(*keep[:-1]):
+            start = 0
+            for digit in prefix:
+                start = (start + digit) * width
+            last = keep[-1]
+            runs.append((slice(start + last.start, start + last.stop),
+                         slice(start + last.start + offset, start + last.stop + offset)))
+        uf.union_runs(runs)
     reps = {uf.find(i) for i, p in enumerate(points) if all(abs(x) <= inner for x in p)}
     return len(reps)
 

@@ -1,31 +1,35 @@
 """Substrate twist columns and the ball enumerator against model arithmetic.
 
 Each family lays its box out as an index grid (rows times one axis) and
-writes a twist column a row run at a time with slice assignments; its
-runs, read backwards, give the column of the inverse twist (the back
-column).  Here every entry of those columns is compared with the box
-index (`index_of`) of the product (psi(g) x) phi(g)^-1 of the model
-classes, the runs' edge cases are pinned, the runs are checked to cover
-the columns disjointly, the byte-mask erosion is compared with a set
-erosion, and whole reports are compared with a copy of the enumerator that
-works on model elements directly and with `golden/enumeration_reports.json`.
+keeps a twist as its row runs.  The runs give the twist's column, and read
+backwards the column of the inverse twist (the back column); both are
+rebuilt here from the runs.  Every entry of those columns is compared with
+the box index (`index_of`) of the product (psi(g) x) phi(g)^-1 of the
+model classes, the runs' edge cases are pinned, the runs are checked to
+cover the columns disjointly, the byte-mask erosion is compared with a set
+erosion, and the stabilization box is checked to hold the box as the
+sub-grid its family names.  Whole reports are compared with a copy of the
+enumerator that works on model elements directly, with one that merges
+the box and the stabilization box separately, and with
+`golden/enumeration_reports.json`.
 """
 
 import json
 import pathlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bstwist.errors import BoxTooSmall, GroupMismatch
 from bstwist.homs import EndoSpec, endo_apply, endo_validate, identity_endo
+from bstwist import reidemeister
 from bstwist.models import (
-    AFFINE, KLEIN, AffineElement, FreeWord, KleinElement,
+    AFFINE, KLEIN, PERMUTED, AffineElement, FreeWord, KleinElement,
     PermutedProduct, PowRational, _permuted_rows, model_embed, model_family,
 )
 from bstwist.reidemeister import (
-    _GENERATORS, INV_A_SUM, BallReport, Certificate, IndexUnionFind, _doubled,
+    _GENERATORS, INV_A_SUM, BallReport, Certificate, IndexUnionFind,
     _merge_box, _stable_roots, certify_infinite, coincidence_certify,
     enumerate_classes_ball, witnesses_stay_separated,
 )
@@ -128,17 +132,21 @@ def _ref_once(group, phi, psi, bounds, margin):
             membership, key)
 
 
+def _larger_bounds(bounds):
+    """The stabilization box: every bound doubled but the affine e, which
+    stays the box's own, min(k, 4) when omitted."""
+    larger = {k: 2 * v for k, v in bounds.items() if k != "e"}
+    if "t" in bounds:
+        larger["e"] = bounds.get("e", min(bounds["k"], 4))
+    return larger
+
+
 def reference_report(group, phi, psi, bounds, margin):
     psi = identity_endo(group) if psi is None else psi
     uf, roots_all, roots_inner, membership, _ = _ref_once(group, phi, psi, bounds, margin)
     if not roots_inner:
         raise BoxTooSmall(str(bounds))
-    # the stabilization box doubles every bound but the affine e, which
-    # stays the box's own, min(k, 4) when omitted
-    larger = {k: 2 * v for k, v in bounds.items() if k != "e"}
-    if "t" in bounds:
-        larger["e"] = bounds.get("e", min(bounds["k"], 4))
-    roots_inner_2 = _ref_once(group, phi, psi, larger, margin)[2]
+    roots_inner_2 = _ref_once(group, phi, psi, _larger_bounds(bounds), margin)[2]
     return BallReport(model_family(group).name, dict(bounds), len(membership), uf.merges,
                       len(roots_inner), len(roots_all),
                       len(roots_inner) == len(roots_inner_2))
@@ -234,10 +242,20 @@ def _direct_grid(group, phi, psi, bounds, gen):
         model_embed(endo_apply(phi, gen), group).inverse(), bounds)
 
 
+def _column(grid):
+    """The column of a grid, rebuilt from its runs: column[src] = dst,
+    None where the image leaves the box."""
+    indices = range(grid.rows * grid.width)
+    column = [None] * len(indices)
+    for src, dst in grid.runs:
+        column[src] = indices[dst]
+    return column
+
+
 def _back(grid):
     """The back column of a grid, rebuilt from its runs: back[dst] = src,
     None where no run lands."""
-    indices = range(len(grid.column))
+    indices = range(grid.rows * grid.width)
     back = [None] * len(indices)
     for src, dst in grid.runs:
         back[dst] = indices[src]
@@ -247,14 +265,14 @@ def _back(grid):
 def _direct_columns(group, phi, psi, bounds, gen):
     """(column, back) of the grid the family writes for the twist by gen."""
     grid = _direct_grid(group, phi, psi, bounds, gen)
-    return grid.column, _back(grid)
+    return _column(grid), _back(grid)
 
 
 def _merged_columns(family, group, phi, psi, bounds):
     """The enumerator's a, a^-1, b and b^-1 columns: the column and the
     back column of each grid `_merge_box` returns."""
     _, grids = _merge_box(family, group, phi, psi, bounds)
-    return [column for grid in grids for column in (grid.column, _back(grid))]
+    return [column for grid in grids for column in (_column(grid), _back(grid))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -417,15 +435,15 @@ def test_runs_cover_the_columns_disjointly(case, phi_args, psi_args):
     psi = identity_endo(group) if psi_args is None else valid_map(group, *psi_args)
     for gen in _GENERATORS:
         grid = _direct_grid(group, phi, psi, bounds, gen)
-        back = _back(grid)
-        indices = range(len(grid.column))
+        column, back = _column(grid), _back(grid)
+        indices = range(len(column))
         srcs = [indices[src] for src, _ in grid.runs]
         dsts = [indices[dst] for _, dst in grid.runs]
         for src, dst in zip(srcs, dsts):
             assert len(src) == len(dst) > 0
-            assert [grid.column[i] for i in src] == list(dst)
+            assert [column[i] for i in src] == list(dst)
             assert [back[i] for i in dst] == list(src)
-        for spans, entries in ((srcs, grid.column), (dsts, back)):
+        for spans, entries in ((srcs, column), (dsts, back)):
             covered = [i for span in spans for i in span]
             assert len(covered) == len(set(covered))  # pairwise disjoint
             assert set(covered) == {i for i in indices if entries[i] is not None}
@@ -450,8 +468,9 @@ def _erosion_pair(group, phi, psi, bounds, margin):
     family = model_family(group)
     uf, grids = _merge_box(family, group, phi, psi, bounds)
     columns = _merged_columns(family, group, phi, psi, bounds)
-    got = (_stable_roots(IndexUnionFind(len(uf.parent)), grids, margin),
-           _stable_roots(uf, grids, margin))
+    runs = [grid.runs for grid in grids]
+    got = (_stable_roots(IndexUnionFind(len(uf.parent)), runs, margin),
+           _stable_roots(uf, runs, margin))
     return got, _set_erosion(uf, columns, margin)
 
 
@@ -535,14 +554,126 @@ def test_random_reports_match_the_model_enumerator(case, phi_args, psi_args, mar
     assert got == want
 
 
-def test_affine_larger_box_contains_the_box():
-    # doubling e too would leave 1,560 of the 2,093 elements of the
-    # benchmark's B(1,2) box outside the stabilization run's box
-    group, bounds = GroupSpec(1, 2), {"k": 6, "t": 80, "e": 3}
-    larger = _doubled(bounds)
-    membership, _ = _ref_membership(group, bounds)
-    outside = [x for x in membership.values() if AFFINE.index_of(x, larger) is None]
-    assert not outside
+def _two_box_report(group, phi, psi, bounds, margin):
+    """The report from two separate boxes: the box merged and eroded on its
+    own, then the stabilization box on its own."""
+    family = model_family(group)
+    psi = identity_endo(group) if psi is None else psi
+    uf, grids = _merge_box(family, group, phi, psi, bounds)
+    roots = _stable_roots(uf, [grid.runs for grid in grids], margin)
+    if not roots:
+        raise BoxTooSmall(str(bounds))
+    uf_2, grids_2 = _merge_box(family, group, phi, psi, _larger_bounds(bounds))
+    roots_2 = _stable_roots(uf_2, [grid.runs for grid in grids_2], margin)
+    total = len(uf.parent)
+    return BallReport(family.name, dict(bounds), total, uf.merges, len(roots),
+                      total - uf.merges, len(roots) == len(roots_2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(CASES), phi_args=maps, psi_args=st.none() | maps,
+       margin=st.integers(0, 2))
+@example(case=CASES[1], phi_args=(3, 0, 1, word([])), psi_args=None, margin=2)
+def test_one_pass_reports_match_two_separate_boxes(case, phi_args, psi_args, margin):
+    # the box's merges and stable classes come from the inside parts of the
+    # stabilization box's runs; a report that took the larger box's merges
+    # would break tentative = total - merges
+    group, bounds = case.group, case.bounds
+    phi = valid_map(group, *phi_args)
+    psi = None if psi_args is None else valid_map(group, *psi_args)
+    want = _report_or_none(lambda: _two_box_report(group, phi, psi, bounds, margin))
+    got = _report_or_none(lambda: enumerate_classes_ball(group, phi, psi, bounds=bounds,
+                                                         inner_margin=margin))
+    assert got == want
+    if got is not None:
+        assert got.tentative_classes == got.total_elements - got.merges_applied
+
+
+def test_each_twist_grid_is_built_once(monkeypatch):
+    # one pass: the a and b grids of the stabilization box, and nothing else
+    built = []
+
+    def counting_family(group):
+        family = model_family(group)
+
+        def columns(pg, fg, bounds):
+            built.append(bounds)
+            return family.columns(pg, fg, bounds)
+        return replace(family, columns=columns)
+
+    monkeypatch.setattr(reidemeister, "model_family", counting_family)
+    for case in CASES:
+        built.clear()
+        phi = valid_map(case.group, 1, 0, -1, word([]))
+        _report_or_none(lambda: enumerate_classes_ball(case.group, phi, bounds=case.bounds))
+        assert built == [_larger_bounds(case.bounds)] * 2
+
+
+def _containment_cases():
+    """CASES, the boxes of the enumerate workload and each default box."""
+    groups = {"klein": GroupSpec(1, -1), "affine": GroupSpec(1, 2),
+              "permuted-product": GroupSpec(2, 2)}
+    return (CASES + [Case(groups[name], box) for name, boxes in _WORKLOAD_BOXES.items()
+                     for box in boxes]
+            + [Case(group, model_family(group).enumerate_bounds) for group in groups.values()])
+
+
+def test_larger_box_contains_the_box():
+    # every box element's index in the stabilization box lands on the
+    # sub-grid its family names, rows and axis positions in order; doubling
+    # the affine e as well would leave 1,560 of the 2,093 elements of the
+    # benchmark's B(1,2) box outside the larger box
+    for case in _containment_cases():
+        group, bounds = case.group, case.bounds
+        family = model_family(group)
+        larger, rows, axis = family.stabilization(group, bounds)
+        assert larger == _larger_bounds(bounds)
+        identity = identity_endo(group)
+        width = _direct_grid(group, identity, identity, larger, _GENERATORS[0]).width
+        membership, _ = _ref_membership(group, bounds)
+        assert len(membership) == len(rows) * len(axis)
+        for x in membership.values():
+            row, j = divmod(family.index_of(x, bounds), len(axis))
+            assert family.index_of(x, larger) == rows[row] * width + axis[j]
+
+
+def test_stabilization_box_edge_cases():
+    # an omitted affine e is the box's min(k, 4) = 2, kept as it is, not
+    # the min(2 k, 4) = 4 an omitted e would give the larger box
+    larger, rows, axis = AFFINE.stabilization(GroupSpec(1, 3), {"k": 2, "t": 10})
+    assert larger == {"k": 4, "t": 20, "e": 2}
+    assert (rows, axis) == (range(2, 7), range(10, 31))
+    # the free words up to length l lead those up to 2 l, in the same order
+    for m, max_len in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        rows, longer = _permuted_rows(m, max_len), _permuted_rows(m, 2 * max_len)
+        assert list(rows.items()) == list(longer.items())[:len(rows)]
+        assert PERMUTED.stabilization(GroupSpec(m, m), {"l": max_len, "k": 3})[1] == \
+            range(len(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(CASES), phi_args=maps, psi_args=st.none() | maps)
+def test_split_runs_into_the_box_edges_and_the_rest(case, phi_args, psi_args):
+    # inside parts are exactly the edges with both ends on the sub-grid, and
+    # inside and rest together are the run's edges, each once
+    group, bounds = case.group, case.bounds
+    phi = valid_map(group, *phi_args)
+    psi = identity_endo(group) if psi_args is None else valid_map(group, *psi_args)
+    family = model_family(group)
+    larger, rows, axis = family.stabilization(group, bounds)
+
+    def edges(runs, indices):
+        return [(x, y) for src, dst in runs for x, y in zip(indices[src], indices[dst])]
+    for gen in _GENERATORS:
+        grid = _direct_grid(group, phi, psi, larger, gen)
+        indices = range(grid.rows * grid.width)
+        sub_grid = {row * grid.width + x for row in rows for x in axis}
+        inside, rest = grid.split(rows, axis)
+        all_edges = edges(grid.runs, indices)
+        assert sorted(edges(inside, indices) + edges(rest, indices)) == sorted(all_edges)
+        assert edges(inside, indices) == [(x, y) for x, y in all_edges
+                                          if x in sub_grid and y in sub_grid]
+        assert all(len(indices[src]) for src, _ in inside + rest)
 
 
 def test_witness_separation_matches_the_model_enumerator():
