@@ -14,8 +14,7 @@ from .homs import (
 )
 from .intmat import IntMatrix, SNFResult, coker_order, snf
 from .models import (
-    AffineElement, FreeWord, KleinElement, PermutedProduct, PowRational,
-    model_embed, model_equal_oracle,
+    AffineElement, KleinElement, PermutedProduct, model_embed, model_equal_oracle,
 )
 from .reidemeister import (
     BallReport, Certificate, ReidemeisterOutcome, certify_infinite,

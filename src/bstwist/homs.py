@@ -17,7 +17,6 @@ it by a single d = kappa(phi(b)) exactly when kappa(phi(b)) = 0 or
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -234,11 +233,12 @@ def koch_form_search(spec: EndoSpec, radius: int) -> tuple[Word, int] | None:
     if radius < 1:
         raise ValueError(f"radius must be at least 1, got {radius}")
     for gamma in _ball(spec.group, radius):
-        gamma_inv = invert(gamma)
-        for r in itertools.chain.from_iterable((r, -r) for r in range(1, radius + 1)):
-            candidate = multiply(multiply(gamma, word([(B, r)])), gamma_inv)
-            if are_equal(candidate, spec.image_b, spec.group):
-                return gamma, r
+        # phi(b) = gamma b^r gamma^-1 iff gamma^-1 phi(b) gamma = b^r, whose
+        # normal form is b^r itself; b has infinite order, so one r fits
+        conjugate = multiply(multiply(invert(gamma), spec.image_b), gamma)
+        core = normal_form(conjugate, spec.group).word.syllables
+        if len(core) == 1 and core[0].base == B and abs(core[0].exp) <= radius:
+            return gamma, core[0].exp
     return None
 
 

@@ -155,8 +155,9 @@ def snf(M: IntMatrix) -> SNFResult:
                 if m[t][j] != 0:
                     add_col(t, j, -(m[t][j] // m[t][t]))
                     dirty = dirty or m[t][j] != 0
-            if not dirty and all(m[i][t] == 0 for i in range(t + 1, rows)) \
-                    and all(m[t][j] == 0 for j in range(t + 1, cols)):
+            # row operations leave row t alone and column operations
+            # column t, so not dirty means both are zero past the pivot
+            if not dirty:
                 # enforce divisibility into the remaining block
                 offender = None
                 for i in range(t + 1, rows):

@@ -6,6 +6,10 @@ Klein bottle group).  The embeddings are used as independent equality
 oracles against Britton reduction and as substrates for the twisted-class
 ball enumerator.
 
+An element is its coordinate pair in plain fields: (num / |n|^exp, k) in
+lowest terms, (w, k) with w a reduced syllable tuple ((index, exp), ...)
+over x_1..x_m, and (u, v); so dataclass equality is equality in the group.
+
 Each family is one `ModelFamily` record: its generator images and its
 enumeration substrate.  The substrate is an index grid, rows times one axis
 (rows v and axis u for the Klein bottle group, rows k and axis p, the
@@ -70,8 +74,8 @@ class ModelFamily:
     def embed(self, w: Word, group: GroupSpec):
         """Injective homomorphism from `group` into this model."""
         result = self.a_power(group, 0)  # the identity
-        for s in w:
-            result = result * (self.a_power if s.base == A else self.b_power)(group, s.exp)
+        for base, exp in w:
+            result = result * (self.a_power if base == A else self.b_power)(group, exp)
         return result
 
 
@@ -154,85 +158,50 @@ class _Columns:
 # ---------------------------------------------------------------------------
 # Z[1/|n|] x| Z  (affine model for B(1,n))
 
-@dataclass(frozen=True)
-class PowRational:
-    """num / base^exp with base = |n| >= 2, kept in lowest terms w.r.t. base."""
+def _sign(n: int, k: int) -> int:
+    """The sign of 1 / n^k: 1 / n^k = _sign(n, k) / |n|^k."""
+    return -1 if n < 0 and k % 2 else 1
 
-    num: int
-    exp: int
-    base: int
 
-    def __post_init__(self):
-        if self.base < 2:
-            raise ValueError("PowRational base must be at least 2")
-        if self.exp < 0:
-            raise ValueError("PowRational exponent must be non-negative")
-        if self.exp > 0 and self.num % self.base == 0:
-            raise ValueError("PowRational not in lowest terms")
-
-    @classmethod
-    def make(cls, num: int, exp: int, base: int) -> "PowRational":
-        while exp > 0 and num % base == 0:
-            num //= base
-            exp -= 1
-        if num == 0:
-            exp = 0
-        return cls(num, exp, base)
-
-    @classmethod
-    def integer(cls, value: int, base: int) -> "PowRational":
-        return cls.make(value, 0, base)
-
-    def __add__(self, other: "PowRational") -> "PowRational":
-        if self.base != other.base:
-            raise ValueError("mixed PowRational bases")
-        e = max(self.exp, other.exp)
-        num = (self.num * self.base ** (e - self.exp)
-               + other.num * self.base ** (e - other.exp))
-        return PowRational.make(num, e, self.base)
-
-    def __neg__(self) -> "PowRational":
-        return PowRational(-self.num, self.exp, self.base)
-
-    def div_pow(self, n: int, k: int) -> "PowRational":
-        """Exact value self / n^k, where |n| equals the stored base."""
-        if abs(n) != self.base:
-            raise ValueError("div_pow requires |n| == base")
-        sign = -1 if (n < 0 and k % 2) else 1
-        if k >= 0:
-            return PowRational.make(sign * self.num, self.exp + k, self.base)
-        return PowRational.make(sign * self.num * self.base ** (-k), self.exp, self.base)
-
-    def __str__(self):
-        if self.exp == 0:
-            return str(self.num)
-        return f"{self.num}/{self.base}^{self.exp}"
+def _lowest(num: int, exp: int, base: int) -> tuple[int, int]:
+    """(num, exp) of num / base^exp in lowest terms: exp = 0, or base does
+    not divide num.  A negative exp is folded into num."""
+    if exp < 0:
+        return num * base ** -exp, 0
+    while exp and num % base == 0:
+        num //= base
+        exp -= 1
+    return num, exp
 
 
 @dataclass(frozen=True)
 class AffineElement:
-    """(t, k) in Z[1/|n|] x| Z with (t1,k1)(t2,k2) = (t1 + t2/n^k1, k1+k2)."""
+    """(x, k) in Z[1/|n|] x| Z with (x1,k1)(x2,k2) = (x1 + x2/n^k1, k1+k2),
+    x = num / |n|^exp in lowest terms (`_lowest`)."""
 
-    t: PowRational
+    num: int
+    exp: int
     k: int
     n: int  # ambient signed n
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         if self.n != other.n:
             raise ValueError("mixed ambient n")
-        return AffineElement(self.t + other.t.div_pow(self.n, self.k), self.k + other.k, self.n)
+        base, exp = abs(self.n), other.exp + self.k  # x2 / n^k1 over |n|^exp
+        e = max(self.exp, exp)
+        num = (self.num * base ** (e - self.exp)
+               + _sign(self.n, self.k) * other.num * base ** (e - exp))
+        return AffineElement(*_lowest(num, e, base), self.k + other.k, self.n)
 
     def inverse(self) -> "AffineElement":
-        return AffineElement((-self.t).div_pow(self.n, -self.k), -self.k, self.n)
-
-    def __str__(self):
-        return f"({self.t}, {self.k})"
+        """(-x n^k, -k)."""
+        num = -_sign(self.n, self.k) * self.num
+        return AffineElement(*_lowest(num, self.exp - self.k, abs(self.n)), -self.k, self.n)
 
 
 def _affine(group: GroupSpec, t: int, k: int) -> AffineElement:
     """(t, k) in the model of B(1,n); m = -1 folds B(-1,n) into B(1,-n)."""
-    n = group.m * group.n
-    return AffineElement(PowRational.integer(t, abs(n)), k, n)
+    return AffineElement(t, 0, k, group.m * group.n)
 
 
 def _affine_exp(bounds: dict) -> int:
@@ -242,10 +211,9 @@ def _affine_exp(bounds: dict) -> int:
 
 def _affine_index(element: AffineElement, bounds: dict):
     e, k_max, t_max = _affine_exp(bounds), bounds["k"], bounds["t"]
-    t = element.t
-    if t.exp > e:
+    if element.exp > e:
         return None  # finer denominator than the lattice carries
-    p = t.num * t.base ** (e - t.exp)
+    p = element.num * abs(element.n) ** (e - element.exp)
     if abs(p) > t_max or abs(element.k) > k_max:
         return None
     return (element.k + k_max) * (2 * t_max + 1) + p + t_max
@@ -253,9 +221,9 @@ def _affine_index(element: AffineElement, bounds: dict):
 
 def _affine_columns(pg: AffineElement, fg: AffineElement, bounds: dict):
     """(p, k) -> (p', k + pk + fk): the numerator over |n|^e of
-    pt + t / n^pk + ft / n^(pk + k).
+    px + x / n^pk + fx / n^(pk + k).
 
-    With t = p / |n|^e, every term is an integer over |n|^(e + lift) for
+    With x = p / |n|^e, every term is an integer over |n|^(e + lift) for
     the `lift` below and every k in the box, so p' = (p scale + offset_k) /
     unit with unit = |n|^lift, and p' exists exactly when unit divides the
     numerator (the lowest-terms exponent is at most e).  scale and unit
@@ -263,23 +231,19 @@ def _affine_columns(pg: AffineElement, fg: AffineElement, bounds: dict):
     on no p of row k unless g divides offset_k, and otherwise on the p
     congruent to p0 modulo unit / g, where p' steps by scale / g.
     """
-    base, e, k_max, t_max = pg.t.base, _affine_exp(bounds), bounds["k"], bounds["t"]
+    base, e, k_max, t_max = abs(pg.n), _affine_exp(bounds), bounds["k"], bounds["t"]
     pk = pg.k
-
-    def sign(j):  # 1 / n^j = sign(j) / |n|^j
-        return -1 if pg.n < 0 and j % 2 else 1
-
-    lift = max(0, pg.t.exp - e, pk, fg.t.exp + pk + k_max - e)
+    lift = max(0, pg.exp - e, pk, fg.exp + pk + k_max - e)
     unit = base ** lift
-    scale = sign(pk) * base ** (lift - pk)
-    const = pg.t.num * base ** (e + lift - pg.t.exp)
+    scale = _sign(pg.n, pk) * base ** (lift - pk)
+    const = pg.num * base ** (e + lift - pg.exp)
     g = gcd(scale, unit)
     step, inverse = unit // g, pow(scale // g, -1, unit // g)
     shift = pk + fg.k
     grid = _Columns(2 * k_max + 1, 2 * t_max + 1)  # row k, axis p
     for row in range(grid.rows):
         k = row - k_max
-        offset = const + fg.t.num * sign(pk + k) * base ** (e + lift - fg.t.exp - pk - k)
+        offset = const + fg.num * _sign(pg.n, pk + k) * base ** (e + lift - fg.exp - pk - k)
         if offset % g:
             continue
         p0 = -offset // g * inverse % step
@@ -321,60 +285,28 @@ def _free_reduce(*parts) -> tuple:
     return tuple(stack)
 
 
-def _shift(syllables: tuple, k: int, m: int) -> tuple:
+def _shift(syllables, k: int, m: int) -> tuple:
     """sigma^k on a syllable tuple, x_j -> x_(j+k mod m)."""
     return tuple(((i - 1 + k) % m + 1, e) for i, e in syllables)
-
-
-@dataclass(frozen=True)
-class FreeWord:
-    """Reduced word over x_1..x_m: tuple of (index, exp) with merged indices."""
-
-    syllables: tuple[tuple[int, int], ...] = ()
-
-    @classmethod
-    def generator(cls, index: int, exp: int = 1) -> "FreeWord":
-        if exp == 0:
-            return cls()
-        return cls(((index, exp),))
-
-    def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return FreeWord(_free_reduce(self.syllables, other.syllables))
-
-    def inverse(self) -> "FreeWord":
-        return FreeWord(tuple((i, -e) for i, e in reversed(self.syllables)))
-
-    def shift(self, k: int, m: int) -> "FreeWord":
-        """Apply sigma^k, the index rotation x_j -> x_(j+k mod m)."""
-        return FreeWord(_shift(self.syllables, k, m))
-
-    def length(self) -> int:
-        return sum(abs(e) for _, e in self.syllables)
-
-    def __str__(self):
-        if not self.syllables:
-            return "1"
-        return " ".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in self.syllables)
 
 
 @dataclass(frozen=True)
 class PermutedProduct:
     """(w, k) in F_m x| Z with (w1,k1)(w2,k2) = (w1 sigma^k1(w2), k1+k2)."""
 
-    w: FreeWord
+    w: tuple  # reduced syllable tuple ((index, exp), ...)
     k: int
     m: int  # rank of the free part; sigma has order m
 
     def __mul__(self, other: "PermutedProduct") -> "PermutedProduct":
         if self.m != other.m:
             raise ValueError("mixed ambient rank")
-        return PermutedProduct(self.w * other.w.shift(self.k, self.m), self.k + other.k, self.m)
+        return PermutedProduct(_free_reduce(self.w, _shift(other.w, self.k, self.m)),
+                               self.k + other.k, self.m)
 
     def inverse(self) -> "PermutedProduct":
-        return PermutedProduct(self.w.inverse().shift(-self.k, self.m), -self.k, self.m)
-
-    def __str__(self):
-        return f"({self.w}, {self.k})"
+        w = _shift(((i, -e) for i, e in reversed(self.w)), -self.k, self.m)
+        return PermutedProduct(w, -self.k, self.m)
 
 
 def _free_words(m: int, max_len: int) -> list:
@@ -408,7 +340,7 @@ def _permuted_rows(m: int, max_len: int) -> dict:
 
 def _permuted_index(element: PermutedProduct, bounds: dict):
     k_max = bounds["k"]
-    row = _permuted_rows(element.m, bounds["l"]).get(element.w.syllables)
+    row = _permuted_rows(element.m, bounds["l"]).get(element.w)
     if row is None or abs(element.k) > k_max:
         return None
     return row * (2 * k_max + 1) + element.k + k_max
@@ -423,11 +355,11 @@ def _permuted_columns(pg: PermutedProduct, fg: PermutedProduct, bounds: dict):
     by every sigma^r with 0 < r < m, but a trivial one by none: then the
     free part depends on w alone, and each row is one run with step 1.
     """
-    m, pw, pk, k_max = pg.m, pg.w.syllables, pg.k, bounds["k"]
+    m, pw, pk, k_max = pg.m, pg.w, pg.k, bounds["k"]
     rows = _permuted_rows(m, bounds["l"])
     grid = _Columns(len(rows), 2 * k_max + 1)  # row w, axis k
-    period = m if fg.w.syllables else 1
-    tails = [_shift(fg.w.syllables, r, m) for r in range(period)]
+    period = m if fg.w else 1
+    tails = [_shift(fg.w, r, m) for r in range(period)]
     shift = pk + fg.k
     for w, row in rows.items():
         head = _shift(w, pk, m)
@@ -449,8 +381,8 @@ def _permuted_stabilization(group: GroupSpec, bounds: dict):
 
 PERMUTED = ModelFamily(
     name="permuted-product",  # a -> (x1, 0), b -> (1, 1)
-    a_power=lambda group, e: PermutedProduct(FreeWord.generator(1, e), 0, abs(group.m)),
-    b_power=lambda group, e: PermutedProduct(FreeWord(), e, abs(group.m)),
+    a_power=lambda group, e: PermutedProduct(((1, e),) if e else (), 0, abs(group.m)),
+    b_power=lambda group, e: PermutedProduct((), e, abs(group.m)),
     index_of=_permuted_index, columns=_permuted_columns,
     stabilization=_permuted_stabilization,
     enumerate_bounds={"l": 4, "k": 6}, witness_bounds={"l": 3, "k": 12})
@@ -473,9 +405,6 @@ class KleinElement:
     def inverse(self) -> "KleinElement":
         sign = -1 if self.v % 2 else 1
         return KleinElement(-sign * self.u, -self.v)
-
-    def __str__(self):
-        return f"({self.u}, {self.v})"
 
 
 def _klein_index(element: KleinElement, bounds: dict):

@@ -506,8 +506,8 @@ def witnesses_stay_separated(cert: Certificate, phi: EndoSpec,
 
     Vacuously true for groups outside the modeled families, where no
     enumeration substrate exists.  Raises GroupMismatch when psi lives on
-    another group than phi, and ValueError on bounds that are not the
-    family's positive box.
+    another group than phi, ValueError on bounds that are not the family's
+    positive box, and RelationViolated when phi or psi is no endomorphism.
     """
     group = phi.group
     _check_inputs(group, phi, psi)
@@ -520,6 +520,8 @@ def witnesses_stay_separated(cert: Certificate, phi: EndoSpec,
     _check_bounds(family, bounds)
     if psi is None:
         psi = identity_endo(group)
+    endo_validate(phi)
+    endo_validate(psi)
     uf, _ = _merge_box(family, group, phi, psi, bounds)
     roots = []
     for text in cert.first_witnesses:

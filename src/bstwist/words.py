@@ -1,7 +1,8 @@
 """Exact word arithmetic in the Baumslag-Solitar group B(m,n).
 
 B(m,n) = <a, b | a^-1 b^m a = b^n>.  Elements are freely reduced syllable
-sequences; the word problem is solved by pinch ("Britton") reduction:
+sequences, each syllable a plain (base, exp) pair that `Word` checks once;
+the word problem is solved by pinch ("Britton") reduction:
 a^-1 b^(tm) a -> b^(tn) and a b^(tn) a^-1 -> b^(tm).  All exponents are
 plain Python integers, so the geometric growth of b-exponents under
 reduction is handled exactly.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import WordSyntaxError
 
@@ -51,30 +52,29 @@ class GroupSpec:
         return f"B({self.m},{self.n})"
 
 
-@dataclass(frozen=True)
-class Syllable:
+class Syllable(NamedTuple):
     base: str  # A or B
     exp: int
-
-    def __post_init__(self):
-        if self.base not in (A, B):
-            raise ValueError(f"bad syllable base {self.base!r}")
-        if self.exp == 0:
-            raise ValueError("syllable exponent must be nonzero")
 
 
 @dataclass(frozen=True)
 class Word:
-    """Freely reduced sequence of syllables; the empty word is the identity."""
+    """Freely reduced sequence of syllables; the empty word is the identity.
+    The one check of every syllable: base A or B, exponent nonzero, and
+    bases alternating."""
 
     syllables: tuple[Syllable, ...] = ()
 
     def __post_init__(self):
         prev = None
-        for s in self.syllables:
-            if prev is not None and prev == s.base:
+        for base, exp in self.syllables:
+            if base not in (A, B):
+                raise ValueError(f"bad syllable base {base!r}")
+            if not exp:
+                raise ValueError("syllable exponent must be nonzero")
+            if base == prev:
                 raise ValueError("word is not freely reduced")
-            prev = s.base
+            prev = base
 
     def __iter__(self) -> Iterator[Syllable]:
         return iter(self.syllables)
@@ -110,12 +110,17 @@ def _push(stack: list[list], base: str, exp: int) -> None:
         stack.append([base, exp])
 
 
+def _word(pairs: Iterable) -> Word:
+    """The Word of freely reduced (base, exp) pairs, such as a `_push` stack."""
+    return Word(tuple(Syllable(b, e) for b, e in pairs))
+
+
 def word(pairs: Iterable[tuple[str, int]]) -> Word:
     """Build a Word from (base, exp) pairs, applying free reduction."""
     stack: list[list] = []
     for base, exp in pairs:
         _push(stack, base, exp)
-    return Word(tuple(Syllable(b, e) for b, e in stack))
+    return _word(stack)
 
 
 _TOKEN = re.compile(r"\s*([abAB])(?:\^(-?\d+))?")
@@ -153,21 +158,18 @@ def format_word(w: Word) -> str:
     """Canonical text: lowercase letters with explicit '^-1' exponents."""
     if not w:
         return "1"
-    parts = []
-    for s in w:
-        parts.append(s.base if s.exp == 1 else f"{s.base}^{s.exp}")
-    return " ".join(parts)
+    return " ".join(base if exp == 1 else f"{base}^{exp}" for base, exp in w)
 
 
 def multiply(u: Word, v: Word) -> Word:
-    stack = [[s.base, s.exp] for s in u]
-    for s in v:
-        _push(stack, s.base, s.exp)
-    return Word(tuple(Syllable(b, e) for b, e in stack))
+    stack = [list(s) for s in u]
+    for base, exp in v:
+        _push(stack, base, exp)
+    return _word(stack)
 
 
 def invert(w: Word) -> Word:
-    return Word(tuple(Syllable(s.base, -s.exp) for s in reversed(w.syllables)))
+    return _word((base, -exp) for base, exp in reversed(w.syllables))
 
 
 _Pairs = list[tuple[str, int]]
@@ -184,21 +186,19 @@ def _conjugate_form(w: Word) -> tuple[_Pairs, _Pairs]:
     """
     syls = w.syllables
     i, j = 0, len(syls) - 1
-    while i < j and syls[i].base == syls[j].base and syls[i].exp == -syls[j].exp:
+    while i < j and syls[i] == (syls[j][0], -syls[j][1]):
         i += 1
         j -= 1
-    u = [(s.base, s.exp) for s in syls[:i]]
-    c = [(s.base, s.exp) for s in syls[i:j + 1]]
+    u, c = list(syls[:i]), list(syls[i:j + 1])
     if i < j:
-        first, last = syls[i], syls[j]
-        if first.base == last.base and (first.exp > 0) != (last.exp > 0):
-            total = first.exp + last.exp
-            if abs(first.exp) < abs(last.exp):
-                u.append((first.base, first.exp))
-                c = c[1:-1] + [(last.base, total)]
+        (base, first), (last_base, last) = c[0], c[-1]
+        if base == last_base and (first > 0) != (last > 0):
+            if abs(first) < abs(last):
+                u.append(c[0])
+                c = c[1:-1] + [(base, first + last)]
             else:
-                u.append((last.base, -last.exp))
-                c = [(first.base, total)] + c[1:-1]
+                u.append((base, -last))
+                c = [(base, first + last)] + c[1:-1]
     return u, c
 
 
@@ -228,7 +228,7 @@ def power(w: Word, k: int) -> Word:
     """
     stack: list[list] = []
     _push_power(stack, *_conjugate_form(w), k)
-    return Word(tuple(Syllable(b, e) for b, e in stack))
+    return _word(stack)
 
 
 def britton_reduce(w: Word, group: GroupSpec) -> Word:
@@ -246,11 +246,10 @@ def britton_reduce(w: Word, group: GroupSpec) -> Word:
     """
     m, n = group.m, group.n
     stack: list[list] = []
-    for s in w:
-        if s.base == B:
-            _push(stack, B, s.exp)
+    for base, e in w:
+        if base == B:
+            _push(stack, B, e)
             continue
-        e = s.exp
         while e:
             if stack and stack[-1][0] == A:
                 total = stack[-1][1] + e
@@ -284,7 +283,7 @@ def britton_reduce(w: Word, group: GroupSpec) -> Word:
                     continue
             stack.append([A, e])
             break
-    return Word(tuple(Syllable(b, e) for b, e in stack))
+    return _word(stack)
 
 
 @dataclass(frozen=True)
@@ -311,13 +310,13 @@ def _carry_pass(w: Word, group: GroupSpec) -> Word:
     m, n = group.m, group.n
     stack: list[list] = []
     carry = 0
-    for s in w:
-        if s.base == B:
-            carry += s.exp
+    for base, exp in w:
+        if base == B:
+            carry += exp
             continue
-        step = 1 if s.exp > 0 else -1
+        step = 1 if exp > 0 else -1
         div, mul = (m, n) if step > 0 else (n, m)
-        left = abs(s.exp)
+        left = abs(exp)
         while left and carry:
             r = carry % abs(div)
             _push(stack, B, r)
@@ -326,7 +325,7 @@ def _carry_pass(w: Word, group: GroupSpec) -> Word:
             left -= 1
         _push(stack, A, step * left)
     _push(stack, B, carry)
-    return Word(tuple(Syllable(b, e) for b, e in stack))
+    return _word(stack)
 
 
 def normal_form(w: Word, group: GroupSpec) -> NormalForm:
@@ -354,7 +353,7 @@ def exp_sum(w: Word, base: str) -> int:
     is a homomorphism only when m = n; otherwise it is well defined only
     modulo |n - m|.
     """
-    return sum(s.exp for s in w if s.base == base)
+    return sum(exp for b, exp in w if b == base)
 
 
 def substitute(w: Word, image_a: Word, image_b: Word) -> Word:
@@ -368,9 +367,9 @@ def substitute(w: Word, image_a: Word, image_b: Word) -> Word:
     """
     forms = {A: _conjugate_form(image_a), B: _conjugate_form(image_b)}
     stack: list[list] = []
-    for s in w:
-        _push_power(stack, *forms[s.base], s.exp)
-    return Word(tuple(Syllable(b, e) for b, e in stack))
+    for base, exp in w:
+        _push_power(stack, *forms[base], exp)
+    return _word(stack)
 
 
 def relator(group: GroupSpec) -> Word:

@@ -25,8 +25,8 @@ from bstwist.errors import BoxTooSmall, GroupMismatch
 from bstwist.homs import EndoSpec, endo_apply, endo_validate, identity_endo
 from bstwist import reidemeister
 from bstwist.models import (
-    AFFINE, KLEIN, PERMUTED, AffineElement, FreeWord, KleinElement,
-    PermutedProduct, PowRational, _permuted_rows, model_embed, model_family,
+    AFFINE, KLEIN, PERMUTED, AffineElement, KleinElement, PermutedProduct,
+    _free_reduce, _lowest, _permuted_rows, model_embed, model_family,
 )
 from bstwist.reidemeister import (
     _GENERATORS, INV_A_SUM, BallReport, Certificate, IndexUnionFind,
@@ -46,8 +46,10 @@ class _RefUnionFind:
         self.merges = 0
 
     def find(self, x):
-        while self.parent[x] != x:
-            x = self.parent[x]
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
         return x
 
     def union(self, x, y):
@@ -57,16 +59,20 @@ class _RefUnionFind:
             self.merges += 1
 
 
+def _ref_length(w):
+    return sum(abs(e) for _, e in w)
+
+
 def _ref_free_words(m, max_len):
-    words = [FreeWord()]
-    frontier = [FreeWord()]
+    words = [()]
+    frontier = [()]
     for _ in range(max_len):
         nxt = []
         for w in frontier:
             for idx in range(1, m + 1):
                 for exp in (1, -1):
-                    candidate = w * FreeWord.generator(idx, exp)
-                    if candidate.length() == w.length() + 1:
+                    candidate = _free_reduce(w, ((idx, exp),))
+                    if _ref_length(candidate) == _ref_length(w) + 1:
                         nxt.append(candidate)
         frontier = nxt
         words.extend(frontier)
@@ -88,20 +94,20 @@ def _ref_membership(group, bounds):
     if family is AFFINE:
         n = _ref_affine_n(group)
         denom_exp = bounds.get("e", min(bounds["k"], 4))
-        membership = {(p, k): AffineElement(PowRational.make(p, denom_exp, abs(n)), k, n)
+        membership = {(p, k): AffineElement(*_lowest(p, denom_exp, abs(n)), k, n)
                       for p in range(-bounds["t"], bounds["t"] + 1)
                       for k in range(-bounds["k"], bounds["k"] + 1)}
 
         def key(e):
-            if e.t.exp > denom_exp:
+            if e.exp > denom_exp:
                 return None
-            return (e.t.num * e.t.base ** (denom_exp - e.t.exp), e.k)
+            return (e.num * abs(e.n) ** (denom_exp - e.exp), e.k)
         return membership, key
     m = abs(group.m)
-    membership = {(w.syllables, k): PermutedProduct(w, k, m)
+    membership = {(w, k): PermutedProduct(w, k, m)
                   for w in _ref_free_words(m, bounds["l"])
                   for k in range(-bounds["k"], bounds["k"] + 1)}
-    return membership, lambda e: (e.w.syllables, e.k)
+    return membership, lambda e: (e.w, e.k)
 
 
 # all four twist generators, independent of the enumerator's (a, b): the
@@ -402,7 +408,7 @@ def test_permuted_runs_cut_at_both_ends():
 @pytest.mark.parametrize("m,max_len", [(2, 3), (2, 4), (3, 2)])
 def test_permuted_rows_are_built_once(m, max_len):
     rows = _permuted_rows(m, max_len)
-    assert set(rows) == {w.syllables for w in _ref_free_words(m, max_len)}
+    assert set(rows) == set(_ref_free_words(m, max_len))
     assert sorted(rows.values()) == list(range(len(rows)))
     assert _permuted_rows(m, max_len) is rows
 

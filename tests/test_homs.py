@@ -329,6 +329,10 @@ class TestKochSearch:
         # so no conjugated b-power of small exponent exists at all
         spec = EndoSpec(g, parse_word("a"), parse_word("b^2 a b^2 a^-1"))
         assert koch_form_search(spec, 2) is None
+        # b^5 is its own Koch form, but |r| = 5 is beyond the radius
+        spec = EndoSpec(g, parse_word("a"), parse_word("b^5"))
+        assert koch_form_search(spec, 3) is None
+        assert koch_form_search(spec, 5) == (Word(), 5)
 
     def test_negative_radius_is_refused(self):
         spec = EndoSpec(GroupSpec(2, 3), parse_word("a"), parse_word("b^2"))

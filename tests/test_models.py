@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from bstwist.errors import WrongFamily
 from bstwist.models import (
-    AFFINE, KLEIN, PERMUTED, AffineElement, FreeWord, KleinElement,
-    PermutedProduct, PowRational, model_embed, model_equal_oracle, model_family,
+    AFFINE, KLEIN, PERMUTED, AffineElement, KleinElement, PermutedProduct,
+    _lowest, _shift, model_embed, model_equal_oracle, model_family,
 )
 from bstwist.words import A, B, GroupSpec, Word, are_equal, multiply, parse_word, word
 
@@ -24,24 +24,24 @@ MODELED = [GroupSpec(1, 2), GroupSpec(1, 3), GroupSpec(1, -2),
 
 def ref_bs1n_embed(w, group):
     n = group.n if group.m == 1 else -group.n
-    result = AffineElement(PowRational.integer(0, abs(n)), 0, n)
+    result = AffineElement(0, 0, 0, n)
     for s in w:
         if s.base == A:
-            piece = AffineElement(PowRational.integer(0, abs(n)), s.exp, n)
+            piece = AffineElement(0, 0, s.exp, n)
         else:
-            piece = AffineElement(PowRational.integer(s.exp, abs(n)), 0, n)
+            piece = AffineElement(s.exp, 0, 0, n)
         result = result * piece
     return result
 
 
 def ref_bsmm_embed(w, group):
     m = abs(group.m)
-    result = PermutedProduct(FreeWord(), 0, m)
+    result = PermutedProduct((), 0, m)
     for s in w:
         if s.base == A:
-            piece = PermutedProduct(FreeWord.generator(1, s.exp), 0, m)
+            piece = PermutedProduct(((1, s.exp),), 0, m)
         else:
-            piece = PermutedProduct(FreeWord(), s.exp, m)
+            piece = PermutedProduct((), s.exp, m)
         result = result * piece
     return result
 
@@ -78,27 +78,60 @@ def test_model_embed_is_a_homomorphism(group, u, v):
         model_embed(u, group) * model_embed(v, group)
 
 
+def _affine(num, exp, k, n):
+    return AffineElement(*_lowest(num, exp, abs(n)), k, n)
+
+
 class TestPowRational:
+    """The Z[1/|n|] coordinate num / |n|^exp of an AffineElement."""
+
     def test_lowest_terms(self):
-        r = PowRational.make(4, 2, 2)
-        assert (r.num, r.exp) == (1, 0)
+        assert _lowest(4, 2, 2) == (1, 0)
+        assert _lowest(0, 3, 2) == (0, 0)
+        assert _lowest(3, -2, 2) == (12, 0)
 
     def test_addition(self):
-        r = PowRational.make(1, 1, 2) + PowRational.make(1, 1, 2)
-        assert (r.num, r.exp) == (1, 0)
+        # (x1, 0)(x2, 0) = (x1 + x2, 0)
+        half = _affine(1, 1, 0, 2)
+        assert half * half == AffineElement(1, 0, 0, 2)
 
     def test_div_pow_sign(self):
-        r = PowRational.integer(1, 2)
-        assert r.div_pow(-2, 1) == PowRational.make(-1, 1, 2)
-        assert r.div_pow(-2, 2) == PowRational.make(1, 2, 2)
+        # (0, k)(x, 0) = (x / n^k, k), and 1 / n^k = -1 / |n|^k for n < 0, k odd
+        one = AffineElement(1, 0, 0, -2)
+        assert AffineElement(0, 0, 1, -2) * one == AffineElement(-1, 1, 1, -2)
+        assert AffineElement(0, 0, 2, -2) * one == AffineElement(1, 2, 2, -2)
 
     def test_div_pow_negative_k(self):
-        r = PowRational.make(1, 2, 3)
-        assert r.div_pow(3, -2) == PowRational.integer(1, 3)
+        x = AffineElement(1, 2, 0, 3)
+        assert AffineElement(0, 0, -2, 3) * x == AffineElement(1, 0, -2, 3)
 
     def test_rejects_bad_base(self):
-        with pytest.raises(ValueError):
-            PowRational(1, 0, 1)
+        # the affine model needs |n| >= 2: B(1,1) has none, B(1,-1) is Klein
+        with pytest.raises(WrongFamily):
+            model_family(GroupSpec(1, 1))
+        assert model_family(GroupSpec(1, -1)) is KLEIN
+
+    @pytest.mark.parametrize("n", [2, -2, 3, -3])
+    def test_inverse(self, n):
+        identity = AffineElement(0, 0, 0, n)
+        for num in (-5, 1, 4, 9):
+            for exp in (0, 1, 3):
+                for k in (-3, -1, 0, 2, 3):
+                    x = _affine(num, exp, k, n)
+                    assert x * x.inverse() == identity == x.inverse() * x
+                    assert x.inverse().inverse() == x
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.sampled_from([2, -2, 3, -3]),
+           xs=st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 3),
+                                 st.integers(-3, 3)), min_size=1, max_size=6))
+    def test_products_stay_in_lowest_terms(self, n, xs):
+        # so that dataclass equality is equality of values
+        product = AffineElement(0, 0, 0, n)
+        for num, exp, k in xs:
+            product = product * _affine(num, exp, k, n)
+            for e in (product, product.inverse()):
+                assert e.exp == 0 or e.num % abs(n) != 0
 
 
 class TestAffine:
@@ -141,8 +174,8 @@ class TestAffine:
         g = GroupSpec(1, 2)
         w = parse_word("b^3 a^-2")
         e = model_embed(w, g)
-        assert e.t.exp == 0  # denominator-free: (t, k) is b^t a^k
-        assert are_equal(word([(B, e.t.num), (A, e.k)]), w, g)
+        assert e.exp == 0  # denominator-free: (num, k) is b^num a^k
+        assert are_equal(word([(B, e.num), (A, e.k)]), w, g)
 
 
 class TestPermuted:
@@ -166,9 +199,9 @@ class TestPermuted:
                     model_embed(u, g) * model_embed(v, g)
 
     def test_sigma_has_order_m(self):
-        w = FreeWord.generator(1) * FreeWord.generator(2, -1)
-        assert w.shift(3, 3) == w
-        assert w.shift(1, 3) != w
+        w = ((1, 1), (2, -1))  # x1 x2^-1
+        assert _shift(w, 3, 3) == w
+        assert _shift(w, 1, 3) != w
 
     def test_inverse(self):
         rng = random.Random(41)
@@ -185,7 +218,7 @@ class TestPermuted:
             e = model_embed(w, g)
             # x_j = b^(j-1) a b^-(j-1), then the b^k tail
             pairs = []
-            for idx, exp in e.w.syllables:
+            for idx, exp in e.w:
                 pairs.extend([(B, idx - 1), (A, exp), (B, -(idx - 1))])
             pairs.append((B, e.k))
             assert are_equal(word(pairs), w, g)

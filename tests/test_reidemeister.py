@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from bstwist.errors import BoxTooSmall, GroupMismatch, UnsupportedGroup
+from bstwist.errors import (
+    BoxTooSmall, GroupMismatch, RelationViolated, UnsupportedGroup,
+)
 from bstwist.homs import EndoSpec, identity_endo, inner_by
 from bstwist.reidemeister import (
     INV_A_SUM, INV_B_SUM, INV_KAPPA, Certificate, certify_infinite,
@@ -211,6 +213,18 @@ class TestEnumeration:
         spec = endo(2, 3, "a", "b^2")
         cert = certify_infinite(spec).certificate
         assert witnesses_stay_separated(cert, spec)
+
+    def test_witness_separation_validates_both_maps(self):
+        # a -> a^2, b -> b a is no endomorphism of B(1,2): the relator
+        # image is not trivial, so there is nothing to cross-check
+        fake = Certificate(INV_A_SUM, "Z", {}, "1", "a", ("a", "a^2"), ("1", "2"))
+        bad = endo(1, 2, "a^2", "b a")
+        with pytest.raises(RelationViolated):
+            witnesses_stay_separated(fake, bad)
+        with pytest.raises(RelationViolated):
+            witnesses_stay_separated(fake, identity_endo(bad.group), bad)
+        # off the modeled families the answer stays vacuously true
+        assert witnesses_stay_separated(fake, endo(2, 3, "a", "b a"))
 
     @pytest.mark.parametrize("group, bounds", [
         (GroupSpec(1, -1), {"u": 64}),

@@ -89,9 +89,16 @@ class TestFreeArithmetic:
         assert power(w, 0) == Word()
 
     def test_word_rejects_unreduced(self):
-        from bstwist.words import Syllable
         with pytest.raises(ValueError):
             Word((Syllable(A, 1), Syllable(A, 2)))
+
+    def test_word_rejects_a_bad_base_or_a_zero_exponent(self):
+        # a Syllable is a plain pair; Word checks every syllable
+        for bad in (Syllable("c", 1), Syllable(A, 0), Syllable(B, 0)):
+            with pytest.raises(ValueError):
+                Word((bad,))
+            with pytest.raises(ValueError):
+                Word((Syllable(A, 1), bad))
 
     def test_exp_sum(self):
         w = parse_word("a^-1 b^2 a b^-5")
