@@ -43,10 +43,10 @@ def _group(text: str) -> GroupSpec:
 
 
 def _bounds(text: str) -> dict:
-    out = {}
-    for part in text.split(","):
-        key, _, value = part.partition("=")
-        out[key.strip()] = int(value)
+    pairs = [part.partition("=") for part in text.split(",")]
+    out = {key.strip(): int(value) for key, _, value in pairs}
+    if len(out) < len(pairs):
+        raise argparse.ArgumentTypeError(f"--bounds repeats a key: {text}")
     return out
 
 

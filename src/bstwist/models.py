@@ -18,9 +18,10 @@ for B(m,m)), on which a twist sends each run of a row (the row, or one
 residue class of its axis) affinely onto one row.  A twist is kept as
 those runs only, one slice pair each, and no element key, key-to-index map
 or per-element column is built, so the enumerator merges and erodes its
-box a run at a time.  Each family also names its stabilization box, a
+box a run at a time.  The runs that share one axis map are built as one
+batch, clipped once.  Each family also names its stabilization box, a
 larger grid that holds the box as a sub-grid, so one set of runs serves
-both.
+both: each run is cut at the box as it is built.
 `model_family` is the only place that decides which record a group gets.
 
 Sign convention: the Z-action on Z[1/|n|] is x -> x/n with the sign of n
@@ -46,13 +47,14 @@ class ModelFamily:
     The box is an index grid of rows times one axis: the element at axis
     position j of row r has box index r * width + j.  `index_of` gives the
     box index of a model element, or None outside the box.
-    `columns(psi(g), phi(g)^-1, bounds)` gives the twist by g as a grid of
-    runs.  A twist sends each run of a row (the row, or one residue class
-    of its axis) affinely onto one row, so `runs` lists slice pairs
-    (src, dst): the element at box index src[j] goes to (psi(g) x) phi(g)^-1
-    at box index dst[j], and an element in no src leaves the box.  Read the
-    other way, the runs give the inverse twist psi(g)^-1 (x phi(g)): it
-    sends dst to src.
+    `columns(psi(g), phi(g)^-1, bounds, box=None)` gives the twist by g as
+    a grid of runs.  A twist sends each run of a row (the row, or one
+    residue class of its axis) affinely onto one row, so `runs` lists slice
+    pairs (src, dst): the element at box index src[j] goes to
+    (psi(g) x) phi(g)^-1 at box index dst[j], and an element in no src
+    leaves the box.  Read the other way, the runs give the inverse twist
+    psi(g)^-1 (x phi(g)): it sends dst to src.  Given the sub-grid
+    `box` = (rows, axis), each run is also cut at it (see `_Columns`).
 
     `stabilization(group, bounds)` gives (larger, rows, axis): the bounds
     of the stabilization box and where the box sits in its grid, as the
@@ -66,7 +68,7 @@ class ModelFamily:
     a_power: Callable  # (group, e) -> image of a^e
     b_power: Callable  # (group, e) -> image of b^e
     index_of: Callable  # (model element, bounds) -> box index or None
-    columns: Callable  # (psi(g), phi(g)^-1, bounds) -> grid of runs
+    columns: Callable  # (psi(g), phi(g)^-1, bounds, box=None) -> grid of runs
     stabilization: Callable  # (group, bounds) -> (larger bounds, rows, axis)
     enumerate_bounds: dict
     witness_bounds: dict
@@ -77,18 +79,6 @@ class ModelFamily:
         for base, exp in w:
             result = result * (self.a_power if base == A else self.b_power)(group, exp)
         return result
-
-
-def _span(r: range) -> slice:
-    """The list slice that picks the indices of r in order.  A descending r
-    that runs through index 0 stops below it; as a slice stop that would
-    count from the end, so it becomes None."""
-    return slice(r.start, r.stop if r.stop >= 0 else None, r.step)
-
-
-def _range(span: slice) -> range:
-    """The indices a `_span` picks, as a range: the inverse of `_span`."""
-    return range(span.start, -1 if span.stop is None else span.stop, span.step)
 
 
 def _steps(x0: int, step: int, width: int) -> tuple[int, int]:
@@ -104,55 +94,64 @@ def _middle(radius: int) -> range:
     return range(radius, 3 * radius + 1)
 
 
+def _clip(x0: int, step: int, y0: int, to_step: int, width: int) -> tuple[int, int]:
+    """[lo, hi): the j that keep x0 + j * step and y0 + j * to_step on 0..width-1."""
+    (lo, hi), (to_lo, to_hi) = _steps(x0, step, width), _steps(y0, to_step, width)
+    return max(lo, to_lo), min(hi, to_hi) + 1
+
+
+def _pair(x0: int, step: int, y0: int, to_step: int, lo: int, hi: int) -> tuple:
+    """The slices of x0 + j * step and y0 + j * to_step, lo <= j < hi; one that
+    descends through index 0 stops at None, as a stop below 0 counts from the end."""
+    x1, y1 = x0 + hi * step, y0 + hi * to_step
+    return (slice(x0 + lo * step, x1 if x1 >= 0 else None, step),
+            slice(y0 + lo * to_step, y1 if y1 >= 0 else None, to_step))
+
+
 class _Columns:
     """A twist on a rows x width grid, kept as its runs.  `runs` holds each
     run as a pair of slices (src, dst) of box indices: the twist sends
     src[j] to dst[j].  The src slices are pairwise disjoint, and so are the
-    dst slices; no per-element column is written."""
+    dst slices; no per-element column is written.  Given a sub-grid `box` =
+    (rows, axis), each run is cut as it is made: its part with both ends in
+    the sub-grid goes to `inside`, the rest (the whole run when no part is
+    inside) to `rest`.  Without one, `inside` is `runs` and `rest` is empty.
+    """
 
-    def __init__(self, rows: int, width: int):
-        self.rows, self.width = rows, width
-        self.runs = []
+    def __init__(self, rows: int, width: int, box: tuple[range, range] | None = None):
+        self.rows, self.width, self.box = rows, width, box
+        self.runs, self.rest = [], []
+        self.inside = self.runs if box is None else []
 
-    def run(self, row: int, x0: int, step: int, to_row: int, y0: int, to_step: int):
+    def run(self, pairs, x0: int, step: int, y0: int, to_step: int):
         """Send position x0 + j * step of `row` to y0 + j * to_step of
-        `to_row`, for every j that keeps both on the axis."""
-        width = self.width
-        if not 0 <= to_row < self.rows:
-            return
-        lo, hi = _steps(x0, step, width)
-        to_lo, to_hi = _steps(y0, to_step, width)
-        lo, hi = max(lo, to_lo), min(hi, to_hi) + 1
+        `to_row` for each (row, to_row) in the batch `pairs` with to_row on
+        the grid, and each j that keeps both on the axis.  The batch shares
+        one axis map, clipped once to the axis and once to the sub-grid's."""
+        lo, hi = _clip(x0, step, y0, to_step, self.width)
         if lo >= hi:
             return
-        x0 += row * width
-        y0 += to_row * width
-        src = range(x0 + lo * step, x0 + hi * step, step)
-        dst = range(y0 + lo * to_step, y0 + hi * to_step, to_step)
-        self.runs.append((_span(src), _span(dst)))
-
-    def split(self, rows: range, axis: range) -> tuple[list, list]:
-        """(inside, rest): each run cut into its part with both ends in the
-        sub-grid rows x axis, and the parts before and after that.  A run
-        stays in one row and steps evenly along the axis, so its inside
-        part is one `_steps` clip, not a test per element."""
-        width, inside, rest = self.width, [], []
-        for run in self.runs:
-            src, dst = _range(run[0]), _range(run[1])
-            (row, x0), (to_row, y0) = divmod(src.start, width), divmod(dst.start, width)
-            lo = hi = 0
-            if row in rows and to_row in rows:
-                lo, hi = _steps(x0 - axis.start, src.step, len(axis))
-                to_lo, to_hi = _steps(y0 - axis.start, dst.step, len(axis))
-                lo, hi = max(lo, to_lo, 0), min(hi, to_hi, len(src) - 1) + 1
-            if lo >= hi:
-                rest.append(run)
+        box_rows = ()  # the rows whose runs have an inside part, [in_lo, in_hi)
+        if self.box is not None:
+            axis = self.box[1]
+            in_lo, in_hi = _clip(x0 - axis.start, step, y0 - axis.start, to_step, len(axis))
+            if in_lo < in_hi:
+                box_rows = self.box[0]
+        width, rows, runs, inside, rest = self.width, self.rows, self.runs, self.inside, self.rest
+        for row, to_row in pairs:
+            if not 0 <= to_row < rows:
                 continue
-            inside.append((_span(src[lo:hi]), _span(dst[lo:hi])))
-            for part in (slice(lo), slice(hi, None)):
-                if src[part]:
-                    rest.append((_span(src[part]), _span(dst[part])))
-        return inside, rest
+            src, dst = row * width + x0, to_row * width + y0
+            run = _pair(src, step, dst, to_step, lo, hi)
+            runs.append(run)
+            if row in box_rows and to_row in box_rows:
+                inside.append(_pair(src, step, dst, to_step, in_lo, in_hi))
+                if lo < in_lo:
+                    rest.append(_pair(src, step, dst, to_step, lo, in_lo))
+                if in_hi < hi:
+                    rest.append(_pair(src, step, dst, to_step, in_hi, hi))
+            elif inside is not runs:  # built with a sub-grid: the whole run is rest
+                rest.append(run)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +218,7 @@ def _affine_index(element: AffineElement, bounds: dict):
     return (element.k + k_max) * (2 * t_max + 1) + p + t_max
 
 
-def _affine_columns(pg: AffineElement, fg: AffineElement, bounds: dict):
+def _affine_columns(pg: AffineElement, fg: AffineElement, bounds: dict, box=None):
     """(p, k) -> (p', k + pk + fk): the numerator over |n|^e of
     px + x / n^pk + fx / n^(pk + k).
 
@@ -229,7 +228,8 @@ def _affine_columns(pg: AffineElement, fg: AffineElement, bounds: dict):
     numerator (the lowest-terms exponent is at most e).  scale and unit
     are powers of |n| up to sign, so with g = gcd(scale, unit) that holds
     on no p of row k unless g divides offset_k, and otherwise on the p
-    congruent to p0 modulo unit / g, where p' steps by scale / g.
+    congruent to p0 modulo unit / g, where p' steps by scale / g.  The
+    offset differs by row, so each batch is one row.
     """
     base, e, k_max, t_max = abs(pg.n), _affine_exp(bounds), bounds["k"], bounds["t"]
     pk = pg.k
@@ -240,15 +240,15 @@ def _affine_columns(pg: AffineElement, fg: AffineElement, bounds: dict):
     g = gcd(scale, unit)
     step, inverse = unit // g, pow(scale // g, -1, unit // g)
     shift = pk + fg.k
-    grid = _Columns(2 * k_max + 1, 2 * t_max + 1)  # row k, axis p
+    grid = _Columns(2 * k_max + 1, 2 * t_max + 1, box)  # row k, axis p
     for row in range(grid.rows):
         k = row - k_max
         offset = const + fg.num * _sign(pg.n, pk + k) * base ** (e + lift - fg.exp - pk - k)
         if offset % g:
             continue
         p0 = -offset // g * inverse % step
-        grid.run(row, p0 + t_max, step,
-                 row + shift, (p0 * scale + offset) // unit + t_max, scale // g)
+        grid.run(((row, row + shift),), p0 + t_max, step,
+                 (p0 * scale + offset) // unit + t_max, scale // g)
     return grid
 
 
@@ -311,31 +311,27 @@ class PermutedProduct:
 
 def _free_words(m: int, max_len: int) -> list:
     """Reduced words over x_1..x_m of length <= max_len, shortest first."""
-    words = [()]
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for idx in range(1, m + 1):
-                for exp in (1, -1):
-                    if w and w[-1][0] == idx:
-                        if (w[-1][1] > 0) == (exp > 0):
-                            nxt.append(w[:-1] + ((idx, w[-1][1] + exp),))
-                    else:
-                        nxt.append(w + ((idx, exp),))
-        frontier = nxt
-        words.extend(frontier)
+    words, frontier = [()], [()]
+    for _ in range(max_len):  # append x_idx^exp, merging into a last syllable of that sign
+        frontier = [w[:-1] + ((idx, w[-1][1] + exp),) if w and w[-1][0] == idx
+                    else w + ((idx, exp),)
+                    for w in frontier for idx in range(1, m + 1) for exp in (1, -1)
+                    if not (w and w[-1][0] == idx and (w[-1][1] > 0) != (exp > 0))]
+        words += frontier
     return words
 
 
 @lru_cache
 def _permuted_rows(m: int, max_len: int) -> dict:
-    """Row of each reduced word of length <= max_len (syllables -> row).
-
-    Built once per (m, max_len) and shared by every caller, which only
-    reads it.
-    """
+    """Row of each reduced word of length <= max_len (syllables -> row),
+    built once per (m, max_len) and shared: every caller only reads it."""
     return {w: row for row, w in enumerate(_free_words(m, max_len))}
+
+
+@lru_cache
+def _permuted_heads(m: int, max_len: int, k: int) -> tuple:
+    """sigma^k of each row's word in row order, 0 <= k < m: shape only, shared."""
+    return tuple(_shift(w, k, m) for w in _permuted_rows(m, max_len))
 
 
 def _permuted_index(element: PermutedProduct, bounds: dict):
@@ -346,7 +342,7 @@ def _permuted_index(element: PermutedProduct, bounds: dict):
     return row * (2 * k_max + 1) + element.k + k_max
 
 
-def _permuted_columns(pg: PermutedProduct, fg: PermutedProduct, bounds: dict):
+def _permuted_columns(pg: PermutedProduct, fg: PermutedProduct, bounds: dict, box=None):
     """(w, k) -> (pw sigma^pk(w) sigma^(pk+k)(fw), k + pk + fk).
 
     The free part depends on w and r = (pk + k) mod m only, so each (w, r)
@@ -354,20 +350,20 @@ def _permuted_columns(pg: PermutedProduct, fg: PermutedProduct, bounds: dict):
     one run onto the row of the product.  A nontrivial reduced fw is moved
     by every sigma^r with 0 < r < m, but a trivial one by none: then the
     free part depends on w alone, and each row is one run with step 1.
+    The runs of one r share their axis map, so each r is one batch.
     """
     m, pw, pk, k_max = pg.m, pg.w, pg.k, bounds["k"]
     rows = _permuted_rows(m, bounds["l"])
-    grid = _Columns(len(rows), 2 * k_max + 1)  # row w, axis k
+    heads = _permuted_heads(m, bounds["l"], pk % m)
+    grid = _Columns(len(rows), 2 * k_max + 1, box)  # row w, axis k
     period = m if fg.w else 1
-    tails = [_shift(fg.w, r, m) for r in range(period)]
     shift = pk + fg.k
-    for w, row in rows.items():
-        head = _shift(w, pk, m)
-        for r, tail in enumerate(tails):
-            to_row = rows.get(_free_reduce(pw, head, tail))
-            if to_row is not None:
-                x0 = (r - pk + k_max) % period  # axis position k + k_max of the first k
-                grid.run(row, x0, period, to_row, x0 + shift, period)
+    for r in range(period):
+        tail = _shift(fg.w, r, m)
+        x0 = (r - pk + k_max) % period  # axis position k + k_max of the first k
+        # a product outside the rows gets to_row -1, which `run` drops
+        grid.run(enumerate(rows.get(_free_reduce(pw, head, tail), -1) for head in heads),
+                 x0, period, x0 + shift, period)
     return grid
 
 
@@ -414,17 +410,20 @@ def _klein_index(element: KleinElement, bounds: dict):
     return (element.v + v_max) * (2 * u_max + 1) + element.u + u_max
 
 
-def _klein_columns(pg: KleinElement, fg: KleinElement, bounds: dict):
+def _klein_columns(pg: KleinElement, fg: KleinElement, bounds: dict, box=None):
     """(u, v) -> (pu + s u + s (-1)^v fu, v + pv + fv), s = (-1)^pv: row v
-    goes onto row v + pv + fv, reversed when pv is odd."""
+    goes onto row v + pv + fv, reversed when pv is odd.  The rows of one
+    parity of v share that map, so each parity is one batch."""
     u_max, v_max = bounds["u"], bounds["v"]
     sign = -1 if pg.v % 2 else 1
     shift = pg.v + fg.v
-    grid = _Columns(2 * v_max + 1, 2 * u_max + 1)  # row v, axis u
-    for row in range(grid.rows):
-        c = pg.u + (-sign if (row - v_max) % 2 else sign) * fg.u
+    grid = _Columns(2 * v_max + 1, 2 * u_max + 1, box)  # row v, axis u
+    for parity in (0, 1):
+        c = pg.u + (-sign if parity else sign) * fg.u
+        rows = range((v_max + parity) % 2, grid.rows, 2)  # (row - v_max) % 2 == parity
         # position 0 holds u = -u_max, whose image has position c - s u_max + u_max
-        grid.run(row, 0, 1, row + shift, c - sign * u_max + u_max, sign)
+        grid.run(zip(rows, range(rows.start + shift, rows.stop + shift, 2)),
+                 0, 1, c - sign * u_max + u_max, sign)
     return grid
 
 

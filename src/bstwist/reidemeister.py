@@ -324,10 +324,13 @@ class IndexUnionFind:
         return x
 
     def union_runs(self, runs) -> None:
-        """Merge src[j] with dst[j] for every run (src, dst) of index slices."""
+        """Merge src[j] with dst[j] for every run (src, dst) of index slices;
+        a run with src == dst merges nothing and is skipped."""
         parent, indices = self.parent, self.indices  # find, inlined: the inner loop
         merges = 0
         for src, dst in runs:
+            if src == dst:
+                continue
             for x, y in zip(indices[src], indices[dst]):
                 while parent[x] != x:
                     parent[x] = x = parent[parent[x]]
@@ -362,8 +365,8 @@ def _check_bounds(family: ModelFamily, bounds: dict) -> None:
 
 
 def _twist_grids(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
-                 psi: EndoSpec, bounds: dict) -> list:
-    """The twist grids of a and b on the box, each a list of runs.
+                 psi: EndoSpec, bounds: dict, box=None) -> list:
+    """The twist grids of a and b on the box, cut at its sub-grid `box`.
 
     No g^-1 grid is built: since phi and psi are homomorphisms,
     tau_{g^-1}(x) = psi(g)^-1 x phi(g) = tau_g^-1(x), so inside the box
@@ -372,7 +375,7 @@ def _twist_grids(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
     """
     return [family.columns(family.embed(endo_apply(psi, g), group),
                            family.embed(endo_apply(phi, g), group).inverse(),
-                           bounds)
+                           bounds, box)
             for g in _GENERATORS]
 
 
@@ -438,25 +441,24 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
                            inner_margin: int = 2) -> BallReport:
     """Union-find over a model box under single-generator twists.
 
-    The model family of `group` brings its substrate: the box as an index
-    grid (rows v and axis u for the Klein bottle group, rows k and axis p,
-    the numerator over |n|^e, for B(1,n), rows of free words and axis k for
-    B(m,m)), and for each of g = a, b the twists (psi(g) x) phi(g)^-1 as
-    row runs of box indices, in exact integer arithmetic.  Box elements
-    joined by a twist are merged.  A class is stable when it meets the
-    inner region (the box eroded `inner_margin` twist steps).  Stable
-    counts are upper-bound evidence only; the stabilization flag compares
-    the count against the family's stabilization box, which holds the box
-    as a sub-grid.
+    The model family of `group` brings the box as an index grid and, for
+    g = a, b, the twists (psi(g) x) phi(g)^-1 as runs of box indices (see
+    `models.ModelFamily`).  Box elements joined by a twist are merged.  A
+    class is stable when it meets the inner region (the box eroded
+    `inner_margin` twist steps).  Stable counts are evidence with no bound
+    in either direction: B(2,2), a -> a^3, b -> 1 has R = 2 and reports 1
+    stable class; the identity on B(1,5) has R = infinity and reports 1,
+    stabilized.  The flag compares the count with the family's
+    stabilization box, which holds the box as a sub-grid.
 
-    One pass: the twist grids are built once, on the stabilization box.
-    Each run is split into its part with both ends in the box and the rest.
-    The inside parts are exactly the box's own edges, so merging them
-    first gives the box's merges, and eroding the box's mask along them
-    its stable classes; the rest is merged after, and the whole larger
-    box eroded along all runs.  Raises GroupMismatch when phi or psi lives
-    on another group, ValueError on a negative margin or bounds that are
-    not the family's positive box, and BoxTooSmall when nothing is stable.
+    One pass: the twist grids are built once, on the stabilization box,
+    each run cut at the box as it is built.  The inside parts are exactly
+    the box's own edges, so merging them first gives the box's merges, and
+    eroding the box's mask along them its stable classes; the rest is
+    merged after, and the whole larger box eroded along all runs.  Raises
+    GroupMismatch when phi or psi lives on another group, ValueError on a
+    negative margin or bounds that are not the family's positive box, and
+    BoxTooSmall when nothing is stable.
     """
     _check_inputs(group, phi, psi)
     if inner_margin < 0:
@@ -471,21 +473,20 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
     endo_validate(psi)
 
     larger, rows, axis = family.stabilization(group, bounds)
-    grids = _twist_grids(family, group, phi, psi, larger)
+    grids = _twist_grids(family, group, phi, psi, larger, (rows, axis))
     width = grids[0].width
     uf = IndexUnionFind(grids[0].rows * width)
-    inside, rest = zip(*(grid.split(rows, axis) for grid in grids))
-    for runs in inside:
-        uf.union_runs(runs)
+    for grid in grids:
+        uf.union_runs(grid.inside)
     merges = uf.merges
     box = bytearray(len(uf.parent))  # the box as a region of the larger grid
     for row in rows:
         box[row * width + axis.start:row * width + axis.stop] = b"\x01" * len(axis)
-    roots_inner = _stable_roots(uf, inside, inner_margin, box)
+    roots_inner = _stable_roots(uf, [grid.inside for grid in grids], inner_margin, box)
     if not roots_inner:
         raise BoxTooSmall(f"no stable class in box {bounds}")
-    for runs in rest:
-        uf.union_runs(runs)
+    for grid in grids:
+        uf.union_runs(grid.rest)
     roots_inner_2 = _stable_roots(uf, [grid.runs for grid in grids], inner_margin)
     total = len(rows) * len(axis)
     return BallReport(

@@ -249,6 +249,17 @@ class TestEnumerate:
                              "--spec", str(path), "--bounds", bounds)
         assert code == 1 and "invalid-input" in err and out == ""
 
+    @pytest.mark.parametrize("bounds", ["u=4,v=2,u=8", "u=4,v=2,v=2"])
+    def test_repeated_bounds_keys_are_refused(self, capsys, tmp_path, bounds):
+        # the last value used to win silently: u=4,v=2,u=8 ran the box u=8,v=2
+        path = tmp_path / "flip.endo"
+        path.write_text("group 1 -1\na -> a^3\nb -> b^2\n")
+        with pytest.raises(SystemExit) as info:
+            run(capsys, "enumerate", "--group", "1,-1", "--spec", str(path),
+                "--bounds", bounds)
+        assert info.value.code == 2
+        assert "repeats" in capsys.readouterr().err
+
     def test_zero_bounds_are_refused(self, capsys, tmp_path):
         # a zero box stays zero when doubled, so its one class of the
         # identity map looked stable although R(id) is infinite

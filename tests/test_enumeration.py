@@ -6,8 +6,9 @@ backwards the column of the inverse twist (the back column); both are
 rebuilt here from the runs.  Every entry of those columns is compared with
 the box index (`index_of`) of the product (psi(g) x) phi(g)^-1 of the
 model classes, the runs' edge cases are pinned, the runs are checked to
-cover the columns disjointly, the byte-mask erosion is compared with a set
-erosion, and the stabilization box is checked to hold the box as the
+cover the columns disjointly and, cut at a sub-grid as they are built, to
+split into its edges and the rest, the byte-mask erosion is compared with
+a set erosion, and the stabilization box is checked to hold the box as the
 sub-grid its family names.  Whole reports are compared with a copy of the
 enumerator that works on model elements directly, with one that merges
 the box and the stabilization box separately, and with
@@ -26,12 +27,13 @@ from bstwist.homs import EndoSpec, endo_apply, endo_validate, identity_endo
 from bstwist import reidemeister
 from bstwist.models import (
     AFFINE, KLEIN, PERMUTED, AffineElement, KleinElement, PermutedProduct,
-    _free_reduce, _lowest, _permuted_rows, model_embed, model_family,
+    _free_reduce, _lowest, _permuted_heads, _permuted_rows, _shift, model_embed,
+    model_family,
 )
 from bstwist.reidemeister import (
     _GENERATORS, INV_A_SUM, BallReport, Certificate, IndexUnionFind,
-    _merge_box, _stable_roots, certify_infinite, coincidence_certify,
-    enumerate_classes_ball, witnesses_stay_separated,
+    _merge_box, _stable_roots, certify_infinite, check_certificate,
+    coincidence_certify, enumerate_classes_ball, witnesses_stay_separated,
 )
 from bstwist.words import A, B, GroupSpec, invert, multiply, parse_word, word
 
@@ -411,6 +413,11 @@ def test_permuted_rows_are_built_once(m, max_len):
     assert set(rows) == set(_ref_free_words(m, max_len))
     assert sorted(rows.values()) == list(range(len(rows)))
     assert _permuted_rows(m, max_len) is rows
+    # the sigma table the twist grids read their heads from, in row order
+    for k in range(m):
+        heads = _permuted_heads(m, max_len, k)
+        assert list(heads) == [_shift(w, k, m) for w in rows]
+        assert _permuted_heads(m, max_len, k) is heads
 
 
 def test_permuted_rows_are_one_run_when_phi_g_has_no_free_part():
@@ -595,6 +602,27 @@ def test_one_pass_reports_match_two_separate_boxes(case, phi_args, psi_args, mar
         assert got.tentative_classes == got.total_elements - got.merges_applied
 
 
+def test_a_run_that_fixes_every_element_merges_nothing():
+    uf = IndexUnionFind(4)
+    uf.union_runs([(slice(0, 1), slice(1, 2)), (slice(1, 2), slice(2, 3)),
+                   (slice(2, 3), slice(3, 4))])
+    parent, merges = uf.parent[:], uf.merges
+    assert parent == [1, 2, 3, 3]  # a chain: a find from 0 would halve it
+    uf.union_runs([(slice(0, 4), slice(0, 4)), (slice(3, None, -1), slice(3, None, -1))])
+    assert (uf.parent, uf.merges) == (parent, merges)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the stabilization box keeps the "
+                   "affine e, so the identity on B(1,5) reports one stable class, "
+                   "stabilized, although R is infinite")
+def test_stabilized_is_never_true_for_a_certified_infinite_map():
+    group = GroupSpec(1, 5)
+    phi = identity_endo(group)
+    outcome = certify_infinite(phi)
+    assert outcome.kind == "infinite" and check_certificate(outcome.certificate, phi)
+    assert not enumerate_classes_ball(group, phi).stabilized
+
+
 def test_each_twist_grid_is_built_once(monkeypatch):
     # one pass: the a and b grids of the stabilization box, and nothing else
     built = []
@@ -602,9 +630,9 @@ def test_each_twist_grid_is_built_once(monkeypatch):
     def counting_family(group):
         family = model_family(group)
 
-        def columns(pg, fg, bounds):
+        def columns(pg, fg, bounds, box=None):
             built.append(bounds)
-            return family.columns(pg, fg, bounds)
+            return family.columns(pg, fg, bounds, box)
         return replace(family, columns=columns)
 
     monkeypatch.setattr(reidemeister, "model_family", counting_family)
@@ -660,8 +688,9 @@ def test_stabilization_box_edge_cases():
 @settings(max_examples=40, deadline=None)
 @given(case=st.sampled_from(CASES), phi_args=maps, psi_args=st.none() | maps)
 def test_split_runs_into_the_box_edges_and_the_rest(case, phi_args, psi_args):
-    # inside parts are exactly the edges with both ends on the sub-grid, and
-    # inside and rest together are the run's edges, each once
+    # a grid built with the sub-grid: its inside parts are exactly the
+    # edges with both ends on the sub-grid, and inside and rest together
+    # are the runs' edges, each once
     group, bounds = case.group, case.bounds
     phi = valid_map(group, *phi_args)
     psi = identity_endo(group) if psi_args is None else valid_map(group, *psi_args)
@@ -671,15 +700,25 @@ def test_split_runs_into_the_box_edges_and_the_rest(case, phi_args, psi_args):
     def edges(runs, indices):
         return [(x, y) for src, dst in runs for x, y in zip(indices[src], indices[dst])]
     for gen in _GENERATORS:
-        grid = _direct_grid(group, phi, psi, larger, gen)
+        grid = family.columns(model_embed(endo_apply(psi, gen), group),
+                              model_embed(endo_apply(phi, gen), group).inverse(),
+                              larger, (rows, axis))
+        assert grid.runs == _direct_grid(group, phi, psi, larger, gen).runs
         indices = range(grid.rows * grid.width)
         sub_grid = {row * grid.width + x for row in rows for x in axis}
-        inside, rest = grid.split(rows, axis)
         all_edges = edges(grid.runs, indices)
-        assert sorted(edges(inside, indices) + edges(rest, indices)) == sorted(all_edges)
-        assert edges(inside, indices) == [(x, y) for x, y in all_edges
-                                          if x in sub_grid and y in sub_grid]
-        assert all(len(indices[src]) for src, _ in inside + rest)
+        assert sorted(edges(grid.inside, indices) + edges(grid.rest, indices)) == \
+            sorted(all_edges)
+        assert edges(grid.inside, indices) == [(x, y) for x, y in all_edges
+                                               if x in sub_grid and y in sub_grid]
+        assert all(len(indices[src]) for src, _ in grid.inside + grid.rest)
+
+
+def test_a_grid_built_without_a_sub_grid_is_all_inside():
+    case = CASES[0]
+    phi = valid_map(case.group, 3, 0, 1, word([]))
+    grid = _direct_grid(case.group, phi, phi, case.bounds, _GENERATORS[0])
+    assert grid.runs and grid.inside is grid.runs and grid.rest == []
 
 
 def test_witness_separation_matches_the_model_enumerator():
