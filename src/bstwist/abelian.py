@@ -41,10 +41,6 @@ class AbelianGroup:
         return IntMatrix.from_rows(
             [[orders[i] if i == j else 0 for j in range(size)] for i in range(size)])
 
-    def describe(self) -> str:
-        parts = [f"Z_{d}" if d else "Z" for d in self.orders()]
-        return " + ".join(parts) if parts else "0"
-
 
 @dataclass(frozen=True)
 class AbelianMap:
@@ -70,11 +66,6 @@ class AbelianMap:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.matrix[i, j] for i in range(self.group.ngens))
-
-    def apply(self, vector) -> tuple[int, ...]:
-        size = self.group.ngens
-        out = [sum(self.matrix[i, j] * vector[j] for j in range(size)) for i in range(size)]
-        return self.group.reduce(out)
 
     def __eq__(self, other):
         if not isinstance(other, AbelianMap):

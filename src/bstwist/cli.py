@@ -161,7 +161,7 @@ def _enumerate(args):
     return report.as_dict(), (
         f"{report.family}: {report.stable_classes} stable / "
         f"{report.tentative_classes} tentative classes over "
-        f"{report.total_elements} elements (stabilized: {report.stabilized})")
+        f"{report.total_elements} elements")
 
 
 def _snf(args):

@@ -19,9 +19,7 @@ residue class of its axis) affinely onto one row.  A twist is kept as
 those runs only, one slice pair each, and no element key, key-to-index map
 or per-element column is built, so the enumerator merges and erodes its
 box a run at a time.  The runs that share one axis map are built as one
-batch, clipped once.  Each family also names its stabilization box, a
-larger grid that holds the box as a sub-grid, so one set of runs serves
-both: each run is cut at the box as it is built.
+batch, clipped once.
 `model_family` is the only place that decides which record a group gets.
 
 Sign convention: the Z-action on Z[1/|n|] is x -> x/n with the sign of n
@@ -47,29 +45,20 @@ class ModelFamily:
     The box is an index grid of rows times one axis: the element at axis
     position j of row r has box index r * width + j.  `index_of` gives the
     box index of a model element, or None outside the box.
-    `columns(psi(g), phi(g)^-1, bounds, box=None)` gives the twist by g as
-    a grid of runs.  A twist sends each run of a row (the row, or one
-    residue class of its axis) affinely onto one row, so `runs` lists slice
-    pairs (src, dst): the element at box index src[j] goes to
+    `columns(psi(g), phi(g)^-1, bounds)` gives the twist by g as a grid of
+    runs.  A twist sends each run of a row (the row, or one residue class
+    of its axis) affinely onto one row, so `runs` lists slice pairs
+    (src, dst): the element at box index src[j] goes to
     (psi(g) x) phi(g)^-1 at box index dst[j], and an element in no src
     leaves the box.  Read the other way, the runs give the inverse twist
-    psi(g)^-1 (x phi(g)): it sends dst to src.  Given the sub-grid
-    `box` = (rows, axis), each run is also cut at it (see `_Columns`).
-
-    `stabilization(group, bounds)` gives (larger, rows, axis): the bounds
-    of the stabilization box and where the box sits in its grid, as the
-    sub-grid of those rows and axis positions, row order kept.  The box's
-    element at (r, j) is the larger box's at (rows[r], axis[j]).  The
-    sub-grid is centred for the Klein and affine families; for B(m,m) it is
-    the leading rows, since the free words are listed shortest first.
+    psi(g)^-1 (x phi(g)): it sends dst to src.
     """
 
     name: str  # the `family` of a BallReport
     a_power: Callable  # (group, e) -> image of a^e
     b_power: Callable  # (group, e) -> image of b^e
     index_of: Callable  # (model element, bounds) -> box index or None
-    columns: Callable  # (psi(g), phi(g)^-1, bounds, box=None) -> grid of runs
-    stabilization: Callable  # (group, bounds) -> (larger bounds, rows, axis)
+    columns: Callable  # (psi(g), phi(g)^-1, bounds) -> grid of runs
     enumerate_bounds: dict
     witness_bounds: dict
 
@@ -87,11 +76,6 @@ def _steps(x0: int, step: int, width: int) -> tuple[int, int]:
         lo, hi = _steps(x0, -step, width)
         return -hi, -lo
     return -(x0 // step), (width - 1 - x0) // step
-
-
-def _middle(radius: int) -> range:
-    """Axis positions of |x| <= radius on the axis |x| <= 2 radius."""
-    return range(radius, 3 * radius + 1)
 
 
 def _clip(x0: int, step: int, y0: int, to_step: int, width: int) -> tuple[int, int]:
@@ -112,46 +96,24 @@ class _Columns:
     """A twist on a rows x width grid, kept as its runs.  `runs` holds each
     run as a pair of slices (src, dst) of box indices: the twist sends
     src[j] to dst[j].  The src slices are pairwise disjoint, and so are the
-    dst slices; no per-element column is written.  Given a sub-grid `box` =
-    (rows, axis), each run is cut as it is made: its part with both ends in
-    the sub-grid goes to `inside`, the rest (the whole run when no part is
-    inside) to `rest`.  Without one, `inside` is `runs` and `rest` is empty.
+    dst slices; no per-element column is written.
     """
 
-    def __init__(self, rows: int, width: int, box: tuple[range, range] | None = None):
-        self.rows, self.width, self.box = rows, width, box
-        self.runs, self.rest = [], []
-        self.inside = self.runs if box is None else []
+    def __init__(self, rows: int, width: int):
+        self.rows, self.width, self.runs = rows, width, []
 
     def run(self, pairs, x0: int, step: int, y0: int, to_step: int):
         """Send position x0 + j * step of `row` to y0 + j * to_step of
         `to_row` for each (row, to_row) in the batch `pairs` with to_row on
         the grid, and each j that keeps both on the axis.  The batch shares
-        one axis map, clipped once to the axis and once to the sub-grid's."""
+        one axis map, clipped once."""
         lo, hi = _clip(x0, step, y0, to_step, self.width)
         if lo >= hi:
             return
-        box_rows = ()  # the rows whose runs have an inside part, [in_lo, in_hi)
-        if self.box is not None:
-            axis = self.box[1]
-            in_lo, in_hi = _clip(x0 - axis.start, step, y0 - axis.start, to_step, len(axis))
-            if in_lo < in_hi:
-                box_rows = self.box[0]
-        width, rows, runs, inside, rest = self.width, self.rows, self.runs, self.inside, self.rest
+        width, rows, runs = self.width, self.rows, self.runs
         for row, to_row in pairs:
-            if not 0 <= to_row < rows:
-                continue
-            src, dst = row * width + x0, to_row * width + y0
-            run = _pair(src, step, dst, to_step, lo, hi)
-            runs.append(run)
-            if row in box_rows and to_row in box_rows:
-                inside.append(_pair(src, step, dst, to_step, in_lo, in_hi))
-                if lo < in_lo:
-                    rest.append(_pair(src, step, dst, to_step, lo, in_lo))
-                if in_hi < hi:
-                    rest.append(_pair(src, step, dst, to_step, in_hi, hi))
-            elif inside is not runs:  # built with a sub-grid: the whole run is rest
-                rest.append(run)
+            if 0 <= to_row < rows:
+                runs.append(_pair(row * width + x0, step, to_row * width + y0, to_step, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +180,7 @@ def _affine_index(element: AffineElement, bounds: dict):
     return (element.k + k_max) * (2 * t_max + 1) + p + t_max
 
 
-def _affine_columns(pg: AffineElement, fg: AffineElement, bounds: dict, box=None):
+def _affine_columns(pg: AffineElement, fg: AffineElement, bounds: dict):
     """(p, k) -> (p', k + pk + fk): the numerator over |n|^e of
     px + x / n^pk + fx / n^(pk + k).
 
@@ -240,7 +202,7 @@ def _affine_columns(pg: AffineElement, fg: AffineElement, bounds: dict, box=None
     g = gcd(scale, unit)
     step, inverse = unit // g, pow(scale // g, -1, unit // g)
     shift = pk + fg.k
-    grid = _Columns(2 * k_max + 1, 2 * t_max + 1, box)  # row k, axis p
+    grid = _Columns(2 * k_max + 1, 2 * t_max + 1)  # row k, axis p
     for row in range(grid.rows):
         k = row - k_max
         offset = const + fg.num * _sign(pg.n, pk + k) * base ** (e + lift - fg.exp - pk - k)
@@ -252,20 +214,11 @@ def _affine_columns(pg: AffineElement, fg: AffineElement, bounds: dict, box=None
     return grid
 
 
-def _affine_stabilization(group: GroupSpec, bounds: dict):
-    """k and t doubled, e kept: the same lattice 1/|n|^e, so the box sits
-    centred in the larger one."""
-    k, t = bounds["k"], bounds["t"]
-    return ({"k": 2 * k, "t": 2 * t, "e": _affine_exp(bounds)},
-            _middle(k), _middle(t))
-
-
 AFFINE = ModelFamily(
     name="affine",  # a -> (0, 1), b -> (1, 0)
     a_power=lambda group, e: _affine(group, 0, e),
     b_power=lambda group, e: _affine(group, e, 0),
     index_of=_affine_index, columns=_affine_columns,
-    stabilization=_affine_stabilization,
     enumerate_bounds={"k": 10, "t": 200, "e": 4}, witness_bounds={"k": 12, "t": 200, "e": 4})
 
 
@@ -342,7 +295,7 @@ def _permuted_index(element: PermutedProduct, bounds: dict):
     return row * (2 * k_max + 1) + element.k + k_max
 
 
-def _permuted_columns(pg: PermutedProduct, fg: PermutedProduct, bounds: dict, box=None):
+def _permuted_columns(pg: PermutedProduct, fg: PermutedProduct, bounds: dict):
     """(w, k) -> (pw sigma^pk(w) sigma^(pk+k)(fw), k + pk + fk).
 
     The free part depends on w and r = (pk + k) mod m only, so each (w, r)
@@ -355,7 +308,7 @@ def _permuted_columns(pg: PermutedProduct, fg: PermutedProduct, bounds: dict, bo
     m, pw, pk, k_max = pg.m, pg.w, pg.k, bounds["k"]
     rows = _permuted_rows(m, bounds["l"])
     heads = _permuted_heads(m, bounds["l"], pk % m)
-    grid = _Columns(len(rows), 2 * k_max + 1, box)  # row w, axis k
+    grid = _Columns(len(rows), 2 * k_max + 1)  # row w, axis k
     period = m if fg.w else 1
     shift = pk + fg.k
     for r in range(period):
@@ -367,20 +320,11 @@ def _permuted_columns(pg: PermutedProduct, fg: PermutedProduct, bounds: dict, bo
     return grid
 
 
-def _permuted_stabilization(group: GroupSpec, bounds: dict):
-    """l and k doubled: the words of length <= l are the leading rows of
-    those of length <= 2 l, in the same order, and k sits centred."""
-    l, k = bounds["l"], bounds["k"]
-    return ({"l": 2 * l, "k": 2 * k},
-            range(len(_permuted_rows(abs(group.m), l))), _middle(k))
-
-
 PERMUTED = ModelFamily(
     name="permuted-product",  # a -> (x1, 0), b -> (1, 1)
     a_power=lambda group, e: PermutedProduct(((1, e),) if e else (), 0, abs(group.m)),
     b_power=lambda group, e: PermutedProduct((), e, abs(group.m)),
     index_of=_permuted_index, columns=_permuted_columns,
-    stabilization=_permuted_stabilization,
     enumerate_bounds={"l": 4, "k": 6}, witness_bounds={"l": 3, "k": 12})
 
 
@@ -410,14 +354,14 @@ def _klein_index(element: KleinElement, bounds: dict):
     return (element.v + v_max) * (2 * u_max + 1) + element.u + u_max
 
 
-def _klein_columns(pg: KleinElement, fg: KleinElement, bounds: dict, box=None):
+def _klein_columns(pg: KleinElement, fg: KleinElement, bounds: dict):
     """(u, v) -> (pu + s u + s (-1)^v fu, v + pv + fv), s = (-1)^pv: row v
     goes onto row v + pv + fv, reversed when pv is odd.  The rows of one
     parity of v share that map, so each parity is one batch."""
     u_max, v_max = bounds["u"], bounds["v"]
     sign = -1 if pg.v % 2 else 1
     shift = pg.v + fg.v
-    grid = _Columns(2 * v_max + 1, 2 * u_max + 1, box)  # row v, axis u
+    grid = _Columns(2 * v_max + 1, 2 * u_max + 1)  # row v, axis u
     for parity in (0, 1):
         c = pg.u + (-sign if parity else sign) * fg.u
         rows = range((v_max + parity) % 2, grid.rows, 2)  # (row - v_max) % 2 == parity
@@ -427,18 +371,11 @@ def _klein_columns(pg: KleinElement, fg: KleinElement, bounds: dict, box=None):
     return grid
 
 
-def _klein_stabilization(group: GroupSpec, bounds: dict):
-    """u and v doubled, the box centred."""
-    u, v = bounds["u"], bounds["v"]
-    return {"u": 2 * u, "v": 2 * v}, _middle(v), _middle(u)
-
-
 KLEIN = ModelFamily(
     name="klein",  # a -> (0, 1), b -> (1, 0)
     a_power=lambda group, e: KleinElement(0, e),
     b_power=lambda group, e: KleinElement(e, 0),
     index_of=_klein_index, columns=_klein_columns,
-    stabilization=_klein_stabilization,
     enumerate_bounds={"u": 64, "v": 8}, witness_bounds={"u": 48, "v": 10})
 
 

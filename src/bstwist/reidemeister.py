@@ -11,7 +11,7 @@ finiteness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -288,18 +288,10 @@ class BallReport:
     merges_applied: int
     stable_classes: int
     tentative_classes: int
-    stabilized: bool
+    stabilized = False  # not a field: read only by perfbench/enumeration.py
 
     def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "bounds": self.bounds,
-            "total_elements": self.total_elements,
-            "merges_applied": self.merges_applied,
-            "stable_classes": self.stable_classes,
-            "tentative_classes": self.tentative_classes,
-            "stabilized": self.stabilized,
-        }
+        return asdict(self)
 
 
 class IndexUnionFind:
@@ -343,79 +335,89 @@ class IndexUnionFind:
 
 
 # a and b only: the twist by g^-1 is the inverse of the twist by g (see
-# `_twist_grids`), so g's runs read backwards give it
+# `_merge_box`), so g's runs read backwards give it
 _GENERATORS = (word([(A, 1)]), word([(B, 1)]))
-
-
-def _check_inputs(group: GroupSpec, phi: EndoSpec, psi: EndoSpec | None) -> None:
-    for tag, spec in (("phi", phi), ("psi", psi)):
-        if spec is not None and spec.group != group:
-            raise GroupMismatch(f"{tag} is on {spec.group}, enumeration on {group}")
 
 
 def _check_bounds(family: ModelFamily, bounds: dict) -> None:
     """Bounds give each of the family's box keys (the affine e may be
-    omitted: it defaults to min(k, 4)) and no other, all positive: the
-    stabilization box doubles them (all but the affine e, which it keeps),
-    and a zero axis would not grow."""
+    omitted: it defaults to min(k, 4)) and no other, all positive: a zero
+    bound other than e leaves one row or one axis position, so no twist
+    that moves along it has an edge in the box."""
     known = set(family.enumerate_bounds)
     if not known - {"e"} <= set(bounds) <= known or min(bounds.values()) < 1:
         raise ValueError(f"{family.name} bounds take positive values for "
                          f"{sorted(known)}, got {bounds}")
 
 
-def _twist_grids(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
-                 psi: EndoSpec, bounds: dict, box=None) -> list:
-    """The twist grids of a and b on the box, cut at its sub-grid `box`.
+def _box_inputs(group: GroupSpec, phi: EndoSpec, psi: EndoSpec | None,
+                bounds: dict | None, default: str):
+    """(family, bounds, psi) after the checks both box users share: phi and
+    psi on `group` (GroupMismatch), a model family (WrongFamily), bounds
+    (the family's `default` bounds when None) that are the family's box,
+    and psi (the identity when None) and phi endomorphisms."""
+    for tag, spec in (("phi", phi), ("psi", psi)):
+        if spec is not None and spec.group != group:
+            raise GroupMismatch(f"{tag} is on {spec.group}, enumeration on {group}")
+    family = model_family(group)
+    if bounds is None:
+        bounds = getattr(family, default)
+    _check_bounds(family, bounds)
+    if psi is None:
+        psi = identity_endo(group)
+    endo_validate(phi)
+    endo_validate(psi)
+    return family, bounds, psi
+
+
+def _merge_box(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
+               psi: EndoSpec, bounds: dict):
+    """The union-find of the box under the a and b twists, and the twist
+    grids of a and b.
 
     No g^-1 grid is built: since phi and psi are homomorphisms,
     tau_{g^-1}(x) = psi(g)^-1 x phi(g) = tau_g^-1(x), so inside the box
     the g^-1 edges are the g edges reversed (the runs read dst to src) and
     merge nothing new.
     """
-    return [family.columns(family.embed(endo_apply(psi, g), group),
-                           family.embed(endo_apply(phi, g), group).inverse(),
-                           bounds, box)
-            for g in _GENERATORS]
-
-
-def _merge_box(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
-               psi: EndoSpec, bounds: dict):
-    """The union-find of the box under the a and b twists, and the twist
-    grids of a and b."""
-    grids = _twist_grids(family, group, phi, psi, bounds)
+    grids = [family.columns(family.embed(endo_apply(psi, g), group),
+                            family.embed(endo_apply(phi, g), group).inverse(), bounds)
+             for g in _GENERATORS]
     uf = IndexUnionFind(grids[0].rows * grids[0].width)
     for grid in grids:
         uf.union_runs(grid.runs)
     return uf, grids
 
 
-def _stable_roots(uf: IndexUnionFind, runs: list, inner_margin: int,
-                  region: bytes | None = None) -> set:
-    """Roots of the classes meeting the inner region: the elements of
-    `region` (a 0/1 byte mask, the whole grid when None) whose twists by
-    a, a^-1, b and b^-1 stay inside it, iterated margin times.  `runs`
-    holds the runs of each twist grid, and only those edges count.
+def _stable_roots(uf: IndexUnionFind, runs: list, inner_margin: int) -> set:
+    """Roots of the classes meeting the inner region: the grid's elements
+    whose twists by a, a^-1, b and b^-1 stay inside the region, iterated
+    margin times from the whole grid.  `runs` holds the runs of each twist
+    grid, and only those edges count.
 
     One erosion step reads the region a run at a time: pre[src] =
     inner[dst] over a grid's runs is the preimage mask under the g twist
     (0 where the image leaves the region), and pre[dst] = inner[src] the
     one under the g^-1 twist.  The four masks are ANDed as integers, one
-    byte per element.  After each step, a run whose src or dst lies wholly
-    outside the region is dropped: all it could write lands where the
-    region is already 0, and the region only shrinks, so it stays spent.
+    byte per element.  A step that keeps the whole region is a fixpoint:
+    every later step keeps it too, so the erosion stops there.  After each
+    step, a run whose src or dst lies wholly outside the region is
+    dropped: all it could write lands where the region is already 0, and
+    the region only shrinks, so it stays spent.
     """
     size = len(uf.parent)
-    inner = b"\x01" * size if region is None else region
+    inner = b"\x01" * size
     live = runs
     for step in range(inner_margin):
-        kept = int.from_bytes(inner, "little")
+        region = kept = int.from_bytes(inner, "little")
         for runs in live:
             pre, pre_back = bytearray(size), bytearray(size)
             for src, dst in runs:
                 pre[src] = inner[dst]
                 pre_back[dst] = inner[src]
             kept &= int.from_bytes(pre, "little") & int.from_bytes(pre_back, "little")
+        if kept == region:
+            break
         inner = kept.to_bytes(size, "little")
         if step + 1 < inner_margin:
             live = [[(src, dst) for src, dst in runs if 1 in inner[src] and 1 in inner[dst]]
@@ -447,56 +449,31 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
     class is stable when it meets the inner region (the box eroded
     `inner_margin` twist steps).  Stable counts are evidence with no bound
     in either direction: B(2,2), a -> a^3, b -> 1 has R = 2 and reports 1
-    stable class; the identity on B(1,5) has R = infinity and reports 1,
-    stabilized.  The flag compares the count with the family's
-    stabilization box, which holds the box as a sub-grid.
+    stable class; the identity on B(1,5) has R = infinity and reports 1.
+    Only a checked certificate claims R = infinity; the box is evidence
+    beside it.
 
-    One pass: the twist grids are built once, on the stabilization box,
-    each run cut at the box as it is built.  The inside parts are exactly
-    the box's own edges, so merging them first gives the box's merges, and
-    eroding the box's mask along them its stable classes; the rest is
-    merged after, and the whole larger box eroded along all runs.  Raises
-    GroupMismatch when phi or psi lives on another group, ValueError on a
-    negative margin or bounds that are not the family's positive box, and
-    BoxTooSmall when nothing is stable.
+    The twist grids are built once, on the box; it is merged along their
+    runs and eroded along the same runs.  Raises GroupMismatch when phi or
+    psi lives on another group, ValueError on a negative margin or bounds
+    that are not the family's positive box, and BoxTooSmall when nothing
+    is stable.
     """
-    _check_inputs(group, phi, psi)
     if inner_margin < 0:
         raise ValueError(f"inner_margin must be non-negative, got {inner_margin}")
-    family = model_family(group)
-    if bounds is None:
-        bounds = family.enumerate_bounds
-    _check_bounds(family, bounds)
-    if psi is None:
-        psi = identity_endo(group)
-    endo_validate(phi)
-    endo_validate(psi)
-
-    larger, rows, axis = family.stabilization(group, bounds)
-    grids = _twist_grids(family, group, phi, psi, larger, (rows, axis))
-    width = grids[0].width
-    uf = IndexUnionFind(grids[0].rows * width)
-    for grid in grids:
-        uf.union_runs(grid.inside)
-    merges = uf.merges
-    box = bytearray(len(uf.parent))  # the box as a region of the larger grid
-    for row in rows:
-        box[row * width + axis.start:row * width + axis.stop] = b"\x01" * len(axis)
-    roots_inner = _stable_roots(uf, [grid.inside for grid in grids], inner_margin, box)
-    if not roots_inner:
+    family, bounds, psi = _box_inputs(group, phi, psi, bounds, "enumerate_bounds")
+    uf, grids = _merge_box(family, group, phi, psi, bounds)
+    roots = _stable_roots(uf, [grid.runs for grid in grids], inner_margin)
+    if not roots:
         raise BoxTooSmall(f"no stable class in box {bounds}")
-    for grid in grids:
-        uf.union_runs(grid.rest)
-    roots_inner_2 = _stable_roots(uf, [grid.runs for grid in grids], inner_margin)
-    total = len(rows) * len(axis)
+    total = len(uf.parent)
     return BallReport(
         family=family.name,
         bounds=dict(bounds),
         total_elements=total,
-        merges_applied=merges,
-        stable_classes=len(roots_inner),
-        tentative_classes=total - merges,  # each merge joins two classes
-        stabilized=len(roots_inner) == len(roots_inner_2),
+        merges_applied=uf.merges,
+        stable_classes=len(roots),
+        tentative_classes=total - uf.merges,  # each merge joins two classes
     )
 
 
@@ -511,18 +488,10 @@ def witnesses_stay_separated(cert: Certificate, phi: EndoSpec,
     positive box, and RelationViolated when phi or psi is no endomorphism.
     """
     group = phi.group
-    _check_inputs(group, phi, psi)
     try:
-        family = model_family(group)
+        family, bounds, psi = _box_inputs(group, phi, psi, bounds, "witness_bounds")
     except WrongFamily:
         return True
-    if bounds is None:
-        bounds = family.witness_bounds
-    _check_bounds(family, bounds)
-    if psi is None:
-        psi = identity_endo(group)
-    endo_validate(phi)
-    endo_validate(psi)
     uf, _ = _merge_box(family, group, phi, psi, bounds)
     roots = []
     for text in cert.first_witnesses:

@@ -215,7 +215,7 @@ class TestEnumerate:
                            "--format", "json")
         jsonschema.validate(payload, load_schema("ballreport.schema.json"))
         assert payload["stable_classes"] == 4
-        assert payload["stabilized"] is True
+        assert "stabilized" not in payload
 
     def test_spec_from_another_group_is_refused(self, capsys, tmp_path, spec_file):
         klein = tmp_path / "flip.endo"

@@ -6,13 +6,10 @@ backwards the column of the inverse twist (the back column); both are
 rebuilt here from the runs.  Every entry of those columns is compared with
 the box index (`index_of`) of the product (psi(g) x) phi(g)^-1 of the
 model classes, the runs' edge cases are pinned, the runs are checked to
-cover the columns disjointly and, cut at a sub-grid as they are built, to
-split into its edges and the rest, the byte-mask erosion is compared with
-a set erosion, and the stabilization box is checked to hold the box as the
-sub-grid its family names.  Whole reports are compared with a copy of the
-enumerator that works on model elements directly, with one that merges
-the box and the stabilization box separately, and with
-`golden/enumeration_reports.json`.
+cover the columns disjointly, and the byte-mask erosion is compared with a
+set erosion and checked to stop at its fixpoint.  Whole reports are
+compared with a copy of the enumerator that works on model elements
+directly and with `golden/enumeration_reports.json`.
 """
 
 import json
@@ -26,7 +23,7 @@ from bstwist.errors import BoxTooSmall, GroupMismatch
 from bstwist.homs import EndoSpec, endo_apply, endo_validate, identity_endo
 from bstwist import reidemeister
 from bstwist.models import (
-    AFFINE, KLEIN, PERMUTED, AffineElement, KleinElement, PermutedProduct,
+    AFFINE, KLEIN, AffineElement, KleinElement, PermutedProduct,
     _free_reduce, _lowest, _permuted_heads, _permuted_rows, _shift, model_embed,
     model_family,
 )
@@ -140,24 +137,13 @@ def _ref_once(group, phi, psi, bounds, margin):
             membership, key)
 
 
-def _larger_bounds(bounds):
-    """The stabilization box: every bound doubled but the affine e, which
-    stays the box's own, min(k, 4) when omitted."""
-    larger = {k: 2 * v for k, v in bounds.items() if k != "e"}
-    if "t" in bounds:
-        larger["e"] = bounds.get("e", min(bounds["k"], 4))
-    return larger
-
-
 def reference_report(group, phi, psi, bounds, margin):
     psi = identity_endo(group) if psi is None else psi
     uf, roots_all, roots_inner, membership, _ = _ref_once(group, phi, psi, bounds, margin)
     if not roots_inner:
         raise BoxTooSmall(str(bounds))
-    roots_inner_2 = _ref_once(group, phi, psi, _larger_bounds(bounds), margin)[2]
     return BallReport(model_family(group).name, dict(bounds), len(membership), uf.merges,
-                      len(roots_inner), len(roots_all),
-                      len(roots_inner) == len(roots_inner_2))
+                      len(roots_inner), len(roots_all))
 
 
 def reference_separated(cert, phi, psi, bounds):
@@ -516,6 +502,23 @@ def test_mask_erosion_keeps_the_whole_box_and_can_erode_all_of_it():
         enumerate_classes_ball(group, phi, psi, bounds=bounds, inner_margin=3)
 
 
+def test_erosion_stops_at_its_fixpoint():
+    # a step that keeps the region keeps it forever, so a margin of 10^9
+    # answers as a small margin past the fixpoint does, and in no longer
+    # than that: both when the region empties (Klein a -> a^3, b -> b^2 at
+    # the default box) and when it keeps the even rows (the Klein identity,
+    # whose b-twist moves the odd rows by 2)
+    klein = GroupSpec(1, -1)
+    flip = valid_map(klein, 3, 0, 2, word([]))
+    for margin in (8, 10 ** 9):
+        with pytest.raises(BoxTooSmall):
+            enumerate_classes_ball(klein, flip, inner_margin=margin)
+    identity, bounds = identity_endo(klein), {"u": 16, "v": 4}
+    reports = [enumerate_classes_ball(klein, identity, bounds=bounds, inner_margin=margin)
+               for margin in (0, 20, 10 ** 9)]
+    assert reports[1] == reports[2] != reports[0]
+
+
 REPORT_CASES = [
     (GroupSpec(1, -1), (3, 0, 2, word([])), None, {"u": 16, "v": 4}, 2),
     (GroupSpec(1, -1), (1, 1, -1, word([(A, 1), (B, 2)])), (-1, 0, 1, word([])),
@@ -567,41 +570,6 @@ def test_random_reports_match_the_model_enumerator(case, phi_args, psi_args, mar
     assert got == want
 
 
-def _two_box_report(group, phi, psi, bounds, margin):
-    """The report from two separate boxes: the box merged and eroded on its
-    own, then the stabilization box on its own."""
-    family = model_family(group)
-    psi = identity_endo(group) if psi is None else psi
-    uf, grids = _merge_box(family, group, phi, psi, bounds)
-    roots = _stable_roots(uf, [grid.runs for grid in grids], margin)
-    if not roots:
-        raise BoxTooSmall(str(bounds))
-    uf_2, grids_2 = _merge_box(family, group, phi, psi, _larger_bounds(bounds))
-    roots_2 = _stable_roots(uf_2, [grid.runs for grid in grids_2], margin)
-    total = len(uf.parent)
-    return BallReport(family.name, dict(bounds), total, uf.merges, len(roots),
-                      total - uf.merges, len(roots) == len(roots_2))
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=st.sampled_from(CASES), phi_args=maps, psi_args=st.none() | maps,
-       margin=st.integers(0, 2))
-@example(case=CASES[1], phi_args=(3, 0, 1, word([])), psi_args=None, margin=2)
-def test_one_pass_reports_match_two_separate_boxes(case, phi_args, psi_args, margin):
-    # the box's merges and stable classes come from the inside parts of the
-    # stabilization box's runs; a report that took the larger box's merges
-    # would break tentative = total - merges
-    group, bounds = case.group, case.bounds
-    phi = valid_map(group, *phi_args)
-    psi = None if psi_args is None else valid_map(group, *psi_args)
-    want = _report_or_none(lambda: _two_box_report(group, phi, psi, bounds, margin))
-    got = _report_or_none(lambda: enumerate_classes_ball(group, phi, psi, bounds=bounds,
-                                                         inner_margin=margin))
-    assert got == want
-    if got is not None:
-        assert got.tentative_classes == got.total_elements - got.merges_applied
-
-
 def test_a_run_that_fixes_every_element_merges_nothing():
     uf = IndexUnionFind(4)
     uf.union_runs([(slice(0, 1), slice(1, 2)), (slice(1, 2), slice(2, 3)),
@@ -612,9 +580,6 @@ def test_a_run_that_fixes_every_element_merges_nothing():
     assert (uf.parent, uf.merges) == (parent, merges)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the stabilization box keeps the "
-                   "affine e, so the identity on B(1,5) reports one stable class, "
-                   "stabilized, although R is infinite")
 def test_stabilized_is_never_true_for_a_certified_infinite_map():
     group = GroupSpec(1, 5)
     phi = identity_endo(group)
@@ -624,15 +589,15 @@ def test_stabilized_is_never_true_for_a_certified_infinite_map():
 
 
 def test_each_twist_grid_is_built_once(monkeypatch):
-    # one pass: the a and b grids of the stabilization box, and nothing else
+    # one pass: the a and b grids of the box, and nothing else
     built = []
 
     def counting_family(group):
         family = model_family(group)
 
-        def columns(pg, fg, bounds, box=None):
+        def columns(pg, fg, bounds):
             built.append(bounds)
-            return family.columns(pg, fg, bounds, box)
+            return family.columns(pg, fg, bounds)
         return replace(family, columns=columns)
 
     monkeypatch.setattr(reidemeister, "model_family", counting_family)
@@ -640,85 +605,7 @@ def test_each_twist_grid_is_built_once(monkeypatch):
         built.clear()
         phi = valid_map(case.group, 1, 0, -1, word([]))
         _report_or_none(lambda: enumerate_classes_ball(case.group, phi, bounds=case.bounds))
-        assert built == [_larger_bounds(case.bounds)] * 2
-
-
-def _containment_cases():
-    """CASES, the boxes of the enumerate workload and each default box."""
-    groups = {"klein": GroupSpec(1, -1), "affine": GroupSpec(1, 2),
-              "permuted-product": GroupSpec(2, 2)}
-    return (CASES + [Case(groups[name], box) for name, boxes in _WORKLOAD_BOXES.items()
-                     for box in boxes]
-            + [Case(group, model_family(group).enumerate_bounds) for group in groups.values()])
-
-
-def test_larger_box_contains_the_box():
-    # every box element's index in the stabilization box lands on the
-    # sub-grid its family names, rows and axis positions in order; doubling
-    # the affine e as well would leave 1,560 of the 2,093 elements of the
-    # benchmark's B(1,2) box outside the larger box
-    for case in _containment_cases():
-        group, bounds = case.group, case.bounds
-        family = model_family(group)
-        larger, rows, axis = family.stabilization(group, bounds)
-        assert larger == _larger_bounds(bounds)
-        identity = identity_endo(group)
-        width = _direct_grid(group, identity, identity, larger, _GENERATORS[0]).width
-        membership, _ = _ref_membership(group, bounds)
-        assert len(membership) == len(rows) * len(axis)
-        for x in membership.values():
-            row, j = divmod(family.index_of(x, bounds), len(axis))
-            assert family.index_of(x, larger) == rows[row] * width + axis[j]
-
-
-def test_stabilization_box_edge_cases():
-    # an omitted affine e is the box's min(k, 4) = 2, kept as it is, not
-    # the min(2 k, 4) = 4 an omitted e would give the larger box
-    larger, rows, axis = AFFINE.stabilization(GroupSpec(1, 3), {"k": 2, "t": 10})
-    assert larger == {"k": 4, "t": 20, "e": 2}
-    assert (rows, axis) == (range(2, 7), range(10, 31))
-    # the free words up to length l lead those up to 2 l, in the same order
-    for m, max_len in ((2, 1), (2, 2), (3, 1), (3, 2)):
-        rows, longer = _permuted_rows(m, max_len), _permuted_rows(m, 2 * max_len)
-        assert list(rows.items()) == list(longer.items())[:len(rows)]
-        assert PERMUTED.stabilization(GroupSpec(m, m), {"l": max_len, "k": 3})[1] == \
-            range(len(rows))
-
-
-@settings(max_examples=40, deadline=None)
-@given(case=st.sampled_from(CASES), phi_args=maps, psi_args=st.none() | maps)
-def test_split_runs_into_the_box_edges_and_the_rest(case, phi_args, psi_args):
-    # a grid built with the sub-grid: its inside parts are exactly the
-    # edges with both ends on the sub-grid, and inside and rest together
-    # are the runs' edges, each once
-    group, bounds = case.group, case.bounds
-    phi = valid_map(group, *phi_args)
-    psi = identity_endo(group) if psi_args is None else valid_map(group, *psi_args)
-    family = model_family(group)
-    larger, rows, axis = family.stabilization(group, bounds)
-
-    def edges(runs, indices):
-        return [(x, y) for src, dst in runs for x, y in zip(indices[src], indices[dst])]
-    for gen in _GENERATORS:
-        grid = family.columns(model_embed(endo_apply(psi, gen), group),
-                              model_embed(endo_apply(phi, gen), group).inverse(),
-                              larger, (rows, axis))
-        assert grid.runs == _direct_grid(group, phi, psi, larger, gen).runs
-        indices = range(grid.rows * grid.width)
-        sub_grid = {row * grid.width + x for row in rows for x in axis}
-        all_edges = edges(grid.runs, indices)
-        assert sorted(edges(grid.inside, indices) + edges(grid.rest, indices)) == \
-            sorted(all_edges)
-        assert edges(grid.inside, indices) == [(x, y) for x, y in all_edges
-                                               if x in sub_grid and y in sub_grid]
-        assert all(len(indices[src]) for src, _ in grid.inside + grid.rest)
-
-
-def test_a_grid_built_without_a_sub_grid_is_all_inside():
-    case = CASES[0]
-    phi = valid_map(case.group, 3, 0, 1, word([]))
-    grid = _direct_grid(case.group, phi, phi, case.bounds, _GENERATORS[0])
-    assert grid.runs and grid.inside is grid.runs and grid.rest == []
+        assert built == [case.bounds] * 2
 
 
 def test_witness_separation_matches_the_model_enumerator():

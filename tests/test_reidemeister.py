@@ -171,15 +171,16 @@ class TestEnumeration:
         report = enumerate_classes_ball(g, phi, bounds={"u": 64, "v": 8})
         assert report.family == "klein"
         assert report.stable_classes == 4
-        assert report.stabilized
+        larger = enumerate_classes_ball(g, phi, bounds={"u": 128, "v": 12})
+        assert larger.stable_classes == 4
 
     def test_identity_twist_grows(self):
         # plain conjugacy on the Klein group has unbounded class count, so
-        # the doubled box must report more stable classes, not stabilize
+        # the doubled box reports more stable classes
         g = GroupSpec(1, -1)
-        report = enumerate_classes_ball(g, identity_endo(g),
-                                        bounds={"u": 16, "v": 4})
-        assert not report.stabilized
+        counts = [enumerate_classes_ball(g, identity_endo(g), bounds=bounds).stable_classes
+                  for bounds in ({"u": 16, "v": 4}, {"u": 32, "v": 8})]
+        assert counts == [93, 313]
 
     def test_affine_substrate(self):
         g = GroupSpec(1, 2)
