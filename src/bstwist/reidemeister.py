@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable
 
 from .errors import (
@@ -295,11 +296,13 @@ class BallReport:
 
 
 class IndexUnionFind:
-    """Union-find over the indices 0..size-1, counting successful merges.
+    """Union-find over the indices 0..size-1 of a rows x width box,
+    counting successful merges.
 
     Edges arrive a run at a time: `union_runs` joins src[j] to dst[j] for
     each slice pair (src, dst), so the enumerator's inner loop is one method
-    call per batch of runs rather than one per edge.
+    call for the whole box rather than one per edge, and most runs take a
+    closed form or one period instead of one find per edge.
     """
 
     def __init__(self, size: int):
@@ -315,15 +318,48 @@ class IndexUnionFind:
             parent[x] = x = parent[parent[x]]  # path halving
         return x
 
-    def union_runs(self, runs) -> None:
-        """Merge src[j] with dst[j] for every run (src, dst) of index slices;
-        a run with src == dst merges nothing and is skipped."""
+    def union_runs(self, runs, width: int | None = None) -> None:
+        """Merge src[j] with dst[j] for every run (src, dst) of index slices
+        of the box whose rows are `width` long (default: one row); a run
+        with src == dst merges nothing and is skipped.
+
+        On a fresh union-find (no merge yet), the first run of a row whose
+        sides both step 1 inside the row and together cover it translates
+        the row by c: it leaves the residue classes of the row mod |c|,
+        written with |c| slice assignments, and the row gets modulus |c|.
+        A side with step s in a row of modulus c repeats its classes every
+        |c| / gcd(|c|, |s|) edges, so a run whose two sides both repeat
+        merges only its first lcm(periods) edges: every later edge joins
+        two classes that an earlier one joined.  Any other run merges
+        every edge.  The partition and `merges` do not depend on the order.
+        """
         parent, indices = self.parent, self.indices  # find, inlined: the inner loop
-        merges = 0
+        width = width or len(parent)
+        cells = range(len(parent))
+        modulus, rest, merges = {}, [], 0
         for src, dst in runs:
-            if src == dst:
+            s, d = cells[src], cells[dst]
+            lo, c = min(s.start, d.start), abs(d.start - s.start)
+            row = lo // width
+            if (self.merges or s.step != 1 or d.step != 1 or lo % width or row in modulus
+                    or not 0 < c == width - len(s) == width - len(d)):
+                rest.append((src, dst, s, d))
                 continue
-            for x, y in zip(indices[src], indices[dst]):
+            for r in range(lo, lo + c):
+                parent[r:lo + width:c] = [r] * len(range(r, lo + width, c))
+            merges += width - c
+            modulus[row] = c
+        for src, dst, s, d in rest:
+            if src == dst or not s:
+                continue
+            period = 1
+            for side in (s, d):
+                c = modulus.get(side.start // width)
+                if c is None or side[-1] // width != side.start // width:
+                    period = len(s)
+                    break
+                period = lcm(period, c // gcd(c, side.step))
+            for x, y in zip(indices[src][:period], indices[dst][:period]):
                 while parent[x] != x:
                     parent[x] = x = parent[parent[x]]
                 while parent[y] != y:
@@ -355,7 +391,8 @@ def _box_inputs(group: GroupSpec, phi: EndoSpec, psi: EndoSpec | None,
     """(family, bounds, psi) after the checks both box users share: phi and
     psi on `group` (GroupMismatch), a model family (WrongFamily), bounds
     (the family's `default` bounds when None) that are the family's box,
-    and psi (the identity when None) and phi endomorphisms."""
+    and phi and a given psi endomorphisms (RelationViolated).  An omitted
+    psi is the identity, which needs no check."""
     for tag, spec in (("phi", phi), ("psi", psi)):
         if spec is not None and spec.group != group:
             raise GroupMismatch(f"{tag} is on {spec.group}, enumeration on {group}")
@@ -363,17 +400,19 @@ def _box_inputs(group: GroupSpec, phi: EndoSpec, psi: EndoSpec | None,
     if bounds is None:
         bounds = getattr(family, default)
     _check_bounds(family, bounds)
+    endo_validate(phi)
     if psi is None:
         psi = identity_endo(group)
-    endo_validate(phi)
-    endo_validate(psi)
+    else:
+        endo_validate(psi)
     return family, bounds, psi
 
 
 def _merge_box(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
                psi: EndoSpec, bounds: dict):
     """The union-find of the box under the a and b twists, and the twist
-    grids of a and b.
+    grids of a and b.  Both grids' runs are merged in one `union_runs`
+    call, so every whole-row translation finds its row fresh.
 
     No g^-1 grid is built: since phi and psi are homomorphisms,
     tau_{g^-1}(x) = psi(g)^-1 x phi(g) = tau_g^-1(x), so inside the box
@@ -384,8 +423,7 @@ def _merge_box(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
                             family.embed(endo_apply(phi, g), group).inverse(), bounds)
              for g in _GENERATORS]
     uf = IndexUnionFind(grids[0].rows * grids[0].width)
-    for grid in grids:
-        uf.union_runs(grid.runs)
+    uf.union_runs([run for grid in grids for run in grid.runs], grids[0].width)
     return uf, grids
 
 
@@ -403,7 +441,8 @@ def _stable_roots(uf: IndexUnionFind, runs: list, inner_margin: int) -> set:
     every later step keeps it too, so the erosion stops there.  After each
     step, a run whose src or dst lies wholly outside the region is
     dropped: all it could write lands where the region is already 0, and
-    the region only shrinks, so it stays spent.
+    the region only shrinks, so it stays spent.  The roots are the finds
+    of the distinct parents in the region, since find(parent[x]) = find(x).
     """
     size = len(uf.parent)
     inner = b"\x01" * size
@@ -423,17 +462,18 @@ def _stable_roots(uf: IndexUnionFind, runs: list, inner_margin: int) -> set:
             live = [[(src, dst) for src, dst in runs if 1 in inner[src] and 1 in inner[dst]]
                     for runs in live]
     parent = uf.parent  # find, inlined as in `IndexUnionFind.union_runs`
-    roots = set()
+    heads, roots = set(), set()
     start = inner.find(1)
     while start >= 0:  # each stretch of 1 bytes, found at memchr speed
         stop = inner.find(0, start)
         if stop < 0:
             stop = size
-        for x in uf.indices[start:stop]:
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            roots.add(x)
+        heads.update(parent[start:stop])
         start = inner.find(1, stop)
+    for x in heads:  # find(parent[x]) = find(x): one find per distinct head
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        roots.add(x)
     return roots
 
 

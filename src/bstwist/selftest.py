@@ -202,7 +202,7 @@ def _box_oracle(M: IntMatrix, d_max: int) -> int:
             last = keep[-1]
             runs.append((slice(start + last.start, start + last.stop),
                          slice(start + last.start + offset, start + last.stop + offset)))
-        uf.union_runs(runs)
+        uf.union_runs(runs, width)
     reps = {uf.find(i) for i, p in enumerate(points) if all(abs(x) <= inner for x in p)}
     return len(reps)
 

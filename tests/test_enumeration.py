@@ -6,8 +6,10 @@ backwards the column of the inverse twist (the back column); both are
 rebuilt here from the runs.  Every entry of those columns is compared with
 the box index (`index_of`) of the product (psi(g) x) phi(g)^-1 of the
 model classes, the runs' edge cases are pinned, the runs are checked to
-cover the columns disjointly, and the byte-mask erosion is compared with a
-set erosion and checked to stop at its fixpoint.  Whole reports are
+cover the columns disjointly, the run-at-a-time union-find (whole-row
+translations in closed form, other runs one period each) is compared with
+one taken edge by edge, and the byte-mask erosion is compared with a set
+erosion and checked to stop at its fixpoint.  Whole reports are
 compared with a copy of the enumerator that works on model elements
 directly and with `golden/enumeration_reports.json`.
 """
@@ -19,11 +21,11 @@ from dataclasses import dataclass, replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bstwist.errors import BoxTooSmall, GroupMismatch
+from bstwist.errors import BoxTooSmall, GroupMismatch, RelationViolated
 from bstwist.homs import EndoSpec, endo_apply, endo_validate, identity_endo
-from bstwist import reidemeister
+from bstwist import homs, reidemeister
 from bstwist.models import (
-    AFFINE, KLEIN, AffineElement, KleinElement, PermutedProduct,
+    AFFINE, KLEIN, AffineElement, KleinElement, PermutedProduct, _Columns,
     _free_reduce, _lowest, _permuted_heads, _permuted_rows, _shift, model_embed,
     model_family,
 )
@@ -578,6 +580,133 @@ def test_a_run_that_fixes_every_element_merges_nothing():
     assert parent == [1, 2, 3, 3]  # a chain: a find from 0 would halve it
     uf.union_runs([(slice(0, 4), slice(0, 4)), (slice(3, None, -1), slice(3, None, -1))])
     assert (uf.parent, uf.merges) == (parent, merges)
+
+
+def _partition(uf, size):
+    """Each index mapped to the least index of its class."""
+    classes = {}
+    for x in range(size):
+        classes.setdefault(uf.find(x), x)
+    return [classes[uf.find(x)] for x in range(size)]
+
+
+def _merged_by_edges(runs, size):
+    """(partition, merges) of the reference union-find, one edge at a time."""
+    uf, cells = _RefUnionFind(range(size)), range(size)
+    for src, dst in runs:
+        for x, y in zip(cells[src], cells[dst]):
+            uf.union(x, y)
+    return _partition(uf, size), uf.merges
+
+
+def _merged_by_runs(runs, size, width):
+    uf = IndexUnionFind(size)
+    uf.union_runs(runs, width)
+    return _partition(uf, size), uf.merges
+
+
+def _translation(lo, width, c, trim=(0, 0)):
+    """Row lo // width shifted by c, less `trim` edges at either end."""
+    start, stop = lo + max(0, -c) + trim[0], lo + width - max(0, c) - trim[1]
+    return slice(start, stop), slice(start + c, stop + c)
+
+
+@st.composite
+def box_runs(draw):
+    """(runs, rows * width, width): a rows x width box and a mix of runs."""
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(2, 9))
+    size, runs = rows * width, []
+    steps = st.sampled_from((1, -1, 2))
+    for kind in draw(st.lists(st.sampled_from(
+            ("whole", "partial", "reflect", "cross", "span")), max_size=8)):
+        lo = draw(st.integers(0, rows - 1)) * width
+        c = draw(st.integers(1, width - 1)) * draw(st.sampled_from((1, -1)))
+        if kind == "whole":
+            runs.append(_translation(lo, width, c))
+        elif kind == "partial" and width - abs(c) > 1:  # at least one edge left
+            cut = draw(st.integers(1, width - abs(c) - 1))
+            head = draw(st.integers(0, cut))
+            runs.append(_translation(lo, width, c, (head, cut - head)))
+        elif kind == "reflect":  # positions a..b-1 of the row, reversed
+            a = draw(st.integers(0, width - 1))
+            b = draw(st.integers(a + 1, width))
+            runs.append((slice(lo + a, lo + b),
+                         slice(lo + b - 1, lo + a - 1 if lo + a else None, -1)))
+        elif kind == "cross":
+            grid = _Columns(rows, width)
+            grid.run(((lo // width, draw(st.integers(0, rows - 1))),),
+                     draw(st.integers(0, width - 1)), draw(steps),
+                     draw(st.integers(0, width - 1)), draw(steps))
+            runs += grid.runs
+        elif kind == "span" and rows > 1:  # across the end of row lo // width
+            end = min(lo + width, size - width)
+            start = draw(st.integers(end - width + 1, end - 1))
+            stop = draw(st.integers(end + 1, end + width - 1))
+            shift = draw(st.integers(-start, size - stop))
+            runs.append((slice(start, stop), slice(start + shift, stop + shift)))
+    return runs, size, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(box=box_runs())
+@example(box=([(slice(0, 3), slice(2, 5)), (slice(0, 4), slice(4, 0, -1)),
+               (slice(5, 7), slice(8, 10)), (slice(3, 8), slice(5, 10))], 10, 5))
+@example(box=([(slice(0, 3), slice(1, 3))], 4, 4))  # sides of unequal length
+@example(box=([(slice(1, 4), slice(3, 6)), (slice(5, 9), slice(6, 10)),  # off a row start
+               (slice(0, 5), slice(5, 10))], 10, 5))
+def test_runs_merge_as_their_edges(box):
+    # closed-form rows, one-period runs and every other run give the
+    # partition and the merge count of the edges taken one at a time
+    runs, size, width = box
+    assert _merged_by_runs(runs, size, width) == _merged_by_edges(runs, size)
+
+
+def test_a_whole_row_translation_leaves_its_residue_classes():
+    width, lo = 7, 7  # row 1 of a 3 x 7 box
+    for c in (1, 3, -3, 6, -6):
+        uf = IndexUnionFind(3 * width)
+        uf.union_runs([_translation(lo, width, c)], width)
+        assert uf.merges == width - abs(c)
+        assert _partition(uf, 3 * width) == \
+            list(range(lo)) + [lo + x % abs(c) for x in range(width)] + \
+            list(range(lo + width, 3 * width))
+    # a second translation of the row takes the period path: shifts by 3
+    # and then 2 join the whole row, as the edges do
+    runs = [_translation(lo, width, 3), _translation(lo, width, -2)]
+    got = _merged_by_runs(runs, 3 * width, width)
+    assert got == _merged_by_edges(runs, 3 * width)
+    assert got[1] == width - 1
+    # so does one in a later call: the row is no longer fresh
+    uf = IndexUnionFind(3 * width)
+    for run in runs:
+        uf.union_runs([run], width)
+    assert (_partition(uf, 3 * width), uf.merges) == got
+
+
+def test_only_given_specs_are_validated(monkeypatch):
+    # an omitted psi is the identity, used unvalidated; phi and a given psi
+    # apply the relator once each across both box users
+    calls, real = [], homs._induced
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(homs, "_induced", counting)
+    klein, bounds = GroupSpec(1, -1), {"u": 8, "v": 4}
+    cert = Certificate(INV_A_SUM, "Z", {}, "a", "a^2", ("a", "a^3"), ("1", "3"))
+    for psi_given in (False, True):
+        calls.clear()
+        phi = EndoSpec(klein, word([(A, 3)]), word([(B, 2)]))
+        psi = EndoSpec(klein, word([(A, -1)]), word([(B, 1)])) if psi_given else None
+        enumerate_classes_ball(klein, phi, psi, bounds=bounds, inner_margin=0)
+        witnesses_stay_separated(cert, phi, psi, bounds=bounds)
+        assert calls == [phi] + [psi] * psi_given
+    bad = EndoSpec(klein, word([(A, 2)]), word([(B, 1)]))
+    for call in (lambda: enumerate_classes_ball(klein, bad, bounds=bounds),
+                 lambda: witnesses_stay_separated(cert, bad, bounds=bounds)):
+        with pytest.raises(RelationViolated):
+            call()
 
 
 def test_stabilized_is_never_true_for_a_certified_infinite_map():
