@@ -7,6 +7,10 @@ domain error (machine-readable code on stderr) or a failed selftest check,
 2 usage or word-syntax error.  Every command that acts on a group takes it
 explicitly; there is no default, so family-specific commands cannot be
 misused silently.
+
+Only `words` and `errors` are imported up front; every other handler
+imports the layer it calls, so a word-problem command starts without
+compiling the model, endomorphism, certificate and SNF layers.
 """
 
 from __future__ import annotations
@@ -15,23 +19,17 @@ import argparse
 import json
 import shlex
 import sys
+from typing import TYPE_CHECKING
 
-from . import __version__, selftest as selftest_mod
+from . import __version__
 from .errors import BSTwistError, GroupMismatch, WordSyntaxError
-from .homs import (
-    EndoSpec, endo_validate, kappa, kernel_decompose, koch_form_search,
-    parse_endo_file,
-)
-from .intmat import IntMatrix, coker_order, snf
-from .models import model_equal_oracle
-from .reidemeister import (
-    certify_infinite, coincidence_certify, enumerate_classes_ball,
-    power_constraint,
-)
 from .words import (
     GroupSpec, are_equal, format_word, multiply, normal_form, parse_word,
     standardize,
 )
+
+if TYPE_CHECKING:
+    from .homs import EndoSpec
 
 
 def _group(text: str) -> GroupSpec:
@@ -58,6 +56,7 @@ def _int_range(text: str) -> tuple[int, int]:
 def _load_spec(path: str, group: GroupSpec | None) -> EndoSpec:
     """Read a spec file and refuse it when it is not on `group`, the
     command's --group (None for koch-search, which has no --group)."""
+    from .homs import parse_endo_file
     with open(path, encoding="utf-8") as handle:
         spec = parse_endo_file(handle.read())
     if group is not None and spec.group != group:
@@ -100,6 +99,7 @@ def _mult(args):
 
 
 def _model_check(args):
+    from .models import model_equal_oracle
     u = parse_word(args.word1, args.group)
     v = parse_word(args.word2, args.group)
     britton = are_equal(u, v, args.group)
@@ -109,6 +109,7 @@ def _model_check(args):
 
 
 def _hom_validate(args):
+    from .homs import endo_validate
     spec = _load_spec(args.spec, args.group)
     data = endo_validate(spec)
     payload = data.as_dict()
@@ -124,12 +125,14 @@ def _hom_validate(args):
 
 
 def _kernel_decompose(args):
+    from .homs import kernel_decompose
     terms = list(kernel_decompose(parse_word(args.word, args.group),
                                   args.group).terms)
     return {"terms": terms}, " ".join(f"g_{i}^{e}" for i, e in terms) or "1"
 
 
 def _kappa(args):
+    from .homs import kappa
     value = kappa(parse_word(args.word, args.group), args.group)
     return {"kappa": str(value)}, str(value)
 
@@ -145,15 +148,18 @@ def _outcome(outcome):
 
 
 def _certify(args):
+    from .reidemeister import certify_infinite
     return _outcome(certify_infinite(_load_spec(args.spec, args.group)))
 
 
 def _coincidence(args):
+    from .reidemeister import coincidence_certify
     return _outcome(coincidence_certify(_load_spec(args.spec, args.group),
                                         _load_spec(args.spec2, args.group)))
 
 
 def _enumerate(args):
+    from .reidemeister import enumerate_classes_ball
     phi = _load_spec(args.spec, args.group)
     psi = _load_spec(args.spec2, args.group) if args.spec2 else None
     report = enumerate_classes_ball(args.group, phi, psi, bounds=args.bounds,
@@ -165,6 +171,7 @@ def _enumerate(args):
 
 
 def _snf(args):
+    from .intmat import IntMatrix, coker_order, snf
     rows = [[int(x) for x in row.split()] for row in args.matrix.split(";")]
     if not any(rows):
         raise ValueError(f"matrix has no entries: {args.matrix!r}")
@@ -180,6 +187,7 @@ def _snf(args):
 
 
 def _power_constraint(args):
+    from .reidemeister import power_constraint
     lo, hi = args.range
     if lo > hi:
         raise ValueError(f"range must have lo <= hi, got {lo},{hi}")
@@ -196,6 +204,7 @@ def _standardize(args):
 
 
 def _koch_search(args):
+    from .homs import koch_form_search
     witness = koch_form_search(_load_spec(args.spec, None), args.radius)
     if witness is None:
         return {"found": False}, f"no witness at radius {args.radius}"
@@ -205,7 +214,8 @@ def _koch_search(args):
 
 
 def _selftest(args):
-    results = selftest_mod.run_all()
+    from .selftest import run_all
+    results = run_all()
     width = max(len(name) for name, _, _ in results)
     payload = {"checks": [{"name": name, "passed": passed, "detail": detail}
                           for name, passed, detail in results],

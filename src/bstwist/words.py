@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import WordSyntaxError
@@ -61,7 +62,8 @@ class Syllable(NamedTuple):
 class Word:
     """Freely reduced sequence of syllables; the empty word is the identity.
     The one check of every syllable: base A or B, exponent nonzero, and
-    bases alternating."""
+    bases alternating.  The word operations below build their results with
+    `_word`, which skips the check that their stacks pass by construction."""
 
     syllables: tuple[Syllable, ...] = ()
 
@@ -110,17 +112,31 @@ def _push(stack: list[list], base: str, exp: int) -> None:
         stack.append([base, exp])
 
 
+_new_object = object.__new__
+_set_field = object.__setattr__
+_new_tuple = tuple.__new__
+
+
 def _word(pairs: Iterable) -> Word:
-    """The Word of freely reduced (base, exp) pairs, such as a `_push` stack."""
-    return Word(tuple(Syllable(b, e) for b, e in pairs))
+    """The Word of freely reduced, alternating (base, exp) pairs, such as a
+    `_push` stack.
+
+    Such pairs pass `Word`'s check by construction, so the Word is built
+    without running it, and each pair becomes a Syllable at C level
+    (`tuple.__new__`) instead of through the NamedTuple constructor.
+    """
+    w = _new_object(Word)
+    _set_field(w, "syllables", tuple(map(_new_tuple, repeat(Syllable), pairs)))
+    return w
 
 
 def word(pairs: Iterable[tuple[str, int]]) -> Word:
-    """Build a Word from (base, exp) pairs, applying free reduction."""
+    """Build a Word from (base, exp) pairs, applying free reduction.  The
+    bases come from the caller, so the result goes through `Word`'s check."""
     stack: list[list] = []
     for base, exp in pairs:
         _push(stack, base, exp)
-    return _word(stack)
+    return Word(_word(stack).syllables)
 
 
 _TOKEN = re.compile(r"\s*([abAB])(?:\^(-?\d+))?")
@@ -136,7 +152,7 @@ def parse_word(text: str, group: GroupSpec | None = None) -> Word:
     """
     if text.strip() == "1":
         return Word()
-    pairs = []
+    stack: list[list] = []
     pos = 0
     while pos < len(text):
         match = _TOKEN.match(text, pos)
@@ -149,9 +165,9 @@ def parse_word(text: str, group: GroupSpec | None = None) -> Word:
         exp = 1 if exp_text is None else int(exp_text)
         if letter.isupper():
             exp = -exp
-        pairs.append((letter.lower(), exp))
+        _push(stack, letter.lower(), exp)
         pos = match.end()
-    return word(pairs)
+    return _word(stack)
 
 
 def format_word(w: Word) -> str:

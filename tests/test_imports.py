@@ -1,0 +1,134 @@
+"""What a fresh interpreter imports: the package's lazy exports, the layers
+each command loads, and the digit limit `main` lifts before any handler.
+
+Each check that depends on import state runs in its own interpreter, since
+the test process has already imported every submodule."""
+
+import importlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import bstwist
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+SUBMODULES = ("abelian", "cli", "errors", "homs", "intmat", "models",
+              "reidemeister", "selftest", "words")
+# Every name the package exported when it imported all layers eagerly.
+EXPORTED = {
+    "AbelianGroup", "AbelianMap",
+    "BoxTooSmall", "BSTwistError", "GroupMismatch", "NotInKernel",
+    "RelationViolated", "ShapeMismatch", "UnsupportedGroup", "WordSyntaxError",
+    "WrongFamily",
+    "EndoSpec", "InducedData", "KernelDecomposition", "endo_apply",
+    "endo_compose", "endo_validate", "identity_endo", "induced_on_ab", "kappa",
+    "kappa_scale", "kernel_decompose", "koch_form_search", "parse_endo_file",
+    "IntMatrix", "SNFResult", "coker_order", "snf",
+    "AffineElement", "KleinElement", "PermutedProduct", "model_embed",
+    "model_equal_oracle",
+    "BallReport", "Certificate", "ReidemeisterOutcome", "certify_infinite",
+    "check_certificate", "coincidence_certify", "enumerate_classes_ball",
+    "power_constraint",
+    "GroupSpec", "NormalForm", "Syllable", "Word", "are_equal",
+    "britton_reduce", "exp_sum", "format_word", "invert", "multiply",
+    "normal_form", "parse_word", "standardize",
+}
+# A word-problem command needs only these.
+WORD_LAYERS = ["bstwist", "bstwist.cli", "bstwist.errors", "bstwist.words"]
+
+
+def fresh_python(code, *args):
+    """Run `code` in a new interpreter that sees only src/ and has the
+    default int/str digit limit."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+LOADED_AFTER = """
+import contextlib, io, json, sys
+from bstwist.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(sys.argv[1:])
+print(json.dumps([code, out.getvalue(),
+                  sorted(m for m in sys.modules if m.split(".")[0] == "bstwist")]))
+"""
+
+
+@pytest.mark.parametrize("argv,answer", [
+    (["normalize", "--group", "2,3", "b^5 a"], "b a b^6"),
+    (["equal", "--group", "1,2", "a^-1 b a", "b^2"], "equal"),
+    (["mult", "--group", "2,3", "b^2", "b^3 a"], "b a b^6"),
+    (["standardize", "--group", "3,-2"], "B(2,-3)  a -> a^-1, b -> b"),
+])
+def test_word_commands_load_only_the_word_layer(argv, answer):
+    proc = fresh_python(LOADED_AFTER, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, out, loaded = json.loads(proc.stdout)
+    assert (code, out.strip()) == (0, answer)
+    assert loaded == WORD_LAYERS
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_each_submodule_imports_alone(name):
+    proc = fresh_python(f"import bstwist.{name}")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_bstwist_loads_no_layer():
+    proc = fresh_python("import sys, bstwist; print(sorted("
+                        "m for m in sys.modules if m.startswith('bstwist')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['bstwist']"
+
+
+def test_every_export_is_its_submodules_own_object():
+    assert EXPORTED <= set(bstwist.__all__)
+    assert set(bstwist.__all__) <= set(dir(bstwist))
+    for name in bstwist.__all__:
+        value = getattr(bstwist, name)
+        home = value.__module__
+        assert home.startswith("bstwist."), name
+        assert getattr(importlib.import_module(home), name) is value, name
+    namespace = {}
+    exec("from bstwist import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(bstwist.__all__)
+
+
+def test_former_eager_submodules_are_attributes():
+    # after a bare `import bstwist`, as when __init__ imported them
+    proc = fresh_python(
+        "import sys, bstwist\n"
+        "for name in ('abelian', 'errors', 'homs', 'intmat', 'models',\n"
+        "             'reidemeister', 'words'):\n"
+        "    assert getattr(bstwist, name) is sys.modules['bstwist.' + name]")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        bstwist.nope
+    assert not hasattr(bstwist, "nope")
+    with pytest.raises(ImportError):
+        exec("from bstwist import nope", {})
+
+
+def test_large_output_lifts_the_digit_limit_first():
+    # B(1,2): a^-k b a^k = b^(2^k), whose exponent has 4,516 digits here,
+    # past the default limit of 4,300 for int -> str conversion
+    proc = fresh_python("import sys; from bstwist.cli import main; "
+                        "sys.exit(main(sys.argv[1:]))",
+                        "normalize", "--group", "1,2", "a^-15000 b a^15000")
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout) == 4519
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert proc.stdout == f"b^{2 ** 15000}\n"
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -558,3 +558,32 @@ class TestConjugateForm:
         assert powers[0] == powers[3] == _conjugate(u, word([(B, k)]))
         assert powers[1] == _conjugate(u, word([(B, -k)]))
         assert powers[2] == word([(A, -3 * k)])
+
+
+class TestResultsPassTheWordCheck:
+    """The word operations build their results without running `Word`'s
+    check; every result must still pass it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(group_and_word(), group_and_word(), unreduced_pairs(), images(),
+           images(), st.integers(-8, 8))
+    def test_every_result_is_a_checked_word(self, case, other, pairs, image_a,
+                                            image_b, k):
+        group, w = case
+        text = " ".join(f"{base}^{exp}" for base, exp in pairs)
+        results = [parse_word(text), parse_word(format_word(w)),
+                   multiply(w, other[1]), invert(w), power(w, k),
+                   britton_reduce(w, group), normal_form(w, group).word,
+                   substitute(w, image_a, image_b)]
+        for result in results:
+            assert result == Word(result.syllables)
+            assert all(type(s) is Syllable for s in result)
+
+    def test_words_from_outside_are_checked(self):
+        for pairs in ([("c", 1)], [(A, 1), ("x", 2)]):
+            with pytest.raises(ValueError, match="bad syllable base"):
+                word(pairs)
+        with pytest.raises(ValueError, match="not freely reduced"):
+            Word((Syllable(A, 1), Syllable(A, 2)))
+        with pytest.raises(ValueError, match="nonzero"):
+            Word((Syllable(B, 0),))
