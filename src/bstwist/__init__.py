@@ -27,11 +27,11 @@ _EXPORTS = {
                "model_embed", "model_equal_oracle"),
     "reidemeister": ("BallReport", "Certificate", "ReidemeisterOutcome",
                      "certify_infinite", "check_certificate",
-                     "coincidence_certify", "enumerate_classes_ball",
-                     "power_constraint"),
+                     "coincidence_certify", "enumerate_classes_ball"),
     "words": ("GroupSpec", "NormalForm", "Syllable", "Word", "are_equal",
               "britton_reduce", "exp_sum", "format_word", "invert",
-              "multiply", "normal_form", "parse_word", "standardize"),
+              "multiply", "normal_form", "parse_word", "power_constraint",
+              "standardize"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -10,14 +10,13 @@ misused silently.
 
 Only `words` and `errors` are imported up front; every other handler
 imports the layer it calls, so a word-problem command starts without
-compiling the model, endomorphism, certificate and SNF layers.
+compiling the model, endomorphism, certificate and SNF layers.  `json` and
+`shlex` are imported only to print `--format json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import shlex
 import sys
 from typing import TYPE_CHECKING
 
@@ -25,7 +24,7 @@ from . import __version__
 from .errors import BSTwistError, GroupMismatch, WordSyntaxError
 from .words import (
     GroupSpec, are_equal, format_word, multiply, normal_form, parse_word,
-    standardize,
+    power_constraint, standardize,
 )
 
 if TYPE_CHECKING:
@@ -67,7 +66,9 @@ def _load_spec(path: str, group: GroupSpec | None) -> EndoSpec:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
-        payload["config"] = args.config
+        import json
+        import shlex
+        payload["config"] = shlex.join(args.argv)
         payload["version"] = __version__
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -187,7 +188,6 @@ def _snf(args):
 
 
 def _power_constraint(args):
-    from .reidemeister import power_constraint
     lo, hi = args.range
     if lo > hi:
         raise ValueError(f"range must have lo <= hi, got {lo},{hi}")
@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(argv)
-    args.config = shlex.join(argv)
+    args.argv = argv
     try:
         payload, text = args.handler(args)
     except WordSyntaxError as exc:

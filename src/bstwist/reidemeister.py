@@ -28,6 +28,9 @@ from .words import (
     A, B, GroupSpec, Word, are_equal, exp_sum, format_word, multiply,
     parse_word, relator, word,
 )
+# A closed form in (m, n), defined with the word layer so that
+# `bs-twist power-constraint` loads no other; kept importable from here.
+from .words import power_constraint  # noqa: F401
 
 INV_A_SUM = "a-exponent-sum"
 INV_B_SUM = "b-exponent-sum"
@@ -255,26 +258,6 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
     if [str(v) for v in values] != list(cert.values):
         return False
     return len(set(values)) == len(values)
-
-
-# ---------------------------------------------------------------------------
-# Power constraint arithmetic
-
-
-def power_constraint(m: int, n: int, k_range: tuple[int, int]) -> set[int]:
-    """{k in [lo, hi] : n^(k-1) = m^(k-1)}.
-
-    (n/m)^(k-1) = 1 holds for every k when m = n, for the odd k when
-    m = -n, and otherwise only for k = 1.
-    """
-    if m == 0 or n == 0:
-        raise ValueError("power_constraint requires mn != 0")
-    lo, hi = k_range
-    if m == n:
-        return set(range(lo, hi + 1))
-    if m == -n:
-        return set(range(lo + (lo % 2 == 0), hi + 1, 2))
-    return {1} if lo <= 1 <= hi else set()
 
 
 # ---------------------------------------------------------------------------

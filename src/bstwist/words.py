@@ -23,12 +23,19 @@ Powers and substitutions are built in conjugate form.  A word is split
 once as w = u·c·u⁻¹ with c cyclically reduced (c·c cancels nothing), so
 w^k = u·c^k·u⁻¹: u, then |k| copies of c (or of c⁻¹), then u⁻¹ go straight
 into one stack, and a core of one syllable goes in once as its k-th power.
+
+`GroupSpec`, `Word` and `NormalForm` are plain `__slots__` value classes,
+not dataclasses, because every `bs-twist` command imports this module and
+`dataclasses` imports `inspect` (with `ast`, `dis` and `tokenize`): about a
+third of the import time of a word-problem command.  `_Value` gives them
+what a frozen dataclass would: equality by type and fields, the hash of
+the field tuple, the same repr, no assignment or deletion, and copying and
+pickling through the constructor.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
@@ -38,16 +45,59 @@ A = "a"
 B = "b"
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+_new_object = object.__new__
+_set_field = object.__setattr__
+_new_tuple = tuple.__new__
+
+
+class _Value:
+    """An immutable record of the fields named in `__slots__`, compared,
+    hashed and printed as a frozen dataclass of those fields would be.
+    Each subclass sets its fields once, in `__init__`, with `_set_field`,
+    and its `_fields` returns their values in `__slots__` order."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._fields()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the slots cannot be restored by assignment, so copy and pickle
+        # rebuild the value through the constructor
+        return self.__class__, self._fields()
+
+
+class GroupSpec(_Value):
     """The index pair (m, n) of B(m,n).  Both entries must be nonzero."""
 
+    __slots__ = ("m", "n")
     m: int
     n: int
 
-    def __post_init__(self):
-        if self.m == 0 or self.n == 0:
+    def __init__(self, m: int, n: int):
+        if m == 0 or n == 0:
             raise ValueError("B(m,n) requires m != 0 and n != 0")
+        _set_field(self, "m", m)
+        _set_field(self, "n", n)
+
+    def _fields(self) -> tuple:
+        return (self.m, self.n)
 
     def __str__(self):
         return f"B({self.m},{self.n})"
@@ -58,18 +108,18 @@ class Syllable(NamedTuple):
     exp: int
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Value):
     """Freely reduced sequence of syllables; the empty word is the identity.
     The one check of every syllable: base A or B, exponent nonzero, and
     bases alternating.  The word operations below build their results with
     `_word`, which skips the check that their stacks pass by construction."""
 
-    syllables: tuple[Syllable, ...] = ()
+    __slots__ = ("syllables",)
+    syllables: tuple[Syllable, ...]
 
-    def __post_init__(self):
+    def __init__(self, syllables: tuple[Syllable, ...] = ()):
         prev = None
-        for base, exp in self.syllables:
+        for base, exp in syllables:
             if base not in (A, B):
                 raise ValueError(f"bad syllable base {base!r}")
             if not exp:
@@ -77,6 +127,10 @@ class Word:
             if base == prev:
                 raise ValueError("word is not freely reduced")
             prev = base
+        _set_field(self, "syllables", syllables)
+
+    def _fields(self) -> tuple:
+        return (self.syllables,)
 
     def __iter__(self) -> Iterator[Syllable]:
         return iter(self.syllables)
@@ -110,11 +164,6 @@ def _push(stack: list[list], base: str, exp: int) -> None:
             stack.pop()
     else:
         stack.append([base, exp])
-
-
-_new_object = object.__new__
-_set_field = object.__setattr__
-_new_tuple = tuple.__new__
 
 
 def _word(pairs: Iterable) -> Word:
@@ -302,12 +351,19 @@ def britton_reduce(w: Word, group: GroupSpec) -> Word:
     return _word(stack)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(_Value):
     """Britton-reduced, coset-normalized canonical representative."""
 
+    __slots__ = ("word", "group")
     word: Word
     group: GroupSpec
+
+    def __init__(self, word: Word, group: GroupSpec):
+        _set_field(self, "word", word)
+        _set_field(self, "group", group)
+
+    def _fields(self) -> tuple:
+        return (self.word, self.group)
 
     def __str__(self):
         return format_word(self.word)
@@ -419,3 +475,19 @@ def standardize(group: GroupSpec) -> tuple[GroupSpec, tuple[Word, Word]]:
         if 0 < mm <= abs(nn):
             return GroupSpec(mm, nn), images
     raise AssertionError("unreachable: some variant always standardizes")
+
+
+def power_constraint(m: int, n: int, k_range: tuple[int, int]) -> set[int]:
+    """{k in [lo, hi] : n^(k-1) = m^(k-1)}.
+
+    (n/m)^(k-1) = 1 holds for every k when m = n, for the odd k when
+    m = -n, and otherwise only for k = 1.
+    """
+    if m == 0 or n == 0:
+        raise ValueError("power_constraint requires mn != 0")
+    lo, hi = k_range
+    if m == n:
+        return set(range(lo, hi + 1))
+    if m == -n:
+        return set(range(lo + (lo % 2 == 0), hi + 1, 2))
+    return {1} if lo <= 1 <= hi else set()

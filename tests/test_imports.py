@@ -39,6 +39,10 @@ EXPORTED = {
 }
 # A word-problem command needs only these.
 WORD_LAYERS = ["bstwist", "bstwist.cli", "bstwist.errors", "bstwist.words"]
+# Standard modules a text-format word command must not import: `dataclasses`
+# (which imports `inspect`), and `json` and `shlex`, which only
+# `--format json` uses.
+UNUSED_STDLIB = {"dataclasses", "inspect", "json", "shlex"}
 
 
 def fresh_python(code, *args):
@@ -51,12 +55,13 @@ def fresh_python(code, *args):
 
 
 LOADED_AFTER = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from bstwist.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(sys.argv[1:])
-print(json.dumps([code, out.getvalue(),
-                  sorted(m for m in sys.modules if m.split(".")[0] == "bstwist")]))
+loaded = sorted(sys.modules)
+import json
+print(json.dumps([code, out.getvalue(), loaded]))
 """
 
 
@@ -65,13 +70,25 @@ print(json.dumps([code, out.getvalue(),
     (["equal", "--group", "1,2", "a^-1 b a", "b^2"], "equal"),
     (["mult", "--group", "2,3", "b^2", "b^3 a"], "b a b^6"),
     (["standardize", "--group", "3,-2"], "B(2,-3)  a -> a^-1, b -> b"),
+    (["power-constraint", "--group", "2,-2", "--range=-3,3"], "-3 -1 1 3"),
 ])
 def test_word_commands_load_only_the_word_layer(argv, answer):
     proc = fresh_python(LOADED_AFTER, *argv)
     assert proc.returncode == 0, proc.stderr
     code, out, loaded = json.loads(proc.stdout)
     assert (code, out.strip()) == (0, answer)
-    assert loaded == WORD_LAYERS
+    assert [m for m in loaded if m.split(".")[0] == "bstwist"] == WORD_LAYERS
+    assert UNUSED_STDLIB.isdisjoint(loaded)
+
+
+def test_json_output_imports_what_it_needs():
+    proc = fresh_python("import sys; from bstwist.cli import main; "
+                        "sys.exit(main(sys.argv[1:]))", "normalize",
+                        "--group", "2,3", "--format", "json", "b^5 a")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "normal_form": "b a b^6", "version": bstwist.__version__,
+        "config": "normalize --group 2,3 --format json 'b^5 a'"}
 
 
 @pytest.mark.parametrize("name", SUBMODULES)

@@ -1,5 +1,7 @@
 """Word arithmetic, pinch reduction, and canonical normal forms."""
 
+import copy
+import pickle
 import random
 import time
 
@@ -8,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from bstwist.errors import WordSyntaxError
 from bstwist.words import (
-    A, B, GroupSpec, Syllable, Word, _carry_pass, _conjugate_form, are_equal,
-    britton_reduce, exp_sum, format_word, invert, multiply, normal_form,
-    parse_word, power, relator, standardize, substitute, word,
+    A, B, GroupSpec, NormalForm, Syllable, Word, _carry_pass, _conjugate_form,
+    are_equal, britton_reduce, exp_sum, format_word, invert, multiply,
+    normal_form, parse_word, power, relator, standardize, substitute, word,
 )
 
 GRID = [GroupSpec(1, 2), GroupSpec(1, 3), GroupSpec(1, -2), GroupSpec(2, 3),
@@ -262,6 +264,63 @@ class TestGroupSpec:
             GroupSpec(0, 2)
         with pytest.raises(ValueError):
             GroupSpec(2, 0)
+
+
+class TestValueClasses:
+    """`GroupSpec`, `Word` and `NormalForm` behave as the frozen dataclasses
+    they replaced: the same equality, hash (so set and dict orders stay the
+    same), repr, immutability and copies."""
+
+    VALUES = [
+        (GroupSpec(2, 3), (2, 3)),
+        (Word((Syllable(A, 1),)), ((Syllable(A, 1),),)),
+        (Word(), ((),)),
+        (normal_form(parse_word("b^5 a"), GroupSpec(2, 3)),
+         (parse_word("b a b^6"), GroupSpec(2, 3))),
+    ]
+
+    @pytest.mark.parametrize("value,fields", VALUES)
+    def test_equal_and_hashed_by_field_tuple(self, value, fields):
+        again = type(value)(*fields)
+        assert again == value and not again != value
+        assert hash(value) == hash(again) == hash(fields)
+        assert value != fields
+
+    def test_equality_needs_the_same_type(self):
+        assert GroupSpec(2, 3) != (2, 3)
+        assert GroupSpec(2, 3) != GroupSpec(3, 2)
+        assert Word() != NormalForm(Word(), GroupSpec(1, 1))
+        assert parse_word("a") != parse_word("a^-1")
+
+    def test_repr_is_pinned(self):
+        assert repr(GroupSpec(2, 3)) == "GroupSpec(m=2, n=3)"
+        assert repr(parse_word("a")) == \
+            "Word(syllables=(Syllable(base='a', exp=1),))"
+        assert repr(normal_form(parse_word("b"), GroupSpec(1, 2))) == (
+            "NormalForm(word=Word(syllables=(Syllable(base='b', exp=1),)), "
+            "group=GroupSpec(m=1, n=2))")
+
+    @pytest.mark.parametrize("value,fields", VALUES)
+    def test_assignment_and_deletion_raise(self, value, fields):
+        for name in ("m", "n", "syllables", "word", "group", "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert value == type(value)(*fields)
+
+    @pytest.mark.parametrize("value,fields", VALUES)
+    def test_copies_and_pickles_are_equal(self, value, fields):
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+
+    def test_constructors_still_check(self):
+        with pytest.raises(ValueError):
+            GroupSpec(0, 1)
+        with pytest.raises(ValueError):
+            Word(((A, 0),))
 
 
 # ---------------------------------------------------------------------------
