@@ -52,13 +52,13 @@ def _int_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _load_spec(path: str, group: GroupSpec | None) -> EndoSpec:
+def _load_spec(path: str, group: GroupSpec) -> EndoSpec:
     """Read a spec file and refuse it when it is not on `group`, the
-    command's --group (None for koch-search, which has no --group)."""
+    command's --group."""
     from .homs import parse_endo_file
     with open(path, encoding="utf-8") as handle:
         spec = parse_endo_file(handle.read())
-    if group is not None and spec.group != group:
+    if spec.group != group:
         raise GroupMismatch(
             f"spec file {path} is on {spec.group}, --group is {group}")
     return spec
@@ -127,8 +127,7 @@ def _hom_validate(args):
 
 def _kernel_decompose(args):
     from .homs import kernel_decompose
-    terms = list(kernel_decompose(parse_word(args.word, args.group),
-                                  args.group).terms)
+    terms = kernel_decompose(parse_word(args.word, args.group), args.group)
     return {"terms": terms}, " ".join(f"g_{i}^{e}" for i, e in terms) or "1"
 
 
@@ -201,16 +200,6 @@ def _standardize(args):
                "image_a": format_word(image_a), "image_b": format_word(image_b)}
     return payload, (f"{target}  a -> {payload['image_a']}, "
                      f"b -> {payload['image_b']}")
-
-
-def _koch_search(args):
-    from .homs import koch_form_search
-    witness = koch_form_search(_load_spec(args.spec, None), args.radius)
-    if witness is None:
-        return {"found": False}, f"no witness at radius {args.radius}"
-    gamma, r = witness
-    return ({"found": True, "gamma": format_word(gamma), "r": r},
-            f"phi(b) = ({format_word(gamma)}) b^{r} (...)^-1")
 
 
 def _selftest(args):
@@ -288,11 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     command("standardize", _standardize,
             "isomorphic indices with 0 < m <= |n|")
-
-    p = command("koch-search", _koch_search,
-                "bounded search for phi(b) = g b^r g^-1", group=False,
-                spec=True)
-    p.add_argument("--radius", type=int, default=4, help="at least 1")
 
     command("selftest", _selftest, "run the acceptance suite", group=False)
     return parser

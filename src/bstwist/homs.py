@@ -145,15 +145,12 @@ def _induced(spec: EndoSpec) -> InducedData:
     )
 
 
-@dataclass(frozen=True)
-class KernelDecomposition:
-    """Ordered product of powers of the kernel generators g_i = a^-i b a^i."""
+def kernel_decompose(w: Word, group: GroupSpec) -> tuple[tuple[int, int], ...]:
+    """w as an ordered product of powers g_i^e of the kernel generators
+    g_i = a^-i b a^i, given as its (i, e) terms.
 
-    terms: tuple[tuple[int, int], ...]  # (index i, nonzero exponent)
-
-
-def kernel_decompose(w: Word, group: GroupSpec) -> KernelDecomposition:
-    """Left-to-right scan tracking the running a-level of each b-block."""
+    A left-to-right scan tracking the running a-level of each b-block.
+    """
     if exp_sum(w, A) != 0:
         raise NotInKernel(f"|w|_a = {exp_sum(w, A)} != 0")
     terms = []
@@ -163,7 +160,7 @@ def kernel_decompose(w: Word, group: GroupSpec) -> KernelDecomposition:
             level += s.exp
         else:
             terms.append((-level, s.exp))
-    return KernelDecomposition(tuple(terms))
+    return tuple(terms)
 
 
 def kappa(w: Word, group: GroupSpec) -> Fraction:
@@ -175,15 +172,11 @@ def kappa(w: Word, group: GroupSpec) -> Fraction:
     m^hi n^-lo: one integer numerator and one reduction to lowest terms.
     """
     m, n = group.m, group.n
-    terms = kernel_decompose(w, group).terms
+    terms = kernel_decompose(w, group)
     levels = [0] + [i for i, _ in terms]
     hi, lo = max(levels), min(levels)
     numerator = sum(exp * n ** (i - lo) * m ** (hi - i) for i, exp in terms)
     return Fraction(numerator, m ** hi * n ** -lo)
-
-
-def kernel_generator(i: int) -> Word:
-    return word([(A, -i), (B, 1), (A, i)])
 
 
 def kappa_scale(spec: EndoSpec) -> Fraction | None:
@@ -202,43 +195,6 @@ def kappa_scale(spec: EndoSpec) -> Fraction | None:
     k = exp_sum(spec.image_a, A)
     if d == 0 or k == 1 or m == n or (m == -n and k % 2 == 1):
         return d
-    return None
-
-
-def _ball(group: GroupSpec, radius: int) -> list[Word]:
-    """All distinct elements within `radius` generator steps of 1, as words."""
-    gens = [word([(A, 1)]), word([(A, -1)]), word([(B, 1)]), word([(B, -1)])]
-    seen = {Word(): Word()}  # normal form -> the first word reaching it
-    frontier = [Word()]
-    for _ in range(radius):
-        next_frontier = []
-        for w in frontier:
-            for g in gens:
-                candidate = multiply(w, g)
-                key = normal_form(candidate, group).word
-                if key not in seen:
-                    seen[key] = candidate
-                    next_frontier.append(candidate)
-        frontier = next_frontier
-    return list(seen.values())
-
-
-def koch_form_search(spec: EndoSpec, radius: int) -> tuple[Word, int] | None:
-    """Bounded search for phi(b) = gamma b^r gamma^-1 with |r| <= radius.
-
-    Absence of a witness at this radius proves nothing; a witness is
-    returned as found, conjugators ordered by ball distance.  A radius
-    below 1 searches no exponent r and is a ValueError.
-    """
-    if radius < 1:
-        raise ValueError(f"radius must be at least 1, got {radius}")
-    for gamma in _ball(spec.group, radius):
-        # phi(b) = gamma b^r gamma^-1 iff gamma^-1 phi(b) gamma = b^r, whose
-        # normal form is b^r itself; b has infinite order, so one r fits
-        conjugate = multiply(multiply(invert(gamma), spec.image_b), gamma)
-        core = normal_form(conjugate, spec.group).word.syllables
-        if len(core) == 1 and core[0].base == B and abs(core[0].exp) <= radius:
-            return gamma, core[0].exp
     return None
 
 

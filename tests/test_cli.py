@@ -187,16 +187,25 @@ class TestCertifyCommands:
             main(argv + [option])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("command", [
-        "certify", "coincidence", "hom-validate", "hom-induced"])
-    def test_spec_from_another_group_is_refused(self, capsys, tmp_path, command):
-        path = tmp_path / "b12.endo"
-        path.write_text("group 1 2\na -> a\nb -> b^2\n")
-        extra = ("--spec2", str(path)) if command == "coincidence" else ()
-        code, out, err = run(capsys, command, "--group", "2,3",
-                             "--spec", str(path), *extra)
-        assert code == 1 and out == ""
-        assert err.startswith("error [group-mismatch]")
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--spec", "b12.endo"],
+        ["coincidence", "--spec", "b12.endo", "--spec2", "b12.endo"],
+        ["hom-validate", "--spec", "b12.endo"],
+        ["hom-induced", "--spec", "b12.endo"],
+        # only --spec2 is off the group; the message names it, where the
+        # library's own pair check would name both groups instead
+        ["coincidence", "--spec", "b23.endo", "--spec2", "b12.endo"],
+    ], ids=["certify", "coincidence", "hom-validate", "hom-induced",
+            "coincidence-spec2"])
+    def test_spec_from_another_group_is_refused(self, capsys, monkeypatch,
+                                                tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "b12.endo").write_text("group 1 2\na -> a\nb -> b^2\n")
+        (tmp_path / "b23.endo").write_text("group 2 3\na -> a\nb -> b^2\n")
+        code, out, err = run(capsys, argv[0], "--group", "2,3", *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == ("error [group-mismatch]: spec file b12.endo is on "
+                       "B(1,2), --group is B(2,3)\n")
 
     def test_b11_refused(self, capsys, tmp_path):
         path = tmp_path / "id.endo"
@@ -269,19 +278,6 @@ class TestEnumerate:
                              "--spec", str(path), "--bounds", "u=0,v=0",
                              "--margin", "0")
         assert code == 1 and "invalid-input" in err and out == ""
-
-
-class TestKochSearch:
-    def test_found(self, capsys, spec_file):
-        code, out, _ = run(capsys, "koch-search", "--spec", spec_file)
-        assert code == 0 and out.startswith("phi(b) = ")
-
-    def test_negative_radius_is_refused(self, capsys, spec_file):
-        # radius 0 searches no exponent r, so it could never find a witness
-        for radius in ("-1", "0"):
-            code, out, err = run(capsys, "koch-search", "--spec", spec_file,
-                                 "--radius", radius)
-            assert code == 1 and "invalid-input" in err and out == ""
 
 
 class TestMatrixCommands:
@@ -430,19 +426,33 @@ PIN_CASES = {
     "power-constraint-reversed": ["power-constraint", "--group", "2,3",
                                   "--range=5,1"],
     "standardize": ["standardize", "--group=-3,2"],
-    "koch-search": ["koch-search", "--spec", "phi.endo"],
-    "koch-search-none": ["koch-search", "--spec", "phi.endo", "--radius", "1"],
-    "koch-search-zero": ["koch-search", "--spec", "phi.endo", "--radius", "0"],
     "selftest": ["selftest"],
 }
 
 PIN_GOLDEN = GOLDEN / "cli_outputs.json"
 
 
-def test_every_command_is_pinned():
+def _subcommands():
     (sub,) = [action for action in _build_parser()._actions
               if isinstance(action, argparse._SubParsersAction)]
-    assert set(sub.choices) == {argv[0] for argv in PIN_CASES.values()}
+    return sub.choices
+
+
+def test_every_command_is_pinned():
+    assert set(_subcommands()) == {argv[0] for argv in PIN_CASES.values()}
+
+
+def test_every_spec_command_requires_a_group():
+    # a spec file names its own group; the command's --group is what it is
+    # checked against, so no command may read a spec without one
+    spec_commands = set()
+    for name, parser in _subcommands().items():
+        options = {option: action for action in parser._actions
+                   for option in action.option_strings}
+        if "--spec" in options:
+            spec_commands.add(name)
+            assert "--group" in options and options["--group"].required, name
+    assert {"certify", "coincidence", "enumerate"} <= spec_commands
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

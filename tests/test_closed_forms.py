@@ -12,14 +12,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bstwist.errors import NotInKernel, RelationViolated
-from bstwist.homs import (
-    EndoSpec, endo_apply, endo_validate, kappa, kappa_scale, kernel_generator,
-)
+from bstwist.homs import EndoSpec, endo_apply, endo_validate, kappa, kappa_scale
 from bstwist.reidemeister import (
     INV_KAPPA, Certificate, certify_infinite, check_certificate,
     coincidence_certify, power_constraint,
 )
 from bstwist.words import A, B, GroupSpec, exp_sum, invert, multiply, parse_word, word
+
+from test_homs import kernel_generator
 
 # negative m or n, m = n, m = -n, B(1,n) and the Klein bottle group B(1,-1)
 GROUPS = tuple(GroupSpec(m, n) for m, n in (

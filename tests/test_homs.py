@@ -11,7 +11,7 @@ from bstwist.errors import NotInKernel, RelationViolated
 from bstwist.homs import (
     EndoSpec, InducedData, endo_apply, endo_compose, endo_validate,
     identity_endo, induced_on_ab, inner_by, kappa, kappa_scale,
-    kernel_decompose, kernel_generator, koch_form_search, parse_endo_file,
+    kernel_decompose, parse_endo_file,
 )
 from bstwist.reidemeister import certify_infinite, check_certificate
 from bstwist.words import (
@@ -20,6 +20,11 @@ from bstwist.words import (
 )
 
 from test_words import DIFF_GRID, random_word
+
+
+def kernel_generator(i):
+    """Test-local oracle: the kernel generator g_i = a^-i b a^i."""
+    return word([(A, -i), (B, 1), (A, i)])
 
 
 class TestValidate:
@@ -167,13 +172,11 @@ class TestInduced:
 class TestKernelDecompose:
     def test_single_conjugate(self):
         g = GroupSpec(2, 3)
-        d = kernel_decompose(parse_word("a^-1 b a"), g)
-        assert d.terms == ((1, 1),)
+        assert kernel_decompose(parse_word("a^-1 b a"), g) == ((1, 1),)
 
     def test_two_levels(self):
         g = GroupSpec(2, 3)
-        d = kernel_decompose(parse_word("b a b a^-1"), g)
-        assert d.terms == ((0, 1), (-1, 1))
+        assert kernel_decompose(parse_word("b a b a^-1"), g) == ((0, 1), (-1, 1))
 
     def test_rejects_non_kernel(self):
         g = GroupSpec(2, 3)
@@ -188,7 +191,7 @@ class TestKernelDecompose:
             total = sum(s.exp for s in w if s.base == "a")
             w = multiply(w, word([("a", -total)])) if total else w
             rebuilt = Word()
-            for i, exp in kernel_decompose(w, g).terms:  # g_i^exp
+            for i, exp in kernel_decompose(w, g):  # g_i^exp
                 rebuilt = multiply(rebuilt, word([("a", -i), ("b", exp), ("a", i)]))
             assert are_equal(rebuilt, w, g)
 
@@ -245,8 +248,8 @@ class TestKappa:
 def _ref_kappa(w, group):
     """Reference: kappa as a sum of Fraction powers e (n/m)^i."""
     ratio = Fraction(group.n, group.m)
-    decomposition = kernel_decompose(w, group)
-    return sum((exp * ratio ** i for i, exp in decomposition.terms), Fraction(0))
+    return sum((exp * ratio ** i for i, exp in kernel_decompose(w, group)),
+               Fraction(0))
 
 
 @st.composite
@@ -304,41 +307,6 @@ class TestKappaScale:
         g = GroupSpec(2, 2)
         spec = EndoSpec(g, parse_word("a^2"), parse_word("b"))
         assert kappa_scale(spec) == 1
-
-
-class TestKochSearch:
-    def test_plain_power(self):
-        g = GroupSpec(2, 3)
-        spec = EndoSpec(g, parse_word("a"), parse_word("b^2"))
-        gamma, r = koch_form_search(spec, 3)
-        assert r == 2 and are_equal(gamma, Word(), g)
-
-    def test_conjugated_power(self):
-        g = GroupSpec(2, 3)
-        image_b = parse_word("a b^2 a^-1")
-        spec = EndoSpec(g, parse_word("a"), image_b)
-        result = koch_form_search(spec, 3)
-        assert result is not None
-        gamma, r = result
-        conj = multiply(multiply(gamma, word([("b", r)])), invert(gamma))
-        assert are_equal(conj, image_b, g)
-
-    def test_absent_witness(self):
-        g = GroupSpec(2, 3)
-        # kappa(b^2 a b^2 a^-1) = 10/3 equals r (2/3)^p for no |r| <= 2,
-        # so no conjugated b-power of small exponent exists at all
-        spec = EndoSpec(g, parse_word("a"), parse_word("b^2 a b^2 a^-1"))
-        assert koch_form_search(spec, 2) is None
-        # b^5 is its own Koch form, but |r| = 5 is beyond the radius
-        spec = EndoSpec(g, parse_word("a"), parse_word("b^5"))
-        assert koch_form_search(spec, 3) is None
-        assert koch_form_search(spec, 5) == (Word(), 5)
-
-    def test_negative_radius_is_refused(self):
-        spec = EndoSpec(GroupSpec(2, 3), parse_word("a"), parse_word("b^2"))
-        for radius in (-1, 0):
-            with pytest.raises(ValueError):
-                koch_form_search(spec, radius)
 
 
 def format_endo_file(spec):

@@ -18,15 +18,16 @@ import bstwist
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 SUBMODULES = ("abelian", "cli", "errors", "homs", "intmat", "models",
               "reidemeister", "selftest", "words")
-# Every name the package exported when it imported all layers eagerly.
+# Every name the package exports; each was exported when it imported all
+# layers eagerly.
 EXPORTED = {
     "AbelianGroup", "AbelianMap",
     "BoxTooSmall", "BSTwistError", "GroupMismatch", "NotInKernel",
     "RelationViolated", "ShapeMismatch", "UnsupportedGroup", "WordSyntaxError",
     "WrongFamily",
-    "EndoSpec", "InducedData", "KernelDecomposition", "endo_apply",
-    "endo_compose", "endo_validate", "identity_endo", "induced_on_ab", "kappa",
-    "kappa_scale", "kernel_decompose", "koch_form_search", "parse_endo_file",
+    "EndoSpec", "InducedData", "endo_apply", "endo_compose", "endo_validate",
+    "identity_endo", "induced_on_ab", "kappa", "kappa_scale",
+    "kernel_decompose", "parse_endo_file",
     "IntMatrix", "SNFResult", "coker_order", "snf",
     "AffineElement", "KleinElement", "PermutedProduct", "model_embed",
     "model_equal_oracle",
