@@ -127,7 +127,7 @@ def _hom_validate(args):
 
 def _kernel_decompose(args):
     from .homs import kernel_decompose
-    terms = kernel_decompose(parse_word(args.word, args.group), args.group)
+    terms = kernel_decompose(parse_word(args.word, args.group))
     return {"terms": terms}, " ".join(f"g_{i}^{e}" for i, e in terms) or "1"
 
 

@@ -145,11 +145,12 @@ def _induced(spec: EndoSpec) -> InducedData:
     )
 
 
-def kernel_decompose(w: Word, group: GroupSpec) -> tuple[tuple[int, int], ...]:
+def kernel_decompose(w: Word) -> tuple[tuple[int, int], ...]:
     """w as an ordered product of powers g_i^e of the kernel generators
     g_i = a^-i b a^i, given as its (i, e) terms.
 
-    A left-to-right scan tracking the running a-level of each b-block.
+    A left-to-right scan tracking the running a-level of each b-block; it
+    reads only the letters of w, so it takes no group.
     """
     if exp_sum(w, A) != 0:
         raise NotInKernel(f"|w|_a = {exp_sum(w, A)} != 0")
@@ -172,7 +173,7 @@ def kappa(w: Word, group: GroupSpec) -> Fraction:
     m^hi n^-lo: one integer numerator and one reduction to lowest terms.
     """
     m, n = group.m, group.n
-    terms = kernel_decompose(w, group)
+    terms = kernel_decompose(w)
     levels = [0] + [i for i, _ in terms]
     hi, lo = max(levels), min(levels)
     numerator = sum(exp * n ** (i - lo) * m ** (hi - i) for i, exp in terms)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable
 
@@ -278,6 +279,20 @@ class BallReport:
         return asdict(self)
 
 
+@lru_cache(maxsize=4)
+def _indices(size: int) -> list:
+    """The indices 0..size-1, shared read-only by every union-find of that
+    size: a run's slice of this list yields the stored ints, where a slice
+    of range(size) makes a new int per step."""
+    return list(range(size))
+
+
+def _slice(r: range) -> slice:
+    """The list slice of the nonempty range r; one that descends through
+    index 0 stops at None, as a stop below 0 counts from the end."""
+    return slice(r.start, r.stop if r.stop >= 0 else None, r.step)
+
+
 class IndexUnionFind:
     """Union-find over the indices 0..size-1 of a rows x width box,
     counting successful merges.
@@ -285,14 +300,12 @@ class IndexUnionFind:
     Edges arrive a run at a time: `union_runs` joins src[j] to dst[j] for
     each slice pair (src, dst), so the enumerator's inner loop is one method
     call for the whole box rather than one per edge, and most runs take a
-    closed form or one period instead of one find per edge.
+    closed form, one slice write or one period instead of one find per edge.
     """
 
     def __init__(self, size: int):
-        self.parent = list(range(size))
-        # the indices once more: a run's slice of this list yields the
-        # stored ints, where a slice of range(size) makes a new int per step
-        self.indices = self.parent[:]
+        self.indices = _indices(size)
+        self.parent = self.indices[:]
         self.merges = 0
 
     def find(self, x: int) -> int:
@@ -306,43 +319,77 @@ class IndexUnionFind:
         of the box whose rows are `width` long (default: one row); a run
         with src == dst merges nothing and is skipped.
 
-        On a fresh union-find (no merge yet), the first run of a row whose
-        sides both step 1 inside the row and together cover it translates
-        the row by c: it leaves the residue classes of the row mod |c|,
-        written with |c| slice assignments, and the row gets modulus |c|.
+        A row is untouched until a union reaches it; on a union-find that
+        merged in an earlier call, every row is touched.  Every element of
+        an untouched row is a class of its own, so:
+
+        - the first run of an untouched row whose sides both step 1 inside
+          the row and together cover it translates the row by c: it leaves
+          the residue classes of the row mod |c|, written as one slice, and
+          the row gets modulus |c|;
+        - a run whose sides lie in two different rows, one of them
+          untouched, joins each element of the untouched side to a distinct
+          class: one slice write of the other side's parents, and every
+          edge merges;
+        - a run whose dst is its src reversed has edges j and L - 1 - j as
+          the same pair, so only its first L // 2 edges count; their two
+          sides are disjoint, so in an untouched row they are one slice
+          write too.
+
         A side with step s in a row of modulus c repeats its classes every
         |c| / gcd(|c|, |s|) edges, so a run whose two sides both repeat
         merges only its first lcm(periods) edges: every later edge joins
         two classes that an earlier one joined.  Any other run merges
-        every edge.  The partition and `merges` do not depend on the order.
+        edge by edge.  The partition and `merges` do not depend on the order.
         """
         parent, indices = self.parent, self.indices  # find, inlined: the inner loop
-        width = width or len(parent)
+        width = width or len(parent) or 1
         cells = range(len(parent))
+        touched = bytearray(b"\1" if self.merges else b"\0") * -(-len(parent) // width)
         modulus, rest, merges = {}, [], 0
         for src, dst in runs:
             s, d = cells[src], cells[dst]
             lo, c = min(s.start, d.start), abs(d.start - s.start)
             row = lo // width
-            if (self.merges or s.step != 1 or d.step != 1 or lo % width or row in modulus
+            if (s.step != 1 or d.step != 1 or lo % width or touched[row]
                     or not 0 < c == width - len(s) == width - len(d)):
                 rest.append((src, dst, s, d))
                 continue
-            for r in range(lo, lo + c):
-                parent[r:lo + width:c] = [r] * len(range(r, lo + width, c))
+            parent[lo:lo + width] = (indices[lo:lo + c] * (width // c + 1))[:width]
             merges += width - c
-            modulus[row] = c
+            modulus[row], touched[row] = c, 1
         for src, dst, s, d in rest:
-            if src == dst or not s:
+            if src == dst or not s or not d:
                 continue
-            period = 1
-            for side in (s, d):
-                c = modulus.get(side.start // width)
-                if c is None or side[-1] // width != side.start // width:
-                    period = len(s)
-                    break
-                period = lcm(period, c // gcd(c, side.step))
-            for x, y in zip(indices[src][:period], indices[dst][:period]):
+            edges = len(s)
+            r, to = s.start // width, d.start // width
+            if edges != len(d) or s[-1] // width != r or d[-1] // width != to:
+                # unequal sides or one across rows: edge by edge, and every
+                # row a side meets is touched
+                for side in (s, d):
+                    first, last = sorted((side.start // width, side[-1] // width))
+                    touched[first:last + 1] = b"\1" * (last + 1 - first)
+            elif r != to and not (touched[r] and touched[to]):
+                if touched[r]:
+                    parent[dst] = parent[src]
+                else:
+                    parent[src] = parent[dst]
+                merges += edges
+                touched[r] = touched[to] = 1
+                continue
+            else:
+                if d.start == s[-1] and d.step == -s.step:
+                    edges //= 2
+                    if not touched[r]:
+                        parent[_slice(s[:edges])] = parent[_slice(d[:edges])]
+                        merges += edges
+                        touched[r] = 1
+                        continue
+                cr, cto = modulus.get(r), modulus.get(to)
+                if cr and cto:
+                    edges = min(edges, lcm(cr // gcd(cr, s.step), cto // gcd(cto, d.step)))
+                touched[r] = touched[to] = 1
+            for x, y in zip(indices[src][:edges], indices[dst][:edges]):
                 while parent[x] != x:
                     parent[x] = x = parent[parent[x]]
                 while parent[y] != y:

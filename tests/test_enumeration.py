@@ -7,8 +7,9 @@ rebuilt here from the runs.  Every entry of those columns is compared with
 the box index (`index_of`) of the product (psi(g) x) phi(g)^-1 of the
 model classes, the runs' edge cases are pinned, the runs are checked to
 cover the columns disjointly, the run-at-a-time union-find (whole-row
-translations in closed form, other runs one period each) is compared with
-one taken edge by edge, and the byte-mask erosion is compared with a set
+translations in closed form, copies onto untouched rows, halved
+self-reverse runs, other runs one period each, in one call or two) is
+compared with one taken edge by edge, and the byte-mask erosion is compared with a set
 erosion and checked to stop at its fixpoint.  Whole reports are
 compared with a copy of the enumerator that works on model elements
 directly and with `golden/enumeration_reports.json`.
@@ -654,11 +655,46 @@ def box_runs(draw):
 @example(box=([(slice(0, 3), slice(1, 3))], 4, 4))  # sides of unequal length
 @example(box=([(slice(1, 4), slice(3, 6)), (slice(5, 9), slice(6, 10)),  # off a row start
                (slice(0, 5), slice(5, 10))], 10, 5))
+# a copy onto an untouched row: src's row 0 onto the merged row 1 ...
+@example(box=([_translation(5, 5, 2), (slice(0, 5), slice(9, 4, -1))], 15, 5))
+# ... and dst's untouched row 2 from it, then a row with a modulus from both
+@example(box=([_translation(5, 5, 2), (slice(5, 10, 2), slice(12, 15)),
+               (slice(10, 15), slice(5, 10))], 15, 5))
+# self-reverse runs of odd and even length, with steps 1 and 2, in an
+# untouched row, in a row with a modulus and in a merged row without one;
+# a reflected row is touched, so the last run below merges it edge by edge
+@example(box=([(slice(0, 2), slice(3, 5)), (slice(5, 10), slice(9, 4, -1)),
+               (slice(11, 15), slice(14, 10, -1)), (slice(0, 5), slice(5, 10))], 15, 5))
+@example(box=([(slice(0, 5, 2), slice(4, None, -2)), (slice(1, 5), slice(4, 0, -1))], 10, 5))
+@example(box=([_translation(5, 5, 2), _translation(10, 5, -3), (slice(5, 10), slice(9, 4, -1)),
+               (slice(10, 14), slice(13, 9, -1))], 15, 5))
+@example(box=([(slice(5, 6), slice(7, 8)), (slice(5, 10), slice(9, 4, -1)),
+               (slice(0, 2), slice(3, 5)), (slice(0, 4), slice(3, None, -1))], 15, 5))
+# a side across rows 0 and 1 merges edge by edge and touches both rows, so
+# the runs after it may not write row 0 or row 1 as untouched
+@example(box=([(slice(3, 7), slice(13, 17)), (slice(0, 5), slice(10, 15)),
+               (slice(5, 10), slice(19, 14, -1))], 20, 5))
 def test_runs_merge_as_their_edges(box):
-    # closed-form rows, one-period runs and every other run give the
-    # partition and the merge count of the edges taken one at a time
+    # closed-form rows, untouched-row copies, halved self-reverse runs,
+    # one-period runs and every other run give the partition and the merge
+    # count of the edges taken one at a time
     runs, size, width = box
     assert _merged_by_runs(runs, size, width) == _merged_by_edges(runs, size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(box=box_runs(), cut=st.integers(0, 8))
+# rows 0 and 1 merge in the first call, so row 0 is touched in the second
+@example(box=([(slice(0, 5), slice(5, 10)), (slice(0, 5), slice(10, 15))], 15, 5), cut=1)
+def test_runs_merge_as_their_edges_over_two_calls(box, cut):
+    # the runs split over two calls on one union-find, as selftest's box
+    # oracle makes them: after a call that merged, every row is touched
+    runs, size, width = box
+    cut = min(cut, len(runs))
+    uf = IndexUnionFind(size)
+    uf.union_runs(runs[:cut], width)
+    uf.union_runs(runs[cut:], width)
+    assert (_partition(uf, size), uf.merges) == _merged_by_edges(runs, size)
 
 
 def test_a_whole_row_translation_leaves_its_residue_classes():
