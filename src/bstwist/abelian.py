@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeMismatch
-from .intmat import IntMatrix, left_kernel_functional, snf
+from .intmat import IntMatrix, _coker_order, left_kernel_functional
 
 
 @dataclass(frozen=True)
@@ -77,34 +77,26 @@ class AbelianMap:
             for j in range(self.group.ngens))
 
 
+def _stacked(f: AbelianMap, g: AbelianMap) -> IntMatrix:
+    """The relation matrix of the maps' group stacked with g - f."""
+    if f.group != g.group:
+        raise ShapeMismatch("maps act on different groups")
+    return f.group.presentation().hstack(g.matrix - f.matrix)
+
+
 def twisted_class_count(f: AbelianMap, g: AbelianMap):
     """Number of classes of alpha ~ alpha + (g - f)(tau), or None if infinite.
 
     The class set is A / im(g - f); its order is the cokernel order of the
     relation matrix of A stacked with g - f.
     """
-    if f.group != g.group:
-        raise ShapeMismatch("maps act on different groups")
-    group = f.group
-    stacked = group.presentation().hstack(g.matrix - f.matrix)
-    diag = snf(stacked).diagonal
-    order = 1
-    for i in range(group.ngens):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            return None
-        order *= d
-    return order
+    return _coker_order(_stacked(f, g))
 
 
 def fixed_functional(f: AbelianMap, g: AbelianMap) -> tuple[int, ...] | None:
     """Integer functional lam on A with lam(g(x)) = lam(f(x)) and lam
     nonzero, vanishing on torsion; certifies an infinite class count."""
-    if f.group != g.group:
-        raise ShapeMismatch("maps act on different groups")
-    group = f.group
-    stacked = group.presentation().hstack(g.matrix - f.matrix)
-    functional = left_kernel_functional(stacked)
+    functional = left_kernel_functional(_stacked(f, g))
     if functional is None or not any(functional):
         return None
     return functional

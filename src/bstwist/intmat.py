@@ -8,6 +8,7 @@ integer types.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 
 @dataclass(frozen=True)
@@ -179,18 +180,18 @@ def snf(M: IntMatrix) -> SNFResult:
     return SNFResult(D, U, V)
 
 
+def _coker_order(M: IntMatrix):
+    """Order of Z^rows / M Z^cols: the product of the SNF diagonal, or None
+    when it has fewer than `rows` entries or one vanishes (infinite cokernel)."""
+    diag = snf(M).diagonal
+    return None if len(diag) < M.rows or 0 in diag else prod(diag)
+
+
 def coker_order(M: IntMatrix):
-    """Order of Z^r / M Z^r: the product of the SNF diagonal, or None
-    when some diagonal entry vanishes (infinite cokernel)."""
+    """Order of Z^r / M Z^r for a square M; see `_coker_order`."""
     if M.rows != M.cols:
         raise ValueError("coker_order expects a square matrix")
-    diag = snf(M).diagonal
-    order = 1
-    for d in diag:
-        if d == 0:
-            return None
-        order *= d
-    return order
+    return _coker_order(M)
 
 
 def left_kernel_functional(M: IntMatrix) -> tuple[int, ...] | None:

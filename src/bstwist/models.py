@@ -84,12 +84,17 @@ def _clip(x0: int, step: int, y0: int, to_step: int, width: int) -> tuple[int, i
     return max(lo, to_lo), min(hi, to_hi) + 1
 
 
+def slice_of(start: int, stop: int, step: int) -> slice:
+    """The list slice of the indices start, start + step, ... short of
+    stop; one that descends through index 0 stops at None, as a stop
+    below 0 counts from the end."""
+    return slice(start, stop if stop >= 0 else None, step)
+
+
 def _pair(x0: int, step: int, y0: int, to_step: int, lo: int, hi: int) -> tuple:
-    """The slices of x0 + j * step and y0 + j * to_step, lo <= j < hi; one that
-    descends through index 0 stops at None, as a stop below 0 counts from the end."""
-    x1, y1 = x0 + hi * step, y0 + hi * to_step
-    return (slice(x0 + lo * step, x1 if x1 >= 0 else None, step),
-            slice(y0 + lo * to_step, y1 if y1 >= 0 else None, to_step))
+    """The slices of x0 + j * step and y0 + j * to_step, lo <= j < hi."""
+    return (slice_of(x0 + lo * step, x0 + hi * step, step),
+            slice_of(y0 + lo * to_step, y0 + hi * to_step, to_step))
 
 
 class _Columns:

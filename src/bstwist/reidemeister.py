@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable
 
@@ -24,7 +23,7 @@ from .errors import (
 from .homs import (
     EndoSpec, InducedData, endo_apply, endo_validate, identity_endo, kappa,
 )
-from .models import ModelFamily, model_family
+from .models import ModelFamily, model_family, slice_of
 from .words import (
     A, B, GroupSpec, Word, are_equal, exp_sum, format_word, multiply,
     parse_word, relator, word,
@@ -203,9 +202,11 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
     Checks that each spec is an endomorphism of phi's group (trivial relator
     image, computed here by the word problem: the cached `endo_validate`
     result is never read), then recomputes the scale identities and the
-    witnesses' lam-values; True iff lam is fixed and the values are
-    pairwise distinct.  The witnesses must be the family they name: the
-    j-th is base * step^j as a freely reduced word.  A base, step or
+    witnesses' lam-values; True iff lam is fixed and the values, of two
+    or more witnesses, are pairwise distinct.  The witnesses must be the
+    family they name: the j-th is base * step^j as a freely reduced word,
+    so lam(base) != lam(base * step) proves lam(step) != 0 and the whole
+    family base * step^j pairwise distinct.  A base, step or
     witness that does not parse, or a witness outside lam's domain, refutes
     the certificate.  An omitted psi is the identity.  For kappa,
     kappa(phi(g_i)) = kappa(g_i) is checked for every i through
@@ -224,7 +225,7 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
     except WordSyntaxError:
         return False
     # w_0 = base and w_j = w_(j-1) step give w_j = base step^j by induction
-    if witnesses and witnesses[0] != base:
+    if len(witnesses) < 2 or witnesses[0] != base:
         return False
     if any(multiply(prev, step) != w for prev, w in zip(witnesses, witnesses[1:])):
         return False
@@ -279,125 +280,104 @@ class BallReport:
         return asdict(self)
 
 
-@lru_cache(maxsize=4)
-def _indices(size: int) -> list:
-    """The indices 0..size-1, shared read-only by every union-find of that
-    size: a run's slice of this list yields the stored ints, where a slice
-    of range(size) makes a new int per step."""
-    return list(range(size))
+_indices = []  # 0, 1, 2, ...: never written; a longer box replaces it
 
 
-def _slice(r: range) -> slice:
-    """The list slice of the nonempty range r; one that descends through
-    index 0 stops at None, as a stop below 0 counts from the end."""
-    return slice(r.start, r.stop if r.stop >= 0 else None, r.step)
+def _root(parent: list, x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]  # path halving
+    return x
 
 
-class IndexUnionFind:
-    """Union-find over the indices 0..size-1 of a rows x width box,
-    counting successful merges.
+def union_runs(size: int, width: int, runs) -> tuple[list, int]:
+    """(parent, merges): the union-find over the indices 0..size-1 of a
+    box whose rows are `width` long, after src[j] is merged with dst[j] for
+    every run (src, dst) of index slices, and the count of successful
+    merges.  A run with src == dst merges nothing and is skipped.
 
-    Edges arrive a run at a time: `union_runs` joins src[j] to dst[j] for
-    each slice pair (src, dst), so the enumerator's inner loop is one method
+    Edges arrive a run at a time, so the enumerator's inner loop is one
     call for the whole box rather than one per edge, and most runs take a
-    closed form, one slice write or one period instead of one find per edge.
+    closed form, one slice write or one period instead of one find per
+    edge.  `parent` starts as a copy of a prefix of the shared `_indices`,
+    so a run's slice yields the stored ints, where a slice of range(size)
+    makes a new int per step.
+
+    A row is untouched until a union reaches it, and every element of an
+    untouched row is a class of its own, so:
+
+    - the first run of an untouched row whose sides both step 1 inside
+      the row and together cover it translates the row by c: it leaves
+      the residue classes of the row mod |c|, written as one slice, and
+      the row gets modulus |c|;
+    - a run whose dst is its src reversed has edges j and L - 1 - j as
+      the same pair, so only its first L // 2 edges count;
+    - a run whose sides lie each in one row and are disjoint (the rows
+      differ, or the sides are the halves of a self-reverse run), with one
+      of the two rows untouched, joins each element of the untouched side
+      to a distinct class: one slice write of the other side's parents,
+      and every edge merges.
+
+    A side with step s in a row of modulus c repeats its classes every
+    |c| / gcd(|c|, |s|) edges, so a run whose two sides both repeat
+    merges only its first lcm(periods) edges: every later edge joins two
+    classes that an earlier one joined.  Any other run merges edge by
+    edge.  The partition and `merges` do not depend on the order.
     """
-
-    def __init__(self, size: int):
-        self.indices = _indices(size)
-        self.parent = self.indices[:]
-        self.merges = 0
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]  # path halving
-        return x
-
-    def union_runs(self, runs, width: int | None = None) -> None:
-        """Merge src[j] with dst[j] for every run (src, dst) of index slices
-        of the box whose rows are `width` long (default: one row); a run
-        with src == dst merges nothing and is skipped.
-
-        A row is untouched until a union reaches it; on a union-find that
-        merged in an earlier call, every row is touched.  Every element of
-        an untouched row is a class of its own, so:
-
-        - the first run of an untouched row whose sides both step 1 inside
-          the row and together cover it translates the row by c: it leaves
-          the residue classes of the row mod |c|, written as one slice, and
-          the row gets modulus |c|;
-        - a run whose sides lie in two different rows, one of them
-          untouched, joins each element of the untouched side to a distinct
-          class: one slice write of the other side's parents, and every
-          edge merges;
-        - a run whose dst is its src reversed has edges j and L - 1 - j as
-          the same pair, so only its first L // 2 edges count; their two
-          sides are disjoint, so in an untouched row they are one slice
-          write too.
-
-        A side with step s in a row of modulus c repeats its classes every
-        |c| / gcd(|c|, |s|) edges, so a run whose two sides both repeat
-        merges only its first lcm(periods) edges: every later edge joins
-        two classes that an earlier one joined.  Any other run merges
-        edge by edge.  The partition and `merges` do not depend on the order.
-        """
-        parent, indices = self.parent, self.indices  # find, inlined: the inner loop
-        width = width or len(parent) or 1
-        cells = range(len(parent))
-        touched = bytearray(b"\1" if self.merges else b"\0") * -(-len(parent) // width)
-        modulus, rest, merges = {}, [], 0
-        for src, dst in runs:
-            s, d = cells[src], cells[dst]
-            lo, c = min(s.start, d.start), abs(d.start - s.start)
-            row = lo // width
-            if (s.step != 1 or d.step != 1 or lo % width or touched[row]
-                    or not 0 < c == width - len(s) == width - len(d)):
-                rest.append((src, dst, s, d))
-                continue
-            parent[lo:lo + width] = (indices[lo:lo + c] * (width // c + 1))[:width]
-            merges += width - c
-            modulus[row], touched[row] = c, 1
-        for src, dst, s, d in rest:
-            if src == dst or not s or not d:
-                continue
-            edges = len(s)
-            r, to = s.start // width, d.start // width
-            if edges != len(d) or s[-1] // width != r or d[-1] // width != to:
-                # unequal sides or one across rows: edge by edge, and every
-                # row a side meets is touched
-                for side in (s, d):
-                    first, last = sorted((side.start // width, side[-1] // width))
-                    touched[first:last + 1] = b"\1" * (last + 1 - first)
-            elif r != to and not (touched[r] and touched[to]):
-                if touched[r]:
-                    parent[dst] = parent[src]
-                else:
-                    parent[src] = parent[dst]
+    global _indices
+    indices = _indices
+    if len(indices) < size:
+        indices = _indices = list(range(size))
+    parent = indices[:size]  # find, inlined below: the inner loop
+    cells = range(size)
+    touched = bytearray(-(-size // width))
+    modulus, rest, merges = {}, [], 0
+    for src, dst in runs:
+        s, d = cells[src], cells[dst]
+        lo, c = min(s.start, d.start), abs(d.start - s.start)
+        row = lo // width
+        if (s.step != 1 or d.step != 1 or lo % width or touched[row]
+                or not 0 < c == width - len(s) == width - len(d)):
+            rest.append((src, dst, s, d))
+            continue
+        parent[lo:lo + width] = (indices[lo:lo + c] * (width // c + 1))[:width]
+        merges += width - c
+        modulus[row], touched[row] = c, 1
+    for src, dst, s, d in rest:
+        if src == dst or not s or not d:
+            continue
+        edges = len(s)
+        r, to = s.start // width, d.start // width
+        if edges != len(d) or s[-1] // width != r or d[-1] // width != to:
+            # unequal sides or one across rows: edge by edge, and every
+            # row a side meets is touched
+            for side in (s, d):
+                first, last = sorted((side.start // width, side[-1] // width))
+                touched[first:last + 1] = b"\1" * (last + 1 - first)
+        else:
+            reverse = d.start == s[-1] and d.step == -s.step
+            if reverse:
+                edges //= 2
+                s, d = s[:edges], d[:edges]
+            if (r != to or reverse) and not (touched[r] and touched[to]):
+                fresh, other = (d, s) if touched[r] else (s, d)
+                parent[slice_of(fresh.start, fresh.stop, fresh.step)] = \
+                    parent[slice_of(other.start, other.stop, other.step)]
                 merges += edges
                 touched[r] = touched[to] = 1
                 continue
-            else:
-                if d.start == s[-1] and d.step == -s.step:
-                    edges //= 2
-                    if not touched[r]:
-                        parent[_slice(s[:edges])] = parent[_slice(d[:edges])]
-                        merges += edges
-                        touched[r] = 1
-                        continue
-                cr, cto = modulus.get(r), modulus.get(to)
-                if cr and cto:
-                    edges = min(edges, lcm(cr // gcd(cr, s.step), cto // gcd(cto, d.step)))
-                touched[r] = touched[to] = 1
-            for x, y in zip(indices[src][:edges], indices[dst][:edges]):
-                while parent[x] != x:
-                    parent[x] = x = parent[parent[x]]
-                while parent[y] != y:
-                    parent[y] = y = parent[parent[y]]
-                if x != y:
-                    parent[x] = y
-                    merges += 1
-        self.merges += merges
+            cr, cto = modulus.get(r), modulus.get(to)
+            if cr and cto:
+                edges = min(edges, lcm(cr // gcd(cr, s.step), cto // gcd(cto, d.step)))
+            touched[r] = touched[to] = 1
+        for x, y in zip(indices[src][:edges], indices[dst][:edges]):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x != y:
+                parent[x] = y
+                merges += 1
+    return parent, merges
 
 
 # a and b only: the twist by g^-1 is the inverse of the twist by g (see
@@ -440,9 +420,9 @@ def _box_inputs(group: GroupSpec, phi: EndoSpec, psi: EndoSpec | None,
 
 def _merge_box(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
                psi: EndoSpec, bounds: dict):
-    """The union-find of the box under the a and b twists, and the twist
-    grids of a and b.  Both grids' runs are merged in one `union_runs`
-    call, so every whole-row translation finds its row fresh.
+    """(parent, merges, grids): the union-find of the box under the a and
+    b twists, its merge count, and the twist grids of a and b.  Both
+    grids' runs are merged in one `union_runs` call.
 
     No g^-1 grid is built: since phi and psi are homomorphisms,
     tau_{g^-1}(x) = psi(g)^-1 x phi(g) = tau_g^-1(x), so inside the box
@@ -452,12 +432,12 @@ def _merge_box(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
     grids = [family.columns(family.embed(endo_apply(psi, g), group),
                             family.embed(endo_apply(phi, g), group).inverse(), bounds)
              for g in _GENERATORS]
-    uf = IndexUnionFind(grids[0].rows * grids[0].width)
-    uf.union_runs([run for grid in grids for run in grid.runs], grids[0].width)
-    return uf, grids
+    width = grids[0].width
+    return (*union_runs(grids[0].rows * width, width,
+                        [run for grid in grids for run in grid.runs]), grids)
 
 
-def _stable_roots(uf: IndexUnionFind, runs: list, inner_margin: int) -> set:
+def _stable_roots(parent: list, runs: list, inner_margin: int) -> set:
     """Roots of the classes meeting the inner region: the grid's elements
     whose twists by a, a^-1, b and b^-1 stay inside the region, iterated
     margin times from the whole grid.  `runs` holds the runs of each twist
@@ -474,7 +454,7 @@ def _stable_roots(uf: IndexUnionFind, runs: list, inner_margin: int) -> set:
     the region only shrinks, so it stays spent.  The roots are the finds
     of the distinct parents in the region, since find(parent[x]) = find(x).
     """
-    size = len(uf.parent)
+    size = len(parent)
     inner = b"\x01" * size
     live = runs
     for step in range(inner_margin):
@@ -491,7 +471,6 @@ def _stable_roots(uf: IndexUnionFind, runs: list, inner_margin: int) -> set:
         if step + 1 < inner_margin:
             live = [[(src, dst) for src, dst in runs if 1 in inner[src] and 1 in inner[dst]]
                     for runs in live]
-    parent = uf.parent  # find, inlined as in `IndexUnionFind.union_runs`
     heads, roots = set(), set()
     start = inner.find(1)
     while start >= 0:  # each stretch of 1 bytes, found at memchr speed
@@ -501,7 +480,7 @@ def _stable_roots(uf: IndexUnionFind, runs: list, inner_margin: int) -> set:
         heads.update(parent[start:stop])
         start = inner.find(1, stop)
     for x in heads:  # find(parent[x]) = find(x): one find per distinct head
-        while parent[x] != x:
+        while parent[x] != x:  # find, inlined as in `union_runs`
             parent[x] = x = parent[parent[x]]
         roots.add(x)
     return roots
@@ -532,18 +511,18 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
     if inner_margin < 0:
         raise ValueError(f"inner_margin must be non-negative, got {inner_margin}")
     family, bounds, psi = _box_inputs(group, phi, psi, bounds, "enumerate_bounds")
-    uf, grids = _merge_box(family, group, phi, psi, bounds)
-    roots = _stable_roots(uf, [grid.runs for grid in grids], inner_margin)
+    parent, merges, grids = _merge_box(family, group, phi, psi, bounds)
+    roots = _stable_roots(parent, [grid.runs for grid in grids], inner_margin)
     if not roots:
         raise BoxTooSmall(f"no stable class in box {bounds}")
-    total = len(uf.parent)
+    total = len(parent)
     return BallReport(
         family=family.name,
         bounds=dict(bounds),
         total_elements=total,
-        merges_applied=uf.merges,
+        merges_applied=merges,
         stable_classes=len(roots),
-        tentative_classes=total - uf.merges,  # each merge joins two classes
+        tentative_classes=total - merges,  # each merge joins two classes
     )
 
 
@@ -562,11 +541,11 @@ def witnesses_stay_separated(cert: Certificate, phi: EndoSpec,
         family, bounds, psi = _box_inputs(group, phi, psi, bounds, "witness_bounds")
     except WrongFamily:
         return True
-    uf, _ = _merge_box(family, group, phi, psi, bounds)
+    parent, _, _ = _merge_box(family, group, phi, psi, bounds)
     roots = []
     for text in cert.first_witnesses:
         index = family.index_of(family.embed(parse_word(text, group), group), bounds)
         if index is None:
             continue  # witness outside the box: no merge evidence either way
-        roots.append(uf.find(index))
+        roots.append(_root(parent, index))
     return len(roots) == len(set(roots))

@@ -13,8 +13,8 @@ from .homs import EndoSpec, endo_validate
 from .intmat import IntMatrix, coker_order, snf
 from .models import model_embed, model_equal_oracle
 from .reidemeister import (
-    INV_A_SUM, IndexUnionFind, check_certificate, certify_infinite,
-    coincidence_certify, enumerate_classes_ball, power_constraint,
+    INV_A_SUM, _root, check_certificate, certify_infinite,
+    coincidence_certify, enumerate_classes_ball, power_constraint, union_runs,
     witnesses_stay_separated,
 )
 from .words import (
@@ -23,9 +23,14 @@ from .words import (
 )
 
 
-def random_word(rng: random.Random, max_syllables: int = 12) -> Word:
+MAX_SYLLABLES = 12  # of a random word
+ORACLE_PAIRS = 1000  # random word pairs per family
+SNF_SAMPLES = 200  # random matrices checked against the box oracle
+
+
+def random_word(rng: random.Random) -> Word:
     pairs = []
-    for _ in range(rng.randrange(max_syllables + 1)):
+    for _ in range(rng.randrange(MAX_SYLLABLES + 1)):
         base = rng.choice((A, B))
         exp = rng.choice((-3, -2, -1, 1, 2, 3))
         pairs.append((base, exp))
@@ -67,18 +72,18 @@ def check_relation_grid() -> tuple[bool, str]:
     return not failures, f"failures: {failures!r}" if failures else "all pinches exact"
 
 
-def check_oracle_equivalence(seed: int = 0, pairs: int = 1000) -> tuple[bool, str]:
+def check_oracle_equivalence() -> tuple[bool, str]:
     families = [GroupSpec(1, 2), GroupSpec(1, 3), GroupSpec(1, -2),
                 GroupSpec(2, 2), GroupSpec(3, 3), GroupSpec(1, -1)]
     mismatches = 0
     for group in families:
-        rng = random.Random(seed * 1000003 + group.m * 101 + group.n)
-        for _ in range(pairs):
+        rng = random.Random(group.m * 101 + group.n)
+        for _ in range(ORACLE_PAIRS):
             u = random_word(rng)
             v = random_word(rng)
             if are_equal(u, v, group) != model_equal_oracle(u, v, group):
                 mismatches += 1
-    return mismatches == 0, f"{mismatches} disagreements over {pairs} pairs x 6 families"
+    return mismatches == 0, f"{mismatches} disagreements over {ORACLE_PAIRS} pairs x 6 families"
 
 
 def check_center_bmm() -> tuple[bool, str]:
@@ -184,7 +189,7 @@ def _box_oracle(M: IntMatrix, d_max: int) -> int:
     for _ in range(r):
         points = [p + (x,) for p in points for x in range(-bound, bound + 1)]
     width = 2 * bound + 1
-    uf = IndexUnionFind(len(points))
+    runs = []
     for col in columns:
         # point i has the base-width digits p + bound, so a step that stays
         # in the box adds the same offset to every index; the points it
@@ -194,7 +199,6 @@ def _box_oracle(M: IntMatrix, d_max: int) -> int:
         for x in col:
             offset = offset * width + x
         keep = [range(max(0, -x), min(width, width - x)) for x in col]
-        runs = []
         for prefix in product(*keep[:-1]):
             start = 0
             for digit in prefix:
@@ -202,16 +206,16 @@ def _box_oracle(M: IntMatrix, d_max: int) -> int:
             last = keep[-1]
             runs.append((slice(start + last.start, start + last.stop),
                          slice(start + last.start + offset, start + last.stop + offset)))
-        uf.union_runs(runs, width)
-    reps = {uf.find(i) for i, p in enumerate(points) if all(abs(x) <= inner for x in p)}
+    parent, _ = union_runs(len(points), width, runs)
+    reps = {_root(parent, i) for i, p in enumerate(points) if all(abs(x) <= inner for x in p)}
     return len(reps)
 
 
-def check_snf_oracle(seed: int = 0, samples: int = 200) -> tuple[bool, str]:
-    rng = random.Random(seed)
+def check_snf_oracle() -> tuple[bool, str]:
+    rng = random.Random(0)
     mismatches = []
     produced = 0
-    while produced < samples:
+    while produced < SNF_SAMPLES:
         size = rng.choice((1, 2, 2, 2, 3))
         M = IntMatrix.from_rows(
             [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)])
@@ -226,7 +230,7 @@ def check_snf_oracle(seed: int = 0, samples: int = 200) -> tuple[bool, str]:
         if order != _box_oracle(M, d_max):
             mismatches.append(M.entries)
     return not mismatches, (f"mismatches: {mismatches!r}" if mismatches
-                            else f"{samples} matrices agree with the box oracle")
+                            else f"{SNF_SAMPLES} matrices agree with the box oracle")
 
 
 def check_theta_convention() -> tuple[bool, str]:

@@ -6,11 +6,12 @@ backwards the column of the inverse twist (the back column); both are
 rebuilt here from the runs.  Every entry of those columns is compared with
 the box index (`index_of`) of the product (psi(g) x) phi(g)^-1 of the
 model classes, the runs' edge cases are pinned, the runs are checked to
-cover the columns disjointly, the run-at-a-time union-find (whole-row
-translations in closed form, copies onto untouched rows, halved
-self-reverse runs, other runs one period each, in one call or two) is
-compared with one taken edge by edge, and the byte-mask erosion is compared with a set
-erosion and checked to stop at its fixpoint.  Whole reports are
+cover the columns disjointly, the run-at-a-time union-find (one call per
+box: whole-row translations in closed form, halved self-reverse runs,
+disjoint sides copied onto an untouched row, other runs one period each,
+boxes of different sizes in turn) is compared with one taken edge by
+edge, and the byte-mask erosion is compared with a set erosion and
+checked to stop at its fixpoint.  Whole reports are
 compared with a copy of the enumerator that works on model elements
 directly and with `golden/enumeration_reports.json`.
 """
@@ -31,9 +32,9 @@ from bstwist.models import (
     model_family,
 )
 from bstwist.reidemeister import (
-    _GENERATORS, INV_A_SUM, BallReport, Certificate, IndexUnionFind,
-    _merge_box, _stable_roots, certify_infinite, check_certificate,
-    coincidence_certify, enumerate_classes_ball, witnesses_stay_separated,
+    _GENERATORS, INV_A_SUM, BallReport, Certificate, _merge_box, _root,
+    _stable_roots, certify_infinite, check_certificate, coincidence_certify,
+    enumerate_classes_ball, union_runs, witnesses_stay_separated,
 )
 from bstwist.words import A, B, GroupSpec, invert, multiply, parse_word, word
 
@@ -268,7 +269,7 @@ def _direct_columns(group, phi, psi, bounds, gen):
 def _merged_columns(family, group, phi, psi, bounds):
     """The enumerator's a, a^-1, b and b^-1 columns: the column and the
     back column of each grid `_merge_box` returns."""
-    _, grids = _merge_box(family, group, phi, psi, bounds)
+    *_, grids = _merge_box(family, group, phi, psi, bounds)
     return [column for grid in grids for column in (_column(grid), _back(grid))]
 
 
@@ -451,16 +452,16 @@ def test_runs_cover_the_columns_disjointly(case, phi_args, psi_args):
             assert set(covered) == {i for i in indices if entries[i] is not None}
 
 
-def _set_erosion(uf, columns, inner_margin):
+def _set_erosion(parent, columns, inner_margin):
     """The erosion as sets: each step keeps the indices whose entry in
     every column is in the previous step's region."""
-    inner = set(range(len(uf.parent)))
+    inner = set(range(len(parent)))
     for _ in range(inner_margin):
         kept = inner
         for column in columns:
             kept = {i for i in kept if column[i] in inner}
         inner = kept
-    return inner, {uf.find(i) for i in inner}
+    return inner, {_root(parent, i) for i in inner}
 
 
 def _erosion_pair(group, phi, psi, bounds, margin):
@@ -468,12 +469,12 @@ def _erosion_pair(group, phi, psi, bounds, margin):
     Over a union-find with no merges every index is its own root, so
     `_stable_roots` of it is the inner region itself."""
     family = model_family(group)
-    uf, grids = _merge_box(family, group, phi, psi, bounds)
+    parent, _, grids = _merge_box(family, group, phi, psi, bounds)
     columns = _merged_columns(family, group, phi, psi, bounds)
     runs = [grid.runs for grid in grids]
-    got = (_stable_roots(IndexUnionFind(len(uf.parent)), runs, margin),
-           _stable_roots(uf, runs, margin))
-    return got, _set_erosion(uf, columns, margin)
+    got = (_stable_roots(list(range(len(parent))), runs, margin),
+           _stable_roots(parent, runs, margin))
+    return got, _set_erosion(parent, columns, margin)
 
 
 @settings(max_examples=80, deadline=None)
@@ -574,21 +575,18 @@ def test_random_reports_match_the_model_enumerator(case, phi_args, psi_args, mar
 
 
 def test_a_run_that_fixes_every_element_merges_nothing():
-    uf = IndexUnionFind(4)
-    uf.union_runs([(slice(0, 1), slice(1, 2)), (slice(1, 2), slice(2, 3)),
-                   (slice(2, 3), slice(3, 4))])
-    parent, merges = uf.parent[:], uf.merges
-    assert parent == [1, 2, 3, 3]  # a chain: a find from 0 would halve it
-    uf.union_runs([(slice(0, 4), slice(0, 4)), (slice(3, None, -1), slice(3, None, -1))])
-    assert (uf.parent, uf.merges) == (parent, merges)
+    # the chain 0 -> 1 -> 2 -> 3 is left as it is: a find from 0 would halve it
+    chain = [(slice(x, x + 1), slice(x + 1, x + 2)) for x in range(3)]
+    fixed = [(slice(0, 4), slice(0, 4)), (slice(3, None, -1), slice(3, None, -1))]
+    assert union_runs(4, 4, chain + fixed) == ([1, 2, 3, 3], 3)
 
 
-def _partition(uf, size):
-    """Each index mapped to the least index of its class."""
+def _partition(find, size):
+    """Each index mapped to the least index of its class under `find`."""
     classes = {}
     for x in range(size):
-        classes.setdefault(uf.find(x), x)
-    return [classes[uf.find(x)] for x in range(size)]
+        classes.setdefault(find(x), x)
+    return [classes[find(x)] for x in range(size)]
 
 
 def _merged_by_edges(runs, size):
@@ -597,13 +595,12 @@ def _merged_by_edges(runs, size):
     for src, dst in runs:
         for x, y in zip(cells[src], cells[dst]):
             uf.union(x, y)
-    return _partition(uf, size), uf.merges
+    return _partition(uf.find, size), uf.merges
 
 
 def _merged_by_runs(runs, size, width):
-    uf = IndexUnionFind(size)
-    uf.union_runs(runs, width)
-    return _partition(uf, size), uf.merges
+    parent, merges = union_runs(size, width, runs)
+    return _partition(lambda x: _root(parent, x), size), merges
 
 
 def _translation(lo, width, c, trim=(0, 0)):
@@ -613,9 +610,9 @@ def _translation(lo, width, c, trim=(0, 0)):
 
 
 @st.composite
-def box_runs(draw):
+def box_runs(draw, rows=st.integers(1, 4), width=st.integers(2, 9)):
     """(runs, rows * width, width): a rows x width box and a mix of runs."""
-    rows, width = draw(st.integers(1, 4)), draw(st.integers(2, 9))
+    rows, width = draw(rows), draw(width)
     size, runs = rows * width, []
     steps = st.sampled_from((1, -1, 2))
     for kind in draw(st.lists(st.sampled_from(
@@ -682,28 +679,24 @@ def test_runs_merge_as_their_edges(box):
     assert _merged_by_runs(runs, size, width) == _merged_by_edges(runs, size)
 
 
-@settings(max_examples=200, deadline=None)
-@given(box=box_runs(), cut=st.integers(0, 8))
-# rows 0 and 1 merge in the first call, so row 0 is touched in the second
-@example(box=([(slice(0, 5), slice(5, 10)), (slice(0, 5), slice(10, 15))], 15, 5), cut=1)
-def test_runs_merge_as_their_edges_over_two_calls(box, cut):
-    # the runs split over two calls on one union-find, as selftest's box
-    # oracle makes them: after a call that merged, every row is touched
-    runs, size, width = box
-    cut = min(cut, len(runs))
-    uf = IndexUnionFind(size)
-    uf.union_runs(runs[:cut], width)
-    uf.union_runs(runs[cut:], width)
-    assert (_partition(uf, size), uf.merges) == _merged_by_edges(runs, size)
+@settings(max_examples=100, deadline=None)
+@given(large=box_runs(st.just(4), st.just(9)), small=box_runs(st.just(1), st.just(2)))
+# the large box joins 0 and 1, which the small box, with no run, keeps apart
+@example(large=([(slice(0, 1), slice(1, 2)), _translation(9, 9, 4)], 36, 9),
+         small=([], 2, 2))
+def test_boxes_of_different_sizes_merge_in_turn(large, small):
+    # every box copies its prefix of the shared index list, so a large box,
+    # a small one and the large one again each merge as their own edges
+    for runs, size, width in (large, small, large):
+        assert _merged_by_runs(runs, size, width) == _merged_by_edges(runs, size)
 
 
 def test_a_whole_row_translation_leaves_its_residue_classes():
     width, lo = 7, 7  # row 1 of a 3 x 7 box
     for c in (1, 3, -3, 6, -6):
-        uf = IndexUnionFind(3 * width)
-        uf.union_runs([_translation(lo, width, c)], width)
-        assert uf.merges == width - abs(c)
-        assert _partition(uf, 3 * width) == \
+        parent, merges = union_runs(3 * width, width, [_translation(lo, width, c)])
+        assert merges == width - abs(c)
+        assert _partition(lambda x: _root(parent, x), 3 * width) == \
             list(range(lo)) + [lo + x % abs(c) for x in range(width)] + \
             list(range(lo + width, 3 * width))
     # a second translation of the row takes the period path: shifts by 3
@@ -712,11 +705,6 @@ def test_a_whole_row_translation_leaves_its_residue_classes():
     got = _merged_by_runs(runs, 3 * width, width)
     assert got == _merged_by_edges(runs, 3 * width)
     assert got[1] == width - 1
-    # so does one in a later call: the row is no longer fresh
-    uf = IndexUnionFind(3 * width)
-    for run in runs:
-        uf.union_runs([run], width)
-    assert (_partition(uf, 3 * width), uf.merges) == got
 
 
 def test_only_given_specs_are_validated(monkeypatch):

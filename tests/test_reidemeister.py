@@ -116,6 +116,15 @@ class TestCheckCertificate:
         assert check_certificate(
             replace(cert, witness_base="b B", witness_step="a^2 b B a^-1"), spec)
 
+    def test_rejects_fewer_than_two_witnesses(self):
+        # no witness, or one whose step does not move lam: nothing shows
+        # that lam(step) != 0, so the family need not be infinite
+        spec = endo(2, 3, "a", "b^2")
+        assert not check_certificate(
+            Certificate(INV_A_SUM, "Z", {}, "1", "a", (), ()), spec)
+        assert not check_certificate(
+            Certificate(INV_A_SUM, "Z", {}, "1", "b", ("1",), ("0",)), spec)
+
     def test_rejects_kappa_witness_off_the_kernel(self):
         spec = endo(3, -3, "a^3", "b")
         cert = certify_infinite(spec).certificate
