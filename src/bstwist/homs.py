@@ -5,8 +5,10 @@ valid iff the image of the defining relator is trivial.  A spec is
 immutable, so that check runs once per spec object: `EndoSpec.induced`
 caches the `InducedData`, which `endo_validate` and the certificate catalog
 read.  The certificate checker never reads it and applies the relator
-itself.  Valid maps induce multiplication by k = |phi(a)|_a on the quotient
-Z = B(m,n)/K and a map on the abelianization Z_{|n-m|} + Z.  On the kernel
+itself.  `EndoSpec.model_images` caches the model images of image_a and
+image_b in the same way, for the enumerator's boxes.  Valid maps induce
+multiplication by k = |phi(a)|_a on the quotient Z = B(m,n)/K and a map
+on the abelianization Z_{|n-m|} + Z.  On the kernel
 K = ker|.|_a, generated by g_i = a^-i b a^i with relations
 g_{i+1}^m = g_i^n, the rational invariant kappa(g_i) = (n/m)^i is a
 homomorphism K -> Q, evaluated as one integer fraction.  Conjugation by x
@@ -45,6 +47,15 @@ class EndoSpec:
         a function of them; a raise is not cached and repeats on every read.
         """
         return _induced(self)
+
+    @cached_property
+    def model_images(self) -> tuple:
+        """(image_a, image_b) embedded in the faithful model of the group
+        (`models.model_embed`), computed on first use and cached like
+        `induced`, so every box the spec twists reads the same elements.
+        Raises WrongFamily, uncached, when the group has no model."""
+        from .models import model_embed
+        return model_embed(self.image_a, self.group), model_embed(self.image_b, self.group)
 
 
 def identity_endo(group: GroupSpec) -> EndoSpec:

@@ -8,7 +8,10 @@ ball enumerator.
 
 An element is its coordinate pair in plain fields: (num / |n|^exp, k) in
 lowest terms, (w, k) with w a reduced syllable tuple ((index, exp), ...)
-over x_1..x_m, and (u, v); so dataclass equality is equality in the group.
+over x_1..x_m, and (u, v).  The three element classes are `__slots__`
+value classes on `words._Value`, like `Word`: equal exactly when they have
+the same class and field tuple, hashed by that tuple and immutable, so
+equality of elements is equality in the group.
 
 Each family is one `ModelFamily` record: its generator images and its
 enumeration substrate.  The substrate is an index grid, rows times one axis
@@ -35,7 +38,7 @@ from math import gcd
 from typing import Callable
 
 from .errors import WrongFamily
-from .words import A, GroupSpec, Word
+from .words import A, GroupSpec, Word, _set_field, _Value
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,15 +143,24 @@ def _lowest(num: int, exp: int, base: int) -> tuple[int, int]:
     return num, exp
 
 
-@dataclass(frozen=True)
-class AffineElement:
+class AffineElement(_Value):
     """(x, k) in Z[1/|n|] x| Z with (x1,k1)(x2,k2) = (x1 + x2/n^k1, k1+k2),
     x = num / |n|^exp in lowest terms (`_lowest`)."""
 
+    __slots__ = ("num", "exp", "k", "n")  # n: the ambient signed n
     num: int
     exp: int
     k: int
-    n: int  # ambient signed n
+    n: int
+
+    def __init__(self, num: int, exp: int, k: int, n: int):
+        _set_field(self, "num", num)
+        _set_field(self, "exp", exp)
+        _set_field(self, "k", k)
+        _set_field(self, "n", n)
+
+    def _fields(self) -> tuple:
+        return (self.num, self.exp, self.k, self.n)
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         if self.n != other.n:
@@ -248,13 +260,23 @@ def _shift(syllables, k: int, m: int) -> tuple:
     return tuple(((i - 1 + k) % m + 1, e) for i, e in syllables)
 
 
-@dataclass(frozen=True)
-class PermutedProduct:
-    """(w, k) in F_m x| Z with (w1,k1)(w2,k2) = (w1 sigma^k1(w2), k1+k2)."""
+class PermutedProduct(_Value):
+    """(w, k) in F_m x| Z with (w1,k1)(w2,k2) = (w1 sigma^k1(w2), k1+k2).
+    w is a reduced syllable tuple ((index, exp), ...), and m the rank of
+    the free part: sigma has order m."""
 
-    w: tuple  # reduced syllable tuple ((index, exp), ...)
+    __slots__ = ("w", "k", "m")
+    w: tuple
     k: int
-    m: int  # rank of the free part; sigma has order m
+    m: int
+
+    def __init__(self, w: tuple, k: int, m: int):
+        _set_field(self, "w", w)
+        _set_field(self, "k", k)
+        _set_field(self, "m", m)
+
+    def _fields(self) -> tuple:
+        return (self.w, self.k, self.m)
 
     def __mul__(self, other: "PermutedProduct") -> "PermutedProduct":
         if self.m != other.m:
@@ -336,12 +358,19 @@ PERMUTED = ModelFamily(
 # ---------------------------------------------------------------------------
 # Z x| Z  (Klein bottle model for B(1,-1))
 
-@dataclass(frozen=True)
-class KleinElement:
+class KleinElement(_Value):
     """(u, v) with (u1,v1)(u2,v2) = (u1 + (-1)^v1 u2, v1+v2)."""
 
+    __slots__ = ("u", "v")
     u: int
     v: int
+
+    def __init__(self, u: int, v: int):
+        _set_field(self, "u", u)
+        _set_field(self, "v", v)
+
+    def _fields(self) -> tuple:
+        return (self.u, self.v)
 
     def __mul__(self, other: "KleinElement") -> "KleinElement":
         sign = -1 if self.v % 2 else 1

@@ -20,9 +20,7 @@ from .errors import (
     BoxTooSmall, GroupMismatch, NotInKernel, UnsupportedGroup, WordSyntaxError,
     WrongFamily,
 )
-from .homs import (
-    EndoSpec, InducedData, endo_apply, endo_validate, identity_endo, kappa,
-)
+from .homs import EndoSpec, InducedData, endo_apply, endo_validate, kappa
 from .models import ModelFamily, model_family, slice_of
 from .words import (
     A, B, GroupSpec, Word, are_equal, exp_sum, format_word, multiply,
@@ -348,8 +346,9 @@ def union_runs(size: int, width: int, runs) -> tuple[list, int]:
         edges = len(s)
         r, to = s.start // width, d.start // width
         if edges != len(d) or s[-1] // width != r or d[-1] // width != to:
-            # unequal sides or one across rows: edge by edge, and every
-            # row a side meets is touched
+            # unequal sides or one across rows: edge by edge, up to the
+            # shorter side, and every row a side meets is touched
+            edges = min(edges, len(d))
             for side in (s, d):
                 first, last = sorted((side.start // width, side[-1] // width))
                 touched[first:last + 1] = b"\1" * (last + 1 - first)
@@ -369,7 +368,9 @@ def union_runs(size: int, width: int, runs) -> tuple[list, int]:
             if cr and cto:
                 edges = min(edges, lcm(cr // gcd(cr, s.step), cto // gcd(cto, d.step)))
             touched[r] = touched[to] = 1
-        for x, y in zip(indices[src][:edges], indices[dst][:edges]):
+        s, d = s[:edges], d[:edges]  # build only the edges that count
+        for x, y in zip(indices[slice_of(s.start, s.stop, s.step)],
+                        indices[slice_of(d.start, d.stop, d.step)]):
             while parent[x] != x:
                 parent[x] = x = parent[parent[x]]
             while parent[y] != y:
@@ -378,11 +379,6 @@ def union_runs(size: int, width: int, runs) -> tuple[list, int]:
                 parent[x] = y
                 merges += 1
     return parent, merges
-
-
-# a and b only: the twist by g^-1 is the inverse of the twist by g (see
-# `_merge_box`), so g's runs read backwards give it
-_GENERATORS = (word([(A, 1)]), word([(B, 1)]))
 
 
 def _check_bounds(family: ModelFamily, bounds: dict) -> None:
@@ -398,11 +394,12 @@ def _check_bounds(family: ModelFamily, bounds: dict) -> None:
 
 def _box_inputs(group: GroupSpec, phi: EndoSpec, psi: EndoSpec | None,
                 bounds: dict | None, default: str):
-    """(family, bounds, psi) after the checks both box users share: phi and
-    psi on `group` (GroupMismatch), a model family (WrongFamily), bounds
-    (the family's `default` bounds when None) that are the family's box,
-    and phi and a given psi endomorphisms (RelationViolated).  An omitted
-    psi is the identity, which needs no check."""
+    """(family, bounds) after the checks both box users share: phi and psi
+    on `group` (GroupMismatch), a model family (WrongFamily), bounds (the
+    family's `default` bounds when None) that are the family's box, and
+    phi and a given psi endomorphisms (RelationViolated).  An omitted psi
+    is the identity: it has the images a and b and no spec, so nothing is
+    built or checked for it."""
     for tag, spec in (("phi", phi), ("psi", psi)):
         if spec is not None and spec.group != group:
             raise GroupMismatch(f"{tag} is on {spec.group}, enumeration on {group}")
@@ -411,27 +408,31 @@ def _box_inputs(group: GroupSpec, phi: EndoSpec, psi: EndoSpec | None,
         bounds = getattr(family, default)
     _check_bounds(family, bounds)
     endo_validate(phi)
-    if psi is None:
-        psi = identity_endo(group)
-    else:
+    if psi is not None:
         endo_validate(psi)
-    return family, bounds, psi
+    return family, bounds
 
 
 def _merge_box(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
-               psi: EndoSpec, bounds: dict):
+               psi: EndoSpec | None, bounds: dict):
     """(parent, merges, grids): the union-find of the box under the a and
     b twists, its merge count, and the twist grids of a and b.  Both
     grids' runs are merged in one `union_runs` call.
+
+    The twists read each spec's model images of a and b from its cached
+    `model_images`, so the boxes of one spec embed them once.  An omitted
+    psi (None) is the identity: its images are the model's a and b, and
+    there is no spec.
 
     No g^-1 grid is built: since phi and psi are homomorphisms,
     tau_{g^-1}(x) = psi(g)^-1 x phi(g) = tau_g^-1(x), so inside the box
     the g^-1 edges are the g edges reversed (the runs read dst to src) and
     merge nothing new.
     """
-    grids = [family.columns(family.embed(endo_apply(psi, g), group),
-                            family.embed(endo_apply(phi, g), group).inverse(), bounds)
-             for g in _GENERATORS]
+    psi_images = ((family.a_power(group, 1), family.b_power(group, 1)) if psi is None
+                  else psi.model_images)
+    grids = [family.columns(pg, fg.inverse(), bounds)
+             for pg, fg in zip(psi_images, phi.model_images)]
     width = grids[0].width
     return (*union_runs(grids[0].rows * width, width,
                         [run for grid in grids for run in grid.runs]), grids)
@@ -510,7 +511,7 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
     """
     if inner_margin < 0:
         raise ValueError(f"inner_margin must be non-negative, got {inner_margin}")
-    family, bounds, psi = _box_inputs(group, phi, psi, bounds, "enumerate_bounds")
+    family, bounds = _box_inputs(group, phi, psi, bounds, "enumerate_bounds")
     parent, merges, grids = _merge_box(family, group, phi, psi, bounds)
     roots = _stable_roots(parent, [grid.runs for grid in grids], inner_margin)
     if not roots:
@@ -538,7 +539,7 @@ def witnesses_stay_separated(cert: Certificate, phi: EndoSpec,
     """
     group = phi.group
     try:
-        family, bounds, psi = _box_inputs(group, phi, psi, bounds, "witness_bounds")
+        family, bounds = _box_inputs(group, phi, psi, bounds, "witness_bounds")
     except WrongFamily:
         return True
     parent, _, _ = _merge_box(family, group, phi, psi, bounds)

@@ -24,7 +24,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bstwist.errors import BoxTooSmall, GroupMismatch, RelationViolated
-from bstwist.homs import EndoSpec, endo_apply, endo_validate, identity_endo
+from bstwist.homs import (
+    EndoSpec, endo_apply, endo_validate, identity_endo, parse_endo_file,
+)
 from bstwist import homs, reidemeister
 from bstwist.models import (
     AFFINE, KLEIN, AffineElement, KleinElement, PermutedProduct, _Columns,
@@ -32,7 +34,7 @@ from bstwist.models import (
     model_family,
 )
 from bstwist.reidemeister import (
-    _GENERATORS, INV_A_SUM, BallReport, Certificate, _merge_box, _root,
+    INV_A_SUM, BallReport, Certificate, _merge_box, _root,
     _stable_roots, certify_infinite, check_certificate, coincidence_certify,
     enumerate_classes_ball, union_runs, witnesses_stay_separated,
 )
@@ -116,6 +118,7 @@ def _ref_membership(group, bounds):
 # all four twist generators, independent of the enumerator's (a, b): the
 # reference merges and erodes along a^-1 and b^-1 edges computed directly
 _REF_GENERATORS = (word([(A, 1)]), word([(A, -1)]), word([(B, 1)]), word([(B, -1)]))
+_GENERATORS = _REF_GENERATORS[::2]  # a and b, the twists the enumerator builds
 
 
 def _ref_once(group, phi, psi, bounds, margin):
@@ -708,8 +711,9 @@ def test_a_whole_row_translation_leaves_its_residue_classes():
 
 
 def test_only_given_specs_are_validated(monkeypatch):
-    # an omitted psi is the identity, used unvalidated; phi and a given psi
-    # apply the relator once each across both box users
+    # an omitted psi is the identity, with images a and b and no spec to
+    # validate; phi and a given psi apply the relator once each across
+    # both box users
     calls, real = [], homs._induced
 
     def counting(spec):
@@ -779,6 +783,35 @@ def test_witness_separation_matches_the_model_enumerator():
     for bounds in ({"u": 8, "v": 4}, {"u": 1, "v": 1}):
         assert witnesses_stay_separated(fake, identity_endo(klein), bounds=bounds) == \
             reference_separated(fake, identity_endo(klein), None, bounds)
+
+
+@pytest.mark.parametrize("text,text2", [
+    ("group 1 -1\na -> b a b^-1\nb -> b^-1", None),
+    ("group 1 2\na -> a\nb -> a b^-1 a^-1", None),
+    ("group 2 2\na -> b a b^-1\nb -> b^-1", None),
+    ("group 1 2\na -> a\nb -> b", "group 1 2\na -> a\nb -> b^-1"),
+])
+def test_a_spec_reused_across_boxes_reports_as_fresh_parses(text, text2):
+    # each spec caches its model images: one spec object through both box
+    # users, in either order, gives what fresh parses of its text give
+    def parse():
+        return parse_endo_file(text), text2 and parse_endo_file(text2)
+
+    phi, psi = parse()
+    group = phi.group
+    outcome = certify_infinite(phi) if psi is None else coincidence_certify(phi, psi)
+    assert outcome.kind == "infinite"
+    # the catalog's witnesses, and conjugates that may merge
+    certs = (outcome.certificate,
+             Certificate(INV_A_SUM, "Z", {}, "1", "a", ("1", "b", "a", "b a b^-1"),
+                         ("0", "0", "1", "1")))
+    report = enumerate_classes_ball(group, phi, psi)
+    verdicts = [witnesses_stay_separated(cert, phi, psi) for cert in certs]
+    assert report == enumerate_classes_ball(group, *parse())
+    assert verdicts == [witnesses_stay_separated(cert, *parse()) for cert in certs]
+    phi, psi = parse()
+    assert [witnesses_stay_separated(cert, phi, psi) for cert in certs] == verdicts
+    assert enumerate_classes_ball(group, phi, psi) == report
 
 
 def test_mismatched_groups_and_negative_margin_are_refused():

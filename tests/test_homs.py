@@ -4,22 +4,23 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bstwist import homs
-from bstwist.errors import NotInKernel, RelationViolated
+from bstwist.errors import NotInKernel, RelationViolated, WrongFamily
 from bstwist.homs import (
     EndoSpec, InducedData, endo_apply, endo_compose, endo_validate,
     identity_endo, induced_on_ab, inner_by, kappa, kappa_scale,
     kernel_decompose, parse_endo_file,
 )
+from bstwist.models import model_embed
 from bstwist.reidemeister import certify_infinite, check_certificate
 from bstwist.words import (
     A, B, GroupSpec, Word, are_equal, format_word, invert, multiply,
     parse_word, relator, substitute, word,
 )
 
-from test_words import DIFF_GRID, random_word
+from test_words import DIFF_GRID, images, random_word
 
 
 def kernel_generator(i):
@@ -126,6 +127,22 @@ class TestValidateOnce:
         assert not check_certificate(outcome.certificate, spec)
 
 
+class TestModelImages:
+    def test_embedded_once_per_spec(self):
+        spec = EndoSpec(GroupSpec(1, 2), parse_word("a b"), parse_word("b^-1"))
+        images = spec.model_images
+        assert images is spec.model_images
+        assert images == (model_embed(spec.image_a, spec.group),
+                          model_embed(spec.image_b, spec.group))
+
+    def test_a_group_with_no_model_raises_on_every_read(self):
+        spec = identity_endo(GroupSpec(2, 3))
+        for _ in range(2):
+            with pytest.raises(WrongFamily):
+                spec.model_images
+        assert "model_images" not in vars(spec)
+
+
 class TestApplyCompose:
     def test_apply_respects_equality(self):
         rng = random.Random(5)
@@ -135,6 +152,16 @@ class TestApplyCompose:
             u = random_word(rng)
             conj = multiply(multiply(u, relator(g)), invert(u))
             assert are_equal(endo_apply(spec, conj), Word(), g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(DIFF_GRID), images(), images())
+    @example(GroupSpec(2, 3), Word(), Word())
+    def test_generators_map_to_the_stored_images(self, group, image_a, image_b):
+        # a Word is freely reduced, so the image of a or b is the stored
+        # word itself: the enumerator's boxes read image_a and image_b
+        spec = EndoSpec(group, image_a, image_b)
+        assert endo_apply(spec, word([(A, 1)])) == image_a
+        assert endo_apply(spec, word([(B, 1)])) == image_b
 
     def test_compose_order(self):
         g = GroupSpec(2, 2)

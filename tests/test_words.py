@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bstwist.errors import WordSyntaxError
+from bstwist.models import AffineElement, KleinElement, PermutedProduct
 from bstwist.words import (
     A, B, GroupSpec, NormalForm, Syllable, Word, _carry_pass, _conjugate_form,
     are_equal, britton_reduce, exp_sum, format_word, invert, multiply,
@@ -267,9 +268,10 @@ class TestGroupSpec:
 
 
 class TestValueClasses:
-    """`GroupSpec`, `Word` and `NormalForm` behave as the frozen dataclasses
-    they replaced: the same equality, hash (so set and dict orders stay the
-    same), repr, immutability and copies."""
+    """`GroupSpec`, `Word`, `NormalForm` and the model elements
+    `AffineElement`, `KleinElement` and `PermutedProduct` behave as the
+    frozen dataclasses they replaced: the same equality, hash (so set and
+    dict orders stay the same), repr, immutability and copies."""
 
     VALUES = [
         (GroupSpec(2, 3), (2, 3)),
@@ -277,6 +279,10 @@ class TestValueClasses:
         (Word(), ((),)),
         (normal_form(parse_word("b^5 a"), GroupSpec(2, 3)),
          (parse_word("b a b^6"), GroupSpec(2, 3))),
+        (AffineElement(-3, 2, -1, -2), (-3, 2, -1, -2)),
+        (KleinElement(4, -1), (4, -1)),
+        (PermutedProduct(((1, 2), (2, -1)), 3, 2), (((1, 2), (2, -1)), 3, 2)),
+        (PermutedProduct((), 0, 3), ((), 0, 3)),
     ]
 
     @pytest.mark.parametrize("value,fields", VALUES)
@@ -291,6 +297,9 @@ class TestValueClasses:
         assert GroupSpec(2, 3) != GroupSpec(3, 2)
         assert Word() != NormalForm(Word(), GroupSpec(1, 1))
         assert parse_word("a") != parse_word("a^-1")
+        assert KleinElement(1, 2) != (1, 2)
+        assert AffineElement(1, 0, 0, 2) != AffineElement(1, 0, 0, -2)
+        assert PermutedProduct((), 1, 2) != KleinElement(0, 1)
 
     def test_repr_is_pinned(self):
         assert repr(GroupSpec(2, 3)) == "GroupSpec(m=2, n=3)"
@@ -299,10 +308,15 @@ class TestValueClasses:
         assert repr(normal_form(parse_word("b"), GroupSpec(1, 2))) == (
             "NormalForm(word=Word(syllables=(Syllable(base='b', exp=1),)), "
             "group=GroupSpec(m=1, n=2))")
+        assert repr(AffineElement(1, 0, 2, 2)) == "AffineElement(num=1, exp=0, k=2, n=2)"
+        assert repr(KleinElement(-1, 3)) == "KleinElement(u=-1, v=3)"
+        assert repr(PermutedProduct(((1, -2),), 0, 2)) == \
+            "PermutedProduct(w=((1, -2),), k=0, m=2)"
 
     @pytest.mark.parametrize("value,fields", VALUES)
     def test_assignment_and_deletion_raise(self, value, fields):
-        for name in ("m", "n", "syllables", "word", "group", "other"):
+        for name in ("m", "n", "syllables", "word", "group", "num", "exp", "k",
+                     "u", "v", "w", "other"):
             with pytest.raises(AttributeError):
                 setattr(value, name, 1)
             with pytest.raises(AttributeError):
