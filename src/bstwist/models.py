@@ -94,17 +94,13 @@ def slice_of(start: int, stop: int, step: int) -> slice:
     return slice(start, stop if stop >= 0 else None, step)
 
 
-def _pair(x0: int, step: int, y0: int, to_step: int, lo: int, hi: int) -> tuple:
-    """The slices of x0 + j * step and y0 + j * to_step, lo <= j < hi."""
-    return (slice_of(x0 + lo * step, x0 + hi * step, step),
-            slice_of(y0 + lo * to_step, y0 + hi * to_step, to_step))
-
-
 class _Columns:
     """A twist on a rows x width grid, kept as its runs.  `runs` holds each
     run as a pair of slices (src, dst) of box indices: the twist sends
-    src[j] to dst[j].  The src slices are pairwise disjoint, and so are the
-    dst slices; no per-element column is written.
+    src[j] to dst[j].  The two sides of a run have one length, and each
+    lies in one row, as `reidemeister.union_runs` needs.  The src slices
+    are pairwise disjoint, and so are the dst slices; no per-element column
+    is written.
     """
 
     def __init__(self, rows: int, width: int):
@@ -119,9 +115,13 @@ class _Columns:
         if lo >= hi:
             return
         width, rows, runs = self.width, self.rows, self.runs
+        start, stop = x0 + lo * step, x0 + hi * step
+        to_start, to_stop = y0 + lo * to_step, y0 + hi * to_step
         for row, to_row in pairs:
             if 0 <= to_row < rows:
-                runs.append(_pair(row * width + x0, step, to_row * width + y0, to_step, lo, hi))
+                base, to_base = row * width, to_row * width
+                runs.append((slice_of(base + start, base + stop, step),
+                             slice_of(to_base + to_start, to_base + to_stop, to_step)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Callable
 
@@ -291,7 +292,10 @@ def union_runs(size: int, width: int, runs) -> tuple[list, int]:
     """(parent, merges): the union-find over the indices 0..size-1 of a
     box whose rows are `width` long, after src[j] is merged with dst[j] for
     every run (src, dst) of index slices, and the count of successful
-    merges.  A run with src == dst merges nothing and is skipped.
+    merges.  Every run's two sides are non-empty and of equal length, and
+    each side lies inside one row, as the runs of `models._Columns` and of
+    `selftest._box_oracle` do.  A run with src == dst merges nothing and
+    is skipped.
 
     Edges arrive a run at a time, so the enumerator's inner loop is one
     call for the whole box rather than one per edge, and most runs take a
@@ -303,17 +307,17 @@ def union_runs(size: int, width: int, runs) -> tuple[list, int]:
     A row is untouched until a union reaches it, and every element of an
     untouched row is a class of its own, so:
 
-    - the first run of an untouched row whose sides both step 1 inside
-      the row and together cover it translates the row by c: it leaves
-      the residue classes of the row mod |c|, written as one slice, and
-      the row gets modulus |c|;
+    - the first run of an untouched row whose sides both step 1 and
+      together cover the row translates the row by c: it leaves the
+      residue classes of the row mod |c|, written as one slice, and the
+      row gets modulus |c|;
     - a run whose dst is its src reversed has edges j and L - 1 - j as
       the same pair, so only its first L // 2 edges count;
-    - a run whose sides lie each in one row and are disjoint (the rows
-      differ, or the sides are the halves of a self-reverse run), with one
-      of the two rows untouched, joins each element of the untouched side
-      to a distinct class: one slice write of the other side's parents,
-      and every edge merges.
+    - a run whose sides are disjoint (the rows differ, or the sides are
+      the halves of a self-reverse run), with one of the two rows
+      untouched, joins each element of the untouched side to a distinct
+      class: one slice write of the other side's parents, and every edge
+      merges.
 
     A side with step s in a row of modulus c repeats its classes every
     |c| / gcd(|c|, |s|) edges, so a run whose two sides both repeat
@@ -334,41 +338,33 @@ def union_runs(size: int, width: int, runs) -> tuple[list, int]:
         lo, c = min(s.start, d.start), abs(d.start - s.start)
         row = lo // width
         if (s.step != 1 or d.step != 1 or lo % width or touched[row]
-                or not 0 < c == width - len(s) == width - len(d)):
+                or not 0 < c == width - len(s)):
             rest.append((src, dst, s, d))
             continue
         parent[lo:lo + width] = (indices[lo:lo + c] * (width // c + 1))[:width]
         merges += width - c
         modulus[row], touched[row] = c, 1
     for src, dst, s, d in rest:
-        if src == dst or not s or not d:
+        if src == dst:
             continue
         edges = len(s)
         r, to = s.start // width, d.start // width
-        if edges != len(d) or s[-1] // width != r or d[-1] // width != to:
-            # unequal sides or one across rows: edge by edge, up to the
-            # shorter side, and every row a side meets is touched
-            edges = min(edges, len(d))
-            for side in (s, d):
-                first, last = sorted((side.start // width, side[-1] // width))
-                touched[first:last + 1] = b"\1" * (last + 1 - first)
-        else:
-            reverse = d.start == s[-1] and d.step == -s.step
-            if reverse:
-                edges //= 2
-                s, d = s[:edges], d[:edges]
-            if (r != to or reverse) and not (touched[r] and touched[to]):
-                fresh, other = (d, s) if touched[r] else (s, d)
-                parent[slice_of(fresh.start, fresh.stop, fresh.step)] = \
-                    parent[slice_of(other.start, other.stop, other.step)]
-                merges += edges
-                touched[r] = touched[to] = 1
-                continue
-            cr, cto = modulus.get(r), modulus.get(to)
-            if cr and cto:
-                edges = min(edges, lcm(cr // gcd(cr, s.step), cto // gcd(cto, d.step)))
+        reverse = d.start == s[-1] and d.step == -s.step
+        if reverse:
+            edges //= 2
+            s, d = s[:edges], d[:edges]
+        if (r != to or reverse) and not (touched[r] and touched[to]):
+            fresh, other = (d, s) if touched[r] else (s, d)
+            parent[slice_of(fresh.start, fresh.stop, fresh.step)] = \
+                parent[slice_of(other.start, other.stop, other.step)]
+            merges += edges
             touched[r] = touched[to] = 1
-        s, d = s[:edges], d[:edges]  # build only the edges that count
+            continue
+        cr, cto = modulus.get(r), modulus.get(to)
+        if cr and cto:
+            edges = min(edges, lcm(cr // gcd(cr, s.step), cto // gcd(cto, d.step)))
+            s, d = s[:edges], d[:edges]  # build only the edges that count
+        touched[r] = touched[to] = 1
         for x, y in zip(indices[slice_of(s.start, s.stop, s.step)],
                         indices[slice_of(d.start, d.stop, d.step)]):
             while parent[x] != x:
@@ -449,42 +445,24 @@ def _stable_roots(parent: list, runs: list, inner_margin: int) -> set:
     (0 where the image leaves the region), and pre[dst] = inner[src] the
     one under the g^-1 twist.  The four masks are ANDed as integers, one
     byte per element.  A step that keeps the whole region is a fixpoint:
-    every later step keeps it too, so the erosion stops there.  After each
-    step, a run whose src or dst lies wholly outside the region is
-    dropped: all it could write lands where the region is already 0, and
-    the region only shrinks, so it stays spent.  The roots are the finds
-    of the distinct parents in the region, since find(parent[x]) = find(x).
+    every later step keeps it too, so the erosion stops there.  The roots
+    are the finds of the distinct parents in the region, since
+    find(parent[x]) = find(x).
     """
     size = len(parent)
     inner = b"\x01" * size
-    live = runs
-    for step in range(inner_margin):
+    for _ in range(inner_margin):
         region = kept = int.from_bytes(inner, "little")
-        for runs in live:
+        for grid_runs in runs:
             pre, pre_back = bytearray(size), bytearray(size)
-            for src, dst in runs:
+            for src, dst in grid_runs:
                 pre[src] = inner[dst]
                 pre_back[dst] = inner[src]
             kept &= int.from_bytes(pre, "little") & int.from_bytes(pre_back, "little")
         if kept == region:
             break
         inner = kept.to_bytes(size, "little")
-        if step + 1 < inner_margin:
-            live = [[(src, dst) for src, dst in runs if 1 in inner[src] and 1 in inner[dst]]
-                    for runs in live]
-    heads, roots = set(), set()
-    start = inner.find(1)
-    while start >= 0:  # each stretch of 1 bytes, found at memchr speed
-        stop = inner.find(0, start)
-        if stop < 0:
-            stop = size
-        heads.update(parent[start:stop])
-        start = inner.find(1, stop)
-    for x in heads:  # find(parent[x]) = find(x): one find per distinct head
-        while parent[x] != x:  # find, inlined as in `union_runs`
-            parent[x] = x = parent[parent[x]]
-        roots.add(x)
-    return roots
+    return {_root(parent, x) for x in set(compress(parent, inner))}
 
 
 def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,

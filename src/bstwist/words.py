@@ -449,32 +449,21 @@ def relator(group: GroupSpec) -> Word:
     return word([(A, -1), (B, group.m), (A, 1), (B, -group.n)])
 
 
-_GEN_A = word([(A, 1)])
-_GEN_B = word([(B, 1)])
-_GEN_A_INV = word([(A, -1)])
-
-
 def standardize(group: GroupSpec) -> tuple[GroupSpec, tuple[Word, Word]]:
     """Rewrite (m,n) so that 0 < m' <= |n'|, returning the generator map.
 
-    Uses the two index isomorphisms B(m,n) ~ B(-m,-n) (identity on letters)
-    and B(m,n) ~ B(n,m) (a -> a^-1, b -> b).  The first variant in a fixed
-    preference order that satisfies the constraint is chosen, so the result
-    is deterministic.  B(1,1) already satisfies the constraint and is
-    returned unchanged; callers that cannot handle it must flag it
-    themselves.
+    Uses the two index isomorphisms B(m,n) ~ B(n,m) (a -> a^-1, b -> b),
+    taken when |m| > |n|, and then B(m,n) ~ B(-m,-n) (identity on
+    letters), taken when m < 0, so the result is deterministic.  B(1,1)
+    already satisfies the constraint and is returned unchanged; callers
+    that cannot handle it must flag it themselves.
     """
-    m, n = group.m, group.n
-    candidates = [
-        ((m, n), (_GEN_A, _GEN_B)),
-        ((-m, -n), (_GEN_A, _GEN_B)),
-        ((n, m), (_GEN_A_INV, _GEN_B)),
-        ((-n, -m), (_GEN_A_INV, _GEN_B)),
-    ]
-    for (mm, nn), images in candidates:
-        if 0 < mm <= abs(nn):
-            return GroupSpec(mm, nn), images
-    raise AssertionError("unreachable: some variant always standardizes")
+    m, n, image_a = group.m, group.n, word([(A, 1)])
+    if abs(m) > abs(n):
+        m, n, image_a = n, m, word([(A, -1)])
+    if m < 0:
+        m, n = -m, -n
+    return GroupSpec(m, n), (image_a, word([(B, 1)]))
 
 
 def power_constraint(m: int, n: int, k_range: tuple[int, int]) -> set[int]:

@@ -251,6 +251,19 @@ class TestStandardize:
                 image = substitute(relator(source), ia, ib)
                 assert are_equal(image, Word(), target), (m, n)
 
+    def test_closed_form_matches_the_search(self):
+        # the first of (m,n), (-m,-n), (n,m), (-n,-m) with 0 < m' <= |n'|,
+        # the last two through a -> a^-1
+        def search(m, n):
+            for mm, nn, ia in ((m, n, "a"), (-m, -n, "a"), (n, m, "a^-1"), (-n, -m, "a^-1")):
+                if 0 < mm <= abs(nn):
+                    return GroupSpec(mm, nn), (parse_word(ia), parse_word("b"))
+
+        for m in range(-9, 10):
+            for n in range(-9, 10):
+                if m and n:
+                    assert standardize(GroupSpec(m, n)) == search(m, n), (m, n)
+
     def test_map_is_invertible_on_generators(self):
         # images are a or a^-1 and b, so the map is onto
         for source in (GroupSpec(3, 2), GroupSpec(-2, -3), GroupSpec(-3, 2)):
