@@ -11,9 +11,15 @@ of the presentation matrix stacked with g - f.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import index
 
 from .errors import ShapeMismatch
 from .intmat import IntMatrix, _coker_order, left_kernel_functional
+
+# presentation() and AbelianMap.identity keep this many groups: the B(m,n)
+# abelianizations a run touches, which are few
+_GROUPS_CACHED = 64
 
 
 @dataclass(frozen=True)
@@ -34,12 +40,14 @@ class AbelianGroup:
         """Normalize a coefficient vector modulo the torsion orders."""
         return tuple(x % d if d else x for x, d in zip(vector, self.orders()))
 
+    @lru_cache(maxsize=_GROUPS_CACHED)
     def presentation(self) -> IntMatrix:
-        """Relation matrix: diagonal of generator orders."""
+        """Relation matrix: diagonal of generator orders.  Built once per
+        group: the matrix is immutable, so every caller shares it."""
         size = self.ngens
         orders = self.orders()
-        return IntMatrix.from_rows(
-            [[orders[i] if i == j else 0 for j in range(size)] for i in range(size)])
+        return IntMatrix(tuple(
+            tuple(orders[i] if i == j else 0 for j in range(size)) for i in range(size)))
 
 
 @dataclass(frozen=True)
@@ -56,12 +64,15 @@ class AbelianMap:
 
     @classmethod
     def from_columns(cls, group: AbelianGroup, columns) -> "AbelianMap":
-        cols = [group.reduce(c) for c in columns]
-        return cls(group, IntMatrix.from_rows(
-            [[cols[j][i] for j in range(len(cols))] for i in range(group.ngens)]))
+        """The map sending generator j to columns[j], reduced mod torsion;
+        an entry that is not an integer raises TypeError."""
+        cols = [group.reduce(map(index, c)) for c in columns]
+        return cls(group, IntMatrix(tuple(zip(*cols))))
 
     @classmethod
+    @lru_cache(maxsize=_GROUPS_CACHED)
     def identity(cls, group: AbelianGroup) -> "AbelianMap":
+        """The identity of `group`, built once per group and shared."""
         return cls(group, IntMatrix.identity(group.ngens))
 
     def column(self, j: int) -> tuple[int, ...]:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .abelian import AbelianGroup, AbelianMap
 from .errors import NotInKernel, RelationViolated
 from .words import (
-    A, B, GroupSpec, Word, are_equal, exp_sum, format_word, invert,
+    A, B, GroupSpec, Word, britton_reduce, exp_sum, format_word, invert,
     multiply, normal_form, parse_word, relator, substitute, word,
 )
 
@@ -137,7 +137,7 @@ def endo_validate(spec: EndoSpec) -> InducedData:
 
 def _induced(spec: EndoSpec) -> InducedData:
     image = endo_apply(spec, relator(spec.group))
-    if not are_equal(image, Word(), spec.group):
+    if britton_reduce(image, spec.group):
         raise RelationViolated(format_word(normal_form(image, spec.group).word))
 
     k = exp_sum(spec.image_a, A)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import index, sub
 
 
 @dataclass(frozen=True)
@@ -16,14 +17,14 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.entries:
-            width = len(self.entries[0])
-            if any(len(row) != width for row in self.entries):
-                raise ValueError("ragged matrix")
+        if len(set(map(len, self.entries))) > 1:
+            raise ValueError("ragged matrix")
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        """Rows of integers; an entry that is not one (2.5, "3") raises
+        TypeError rather than being truncated."""
+        return cls(tuple(tuple(map(index, row)) for row in rows))
 
     @classmethod
     def identity(cls, size: int) -> "IntMatrix":
@@ -53,8 +54,7 @@ class IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
         return IntMatrix(tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+            tuple(map(sub, ra, rb)) for ra, rb in zip(self.entries, other.entries)))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -97,87 +97,80 @@ class SNFResult:
 
     @property
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.D[i, i] for i in range(min(self.D.rows, self.D.cols)))
+        entries = self.D.entries
+        return tuple(entries[i][i] for i in range(min(self.D.rows, self.D.cols)))
 
 
 def snf(M: IntMatrix) -> SNFResult:
-    """Smith normal form with the unimodular transforms recorded."""
+    """Smith normal form with the unimodular transforms recorded.
+
+    Step t moves a nonzero entry of smallest magnitude in the block
+    t.., t.. (the first one in row-major order) to (t, t), clears row t
+    and column t past it by floor-quotient row and column operations, and
+    repeats until both are clear.  It then adds to row t the first row
+    below that holds an entry the pivot does not divide, and repeats, and
+    finally negates row t if the pivot is negative.  Every row operation
+    is applied to u and every column operation to v, so U M V = D.
+    """
     rows, cols = M.rows, M.cols
     m = [list(row) for row in M.entries]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, factor):  # row dst += factor * row src
-        m[dst] = [a + factor * b for a, b in zip(m[dst], m[src])]
-        u[dst] = [a + factor * b for a, b in zip(u[dst], u[src])]
-
-    def add_col(src, dst, factor):
-        for row in m:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    size = min(rows, cols)
-    for t in range(size):
+    for t in range(min(rows, cols)):
         while True:
-            # move a nonzero pivot of smallest magnitude to (t, t)
-            pivot = None
+            best = 0
             for i in range(t, rows):
+                row = m[i]
                 for j in range(t, cols):
-                    if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            if pivot != (t, t):
-                if pivot[0] != t:
-                    swap_rows(t, pivot[0])
-                if pivot[1] != t:
-                    swap_cols(t, pivot[1])
+                    x = abs(row[j])
+                    if x and (not best or x < best):
+                        best, pi, pj = x, i, j
+            if not best:
+                break  # the block is zero, and so is every later one
+            if pi != t:
+                m[t], m[pi] = m[pi], m[t]
+                u[t], u[pi] = u[pi], u[t]
+            if pj != t:
+                for row in m:
+                    row[t], row[pj] = row[pj], row[t]
+                for row in v:
+                    row[t], row[pj] = row[pj], row[t]
+            top, u_top = m[t], u[t]
+            pivot = top[t]
             dirty = False
             for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    add_row(t, i, -(m[i][t] // m[t][t]))
+                if m[i][t]:
+                    f = -(m[i][t] // pivot)
+                    m[i] = [a + f * b for a, b in zip(m[i], top)]
+                    u[i] = [a + f * b for a, b in zip(u[i], u_top)]
                     dirty = dirty or m[i][t] != 0
             for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    add_col(t, j, -(m[t][j] // m[t][t]))
-                    dirty = dirty or m[t][j] != 0
+                if top[j]:
+                    f = -(top[j] // pivot)
+                    for row in m:
+                        row[j] += f * row[t]
+                    for row in v:
+                        row[j] += f * row[t]
+                    dirty = dirty or top[j] != 0
             # row operations leave row t alone and column operations
             # column t, so not dirty means both are zero past the pivot
-            if not dirty:
-                # enforce divisibility into the remaining block
-                offender = None
-                for i in range(t + 1, rows):
-                    for j in range(t + 1, cols):
-                        if m[i][j] % m[t][t] != 0:
-                            offender = (i, j)
-                            break
-                    if offender:
-                        break
-                if offender is None:
-                    break
-                add_row(offender[0], t, 1)
+            if dirty:
+                continue
+            # enforce divisibility into the remaining block
+            offender = next((i for i in range(t + 1, rows)
+                             if any(x % pivot for x in m[i][t + 1:])), None)
+            if offender is None:
+                break
+            m[t] = [a + b for a, b in zip(top, m[offender])]
+            u[t] = [a + b for a, b in zip(u_top, u[offender])]
         if m[t][t] < 0:
-            negate_row(t)
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
 
-    D = IntMatrix.from_rows(m)
-    U = IntMatrix.from_rows(u)
-    V = IntMatrix.from_rows(v)
-    return SNFResult(D, U, V)
+    return SNFResult(IntMatrix(tuple(map(tuple, m))),
+                     IntMatrix(tuple(map(tuple, u))),
+                     IntMatrix(tuple(map(tuple, v))))
 
 
 def _coker_order(M: IntMatrix):

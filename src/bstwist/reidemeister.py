@@ -24,8 +24,8 @@ from .errors import (
 from .homs import EndoSpec, InducedData, endo_apply, endo_validate, kappa
 from .models import ModelFamily, model_family, slice_of
 from .words import (
-    A, B, GroupSpec, Word, are_equal, exp_sum, format_word, multiply,
-    parse_word, relator, word,
+    A, B, GroupSpec, Word, are_equal, exp_sum, multiply, parse_word, relator,
+    word,
 )
 # A closed form in (m, n), defined with the word layer so that
 # `bs-twist power-constraint` loads no other; kept importable from here.
@@ -43,9 +43,10 @@ INV_KAPPA = "kappa"
 class Certificate:
     """Evidence that infinitely many twisted classes exist.
 
-    `invariant` names the homomorphism lam, `scale_checks` records the
-    verified identities lam(phi(gen)) = lam(gen) (and the psi copies for
-    coincidence), and the witness family w * step^j takes pairwise
+    `invariant` names the homomorphism lam and `target` its codomain,
+    `scale_checks` records the verified identities lam(phi(gen)) = lam(gen)
+    (and the psi copies for coincidence), which `check_certificate`
+    recomputes and compares, and the witness family w * step^j takes pairwise
     distinct lam-values, so its members lie in pairwise distinct classes.
     """
 
@@ -97,41 +98,68 @@ class ReidemeisterOutcome:
 
 NUM_WITNESSES = 10
 _TAGS = ("phi", "psi")
+_TARGETS = {INV_A_SUM: "Z, the a-exponent quotient",
+            INV_B_SUM: "Z, the b-exponent quotient (m = n)"}
+# "1", x, x^2, ...: the formatted words x^j, j < NUM_WITNESSES
+_WITNESS_TEXTS = {letter: ("1", letter) + tuple(
+    f"{letter}^{j}" for j in range(2, NUM_WITNESSES)) for letter in (A, B)}
 
 
-def _certificate(invariant: str, target: str, checks: dict, letter: str,
-                 value: Callable[[Word], object]) -> Certificate:
-    """The witness family letter^j, j < NUM_WITNESSES, with its lam-values."""
-    witnesses = [word([(letter, j)]) for j in range(NUM_WITNESSES)]
-    return Certificate(invariant=invariant, target=target, scale_checks=checks,
-                       witness_base="1", witness_step=letter,
-                       first_witnesses=tuple(format_word(w) for w in witnesses),
-                       values=tuple(str(value(w)) for w in witnesses))
+def _target(invariant: str, group: GroupSpec) -> str:
+    if invariant == INV_KAPPA:
+        return f"Q via kappa(g_i) = ({group.n}/{group.m})^i on K"
+    return _TARGETS[invariant]
 
 
-def _exp_sum_certificate(letter: str, target: str,
-                         specs: list[EndoSpec]) -> Certificate:
+def _exp_sum_checks(letter: str, specs: list[EndoSpec]) -> dict:
+    """The identities lam(x(a)), lam(x(b)) for lam = |.|_letter."""
     checks = {}
     for tag, spec in zip(_TAGS, specs):
         checks[f"|{tag}(a)|_{letter}"] = exp_sum(spec.image_a, letter)
         checks[f"|{tag}(b)|_{letter}"] = exp_sum(spec.image_b, letter)
-    return _certificate(INV_A_SUM if letter == A else INV_B_SUM, target,
-                        checks, letter, lambda w: exp_sum(w, letter))
+    return checks
+
+
+def _kappa_checks(ratio: Fraction, rows) -> dict:
+    """The identities behind kappa(x(g_i)) = kappa(g_i), from (k, kappa(x(b)))
+    of each map."""
+    checks = {}
+    for tag, (k, scale) in zip(_TAGS, rows):
+        checks[f"k of {tag}"] = k
+        checks[f"kappa({tag}(b))"] = str(scale)
+        checks[f"(n/m)^(k-1) of {tag}"] = str(ratio ** (k - 1))
+    return checks
+
+
+def _certificate(invariant: str, group: GroupSpec, checks: dict, letter: str,
+                 value: Callable[[Word], object]) -> Certificate:
+    """The witness family letter^j, j < NUM_WITNESSES, with its lam-values.
+
+    The base is 1 and lam is a homomorphism, so the j-th value is
+    j * lam(letter): one evaluation of lam for the whole family.
+    """
+    step = value(word([(letter, 1)]))
+    return Certificate(invariant=invariant, target=_target(invariant, group),
+                       scale_checks=checks, witness_base="1",
+                       witness_step=letter,
+                       first_witnesses=_WITNESS_TEXTS[letter],
+                       values=tuple(str(j * step) for j in range(NUM_WITNESSES)))
+
+
+def _exp_sum_certificate(letter: str, group: GroupSpec,
+                         specs: list[EndoSpec]) -> Certificate:
+    return _certificate(INV_A_SUM if letter == A else INV_B_SUM, group,
+                        _exp_sum_checks(letter, specs), letter,
+                        lambda w: exp_sum(w, letter))
 
 
 def _kappa_certificate(group: GroupSpec,
                        data: list[InducedData]) -> Certificate:
     """kappa(phi(g_i)) = (n/m)^(k i) kappa(phi(b)), so kappa(phi(b)) = 1 and
     (n/m)^(k-1) = 1 together prove kappa(phi(g_i)) = kappa(g_i) for every i."""
-    ratio = Fraction(group.n, group.m)
-    checks = {}
-    for tag, induced in zip(_TAGS, data):
-        checks[f"k of {tag}"] = induced.k
-        checks[f"kappa({tag}(b))"] = str(induced.kappa_scale)
-        checks[f"(n/m)^(k-1) of {tag}"] = str(ratio ** (induced.k - 1))
-    return _certificate(INV_KAPPA,
-                        f"Q via kappa(g_i) = ({group.n}/{group.m})^i on K",
-                        checks, B, lambda w: kappa(w, group))
+    checks = _kappa_checks(Fraction(group.n, group.m),
+                           [(d.k, d.kappa_scale) for d in data])
+    return _certificate(INV_KAPPA, group, checks, B, lambda w: kappa(w, group))
 
 
 def _catalog(specs: list[EndoSpec]) -> ReidemeisterOutcome:
@@ -154,7 +182,7 @@ def _catalog(specs: list[EndoSpec]) -> ReidemeisterOutcome:
 
     if all(d.k == 1 and d.kernel_preserved for d in data):
         return ReidemeisterOutcome.infinite(
-            _exp_sum_certificate(A, "Z, the a-exponent quotient", specs))
+            _exp_sum_certificate(A, group, specs))
     attempts.append(f"{INV_A_SUM}: needs k = 1 and |x(b)|_a = 0, got " + ", ".join(
         f"k of {tag} = {d.k}, |{tag}(b)|_a = {exp_sum(spec.image_b, A)}"
         for tag, d, spec in zip(_TAGS, data, specs)))
@@ -162,8 +190,8 @@ def _catalog(specs: list[EndoSpec]) -> ReidemeisterOutcome:
     if group.m == group.n:
         sums = [(exp_sum(s.image_b, B), exp_sum(s.image_a, B)) for s in specs]
         if all(pair == (1, 0) for pair in sums):
-            return ReidemeisterOutcome.infinite(_exp_sum_certificate(
-                B, "Z, the b-exponent quotient (m = n)", specs))
+            return ReidemeisterOutcome.infinite(
+                _exp_sum_certificate(B, group, specs))
         attempts.append(f"{INV_B_SUM}: needs (|x(b)|_b, |x(a)|_b) = (1, 0), got "
                         + ", ".join(f"{p} for {t}" for t, p in zip(_TAGS, sums)))
     else:
@@ -201,8 +229,10 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
     Checks that each spec is an endomorphism of phi's group (trivial relator
     image, computed here by the word problem: the cached `endo_validate`
     result is never read), then recomputes the scale identities and the
-    witnesses' lam-values; True iff lam is fixed and the values, of two
-    or more witnesses, are pairwise distinct.  The witnesses must be the
+    witnesses' lam-values; True iff lam is fixed, the identities equal the
+    certificate's `scale_checks` key for key, its `target` is the one its
+    invariant names, and the values, of two or more witnesses, are the
+    stated ones and pairwise distinct.  The witnesses must be the
     family they name: the j-th is base * step^j as a freely reduced word,
     so lam(base) != lam(base * step) proves lam(step) != 0 and the whole
     family base * step^j pairwise distinct.  A base, step or
@@ -234,8 +264,9 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
         if letter == B and group.m != group.n:
             return False
         fixed = (1, 0) if letter == A else (0, 1)  # (lam(a), lam(b))
-        if any((exp_sum(spec.image_a, letter), exp_sum(spec.image_b, letter))
-               != fixed for spec in specs):
+        checks = _exp_sum_checks(letter, specs)
+        # the identities come as (lam(x(a)), lam(x(b))) for each map x
+        if tuple(checks.values()) != fixed * len(specs):
             return False
         values = [exp_sum(w, letter) for w in witnesses]
     elif cert.invariant == INV_KAPPA:
@@ -245,6 +276,7 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
             if (exp_sum(spec.image_b, A) != 0 or kappa(spec.image_b, group) != 1
                     or ratio ** (k - 1) != 1):
                 return False
+        checks = _kappa_checks(ratio, [(k, 1) for k in ks])
         # twisting must be pinned inside K; psi = id has k = 1
         ks += [1] * (2 - len(ks))
         if ks[0] == ks[1]:
@@ -256,6 +288,8 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
     else:
         return False
 
+    if cert.scale_checks != checks or cert.target != _target(cert.invariant, group):
+        return False
     if [str(v) for v in values] != list(cert.values):
         return False
     return len(set(values)) == len(values)

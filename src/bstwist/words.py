@@ -36,6 +36,7 @@ pickling through the constructor.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
@@ -444,8 +445,10 @@ def substitute(w: Word, image_a: Word, image_b: Word) -> Word:
     return _word(stack)
 
 
+@lru_cache(maxsize=64)  # keyed by group only; a run touches few groups
 def relator(group: GroupSpec) -> Word:
-    """The defining relator a^-1 b^m a b^-n."""
+    """The defining relator a^-1 b^m a b^-n, built once per group (a Word
+    is immutable, so callers share it)."""
     return word([(A, -1), (B, group.m), (A, 1), (B, -group.n)])
 
 

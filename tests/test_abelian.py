@@ -22,6 +22,13 @@ class TestAbelianGroup:
         g = AbelianGroup(torsion=(4,), rank=1)
         assert g.presentation().entries == ((4, 0), (0, 0))
 
+    def test_presentation_and_identity_built_once_per_group(self):
+        g, same = AbelianGroup(torsion=(4,), rank=1), AbelianGroup(torsion=(4,), rank=1)
+        assert g.presentation() is same.presentation()
+        assert AbelianMap.identity(g) is AbelianMap.identity(same)
+        assert AbelianMap.identity(g).matrix == IntMatrix.identity(2)
+        assert AbelianGroup(torsion=(3,), rank=1).presentation().entries == ((3, 0), (0, 0))
+
 
 class TestAbelianMap:
     def test_from_columns_reduces(self):
@@ -41,6 +48,13 @@ class TestAbelianMap:
         f1 = AbelianMap.from_columns(g, [(1, 0), (0, 1)])
         f2 = AbelianMap.from_columns(g, [(4, 0), (3, 1)])
         assert f1 == f2
+
+    def test_non_integral_entry_rejected(self):
+        # 1.9 is not truncated to 1 and then stored
+        g = AbelianGroup(torsion=(4,), rank=1)
+        with pytest.raises(TypeError):
+            AbelianMap.from_columns(g, [(1.9, 2), (0, 1)])
+        assert AbelianMap.from_columns(g, [(5, 2 ** 70), (0, 1)]).column(0) == (1, 2 ** 70)
 
     def test_shape_check(self):
         g = AbelianGroup(torsion=(3,), rank=1)

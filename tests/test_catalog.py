@@ -8,6 +8,7 @@ certificate builders (witnesses through `words.power`).
 
 import functools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,7 +117,9 @@ def _ref_coincidence_certify(phi, psi):
 
 
 def _ref_check_certificate(cert, phi, psi=None):
-    """The checker without the relator test: it trusts the specs."""
+    """The checker without the relator test: it trusts the specs.  Its
+    `scale_checks` and `target` must be those the reference builders give
+    the specs."""
     group = phi.group
     specs = [phi] + ([psi] if psi is not None else [])
     witnesses = [parse_word(text, group) for text in cert.first_witnesses]
@@ -124,12 +127,14 @@ def _ref_check_certificate(cert, phi, psi=None):
         if any(exp_sum(s.image_a, A) != 1 or exp_sum(s.image_b, A) != 0
                for s in specs):
             return False
+        ref = _ref_a_sum(specs)
         values = [exp_sum(w, A) for w in witnesses]
     elif cert.invariant == INV_B_SUM:
         if group.m != group.n or any(
                 exp_sum(s.image_b, B) != 1 or exp_sum(s.image_a, B) != 0
                 for s in specs):
             return False
+        ref = _ref_b_sum(specs)
         values = [exp_sum(w, B) for w in witnesses]
     elif cert.invariant == INV_KAPPA:
         ratio = Fraction(group.n, group.m)
@@ -140,10 +145,13 @@ def _ref_check_certificate(cert, phi, psi=None):
                 return False
         if (ks[0] == 1) if len(ks) == 1 else (ks[0] == ks[1]):
             return False
+        ref = _ref_kappa(group, [SimpleNamespace(k=k, kappa_scale=Fraction(1))
+                                 for k in ks])
         values = [kappa(w, group) for w in witnesses]
     else:
         return False
-    return ([str(v) for v in values] == list(cert.values)
+    return (cert.scale_checks == ref.scale_checks and cert.target == ref.target
+            and [str(v) for v in values] == list(cert.values)
             and len(set(values)) == len(values))
 
 
@@ -308,6 +316,43 @@ def test_checker_is_reference_on_endomorphisms(data, group):
         assert verdict is False
         return
     assert verdict == _ref_check_certificate(outcome.certificate, *targets)
+
+
+# ---------------------------------------------------------------------------
+# The witness family: closed form against the word-by-word builder
+
+
+def _wordwise_certificate(invariant, target, checks, letter, value):
+    """Reference: the family letter^j, j < 10, built, formatted and
+    evaluated word by word."""
+    witnesses = [word([(letter, j)]) for j in range(10)]
+    return Certificate(invariant=invariant, target=target, scale_checks=checks,
+                       witness_base="1", witness_step=letter,
+                       first_witnesses=tuple(format_word(w) for w in witnesses),
+                       values=tuple(str(value(w)) for w in witnesses))
+
+
+def _assert_wordwise(cert, group):
+    """The emitted certificate equals the word-by-word one field for field."""
+    letter = A if cert.invariant == INV_A_SUM else B
+    value = ((lambda w: kappa(w, group)) if cert.invariant == INV_KAPPA
+             else (lambda w: exp_sum(w, letter)))
+    assert cert == _wordwise_certificate(cert.invariant, cert.target,
+                                         cert.scale_checks, letter, value)
+
+
+def test_catalog_families_match_wordwise_builder():
+    """Every catalog entry, for single maps and pairs; the drawn maps of
+    the tests above compare the same fields with `_ref_certificate`."""
+    kinds = set()
+    for group, phi, psi in CASES:
+        specs = [_endo(group, *phi)] + ([_endo(group, *psi)] if psi else [])
+        outcome, _ = _run(coincidence_certify if psi else certify_infinite, *specs)
+        if outcome is not None and outcome.kind == "infinite":
+            _assert_wordwise(outcome.certificate, group)
+            kinds.add((outcome.certificate.invariant, len(specs)))
+    assert kinds == {(inv, n) for inv in (INV_A_SUM, INV_B_SUM, INV_KAPPA)
+                     for n in (1, 2)}
 
 
 class TestCheckerRejectsNonEndomorphisms:

@@ -150,3 +150,29 @@ def test_large_output_lifts_the_digit_limit_first():
         assert proc.stdout == f"b^{2 ** 15000}\n"
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def _functools_caches():
+    """(name, cache) for every functools cache on a module of bstwist or on
+    a class it defines, unwrapping class and static methods."""
+    for name in SUBMODULES:
+        module = importlib.import_module(f"bstwist.{name}")
+        for attr, value in vars(module).items():
+            members = [(attr, value)]
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                members += [(f"{attr}.{key}", getattr(member, "__func__", member))
+                            for key, member in vars(value).items()]
+            for qualname, member in members:
+                if hasattr(member, "cache_info"):
+                    yield f"{name}.{qualname}", member
+
+
+def test_every_cache_is_bounded():
+    """A cache without a maxsize grows with the inputs of a run, which
+    shows up as peak memory; every one here must drop old entries."""
+    caches = dict(_functools_caches())
+    assert {"words.relator", "abelian.AbelianGroup.presentation",
+            "abelian.AbelianMap.identity"} <= set(caches)
+    unbounded = sorted(name for name, cache in caches.items()
+                       if cache.cache_info().maxsize is None)
+    assert unbounded == []

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bstwist.intmat import IntMatrix, coker_order, left_kernel_functional, snf
 
@@ -35,6 +36,16 @@ class TestIntMatrix:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])
+        with pytest.raises(ValueError):
+            IntMatrix(((1,), (2, 3), (4,)))
+
+    def test_non_integral_entry_rejected(self):
+        # an entry is never truncated: 2.5 is not the integer 2
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[2.5, 1]])
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[1, "3"]])
+        assert IntMatrix.from_rows([[True, 2 ** 70]]).entries == ((1, 2 ** 70),)
 
     def test_det_known(self):
         assert IntMatrix.from_rows([[2, 0], [0, 3]]).det() == 6
@@ -58,7 +69,99 @@ class TestIntMatrix:
         assert m.det() == big * big - 1
 
 
+def _ref_snf(M):
+    """Reference: the Smith normal form as first written, with one closure
+    per row and column operation; returns the entries of D, U and V."""
+    rows, cols = M.rows, M.cols
+    m = [list(row) for row in M.entries]
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, factor):
+        m[dst] = [a + factor * b for a, b in zip(m[dst], m[src])]
+        u[dst] = [a + factor * b for a, b in zip(u[dst], u[src])]
+
+    def add_col(src, dst, factor):
+        for row in m:
+            row[dst] += factor * row[src]
+        for row in v:
+            row[dst] += factor * row[src]
+
+    def negate_row(i):
+        m[i] = [-x for x in m[i]]
+        u[i] = [-x for x in u[i]]
+
+    for t in range(min(rows, cols)):
+        while True:
+            pivot = None
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
+                        pivot = (i, j)
+            if pivot is None:
+                break
+            if pivot != (t, t):
+                if pivot[0] != t:
+                    swap_rows(t, pivot[0])
+                if pivot[1] != t:
+                    swap_cols(t, pivot[1])
+            dirty = False
+            for i in range(t + 1, rows):
+                if m[i][t] != 0:
+                    add_row(t, i, -(m[i][t] // m[t][t]))
+                    dirty = dirty or m[i][t] != 0
+            for j in range(t + 1, cols):
+                if m[t][j] != 0:
+                    add_col(t, j, -(m[t][j] // m[t][t]))
+                    dirty = dirty or m[t][j] != 0
+            if not dirty:
+                offender = None
+                for i in range(t + 1, rows):
+                    for j in range(t + 1, cols):
+                        if m[i][j] % m[t][t] != 0:
+                            offender = (i, j)
+                            break
+                    if offender:
+                        break
+                if offender is None:
+                    break
+                add_row(offender[0], t, 1)
+        if m[t][t] < 0:
+            negate_row(t)
+    return tuple(tuple(tuple(int(x) for x in row) for row in a) for a in (m, u, v))
+
+
+ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70))
+
+
+@st.composite
+def matrices(draw):
+    """0-4 rows of 0-4 columns; some rows zero, some entries beyond 2^64."""
+    cols = draw(st.integers(0, 4))
+    row = st.one_of(st.just([0] * cols),
+                    st.lists(ENTRIES, min_size=cols, max_size=cols))
+    return IntMatrix.from_rows(draw(st.lists(row, max_size=4)))
+
+
 class TestSNF:
+    @settings(max_examples=400, deadline=None)
+    @given(matrices())
+    def test_same_transforms_as_reference(self, m):
+        """D, U and V, entry by entry: `bs-twist snf` prints U and V, and
+        `fixed_functional` returns a row of U."""
+        result = snf(m)
+        assert (result.D.entries, result.U.entries, result.V.entries) == _ref_snf(m)
+
     def test_known_diagonal(self):
         m = IntMatrix.from_rows([[2, 4], [6, 8]])
         assert snf(m).diagonal == (2, 4)

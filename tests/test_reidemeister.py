@@ -1,6 +1,8 @@
 """Infinitude certificates, coincidence, ball enumeration, power constraint."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +126,53 @@ class TestCheckCertificate:
             Certificate(INV_A_SUM, "Z", {}, "1", "a", (), ()), spec)
         assert not check_certificate(
             Certificate(INV_A_SUM, "Z", {}, "1", "b", ("1",), ("0",)), spec)
+
+    # (single maps or pairs) certified by each catalog entry
+    CERTIFIED = [
+        (endo(2, 3, "a", "b^2"),),
+        (endo(2, 2, "a^2", "b"),),
+        (endo(3, -3, "a^3", "b"),),
+        (endo(2, 3, "a", "b^2"), endo(2, 3, "a b", "b^2")),
+        (endo(2, 2, "a^2", "b"), endo(2, 2, "a^-1", "b")),
+        (endo(2, -2, "a^3", "b"), endo(2, -2, "a", "b")),
+    ]
+
+    @pytest.mark.parametrize("specs", CERTIFIED)
+    def test_rejects_scale_checks_other_than_the_identities(self, specs):
+        cert = (coincidence_certify if len(specs) == 2 else certify_infinite)(
+            *specs).certificate
+        assert check_certificate(cert, *specs)
+        checks = cert.scale_checks
+        first = next(iter(checks))
+        for bad in ({**checks, first: 7}, {first: checks[first]},
+                    dict(list(checks.items())[1:]),
+                    {**checks, "|psi(a)|_c": 1}, {}):
+            assert not check_certificate(replace(cert, scale_checks=bad), *specs)
+
+    @pytest.mark.parametrize("specs", CERTIFIED)
+    def test_rejects_a_target_its_invariant_does_not_name(self, specs):
+        cert = (coincidence_certify if len(specs) == 2 else certify_infinite)(
+            *specs).certificate
+        for bad in ("anything", "", cert.target + " "):
+            assert not check_certificate(replace(cert, target=bad), *specs)
+
+    def test_rejects_forged_a_sum_fields(self):
+        # |.|_a is fixed and the witnesses are right, but the stated
+        # identity and target are not the ones checked
+        spec = endo(2, 3, "a", "b^2")
+        cert = certify_infinite(spec).certificate
+        assert not check_certificate(
+            replace(cert, scale_checks={"|phi(a)|_a": 7}), spec)
+        assert not check_certificate(replace(cert, target="anything"), spec)
+
+    def test_golden_certificate_accepted(self):
+        golden = Path(__file__).parent / "golden" / "certificate.json"
+        fields = json.loads(golden.read_text())["certificate"]
+        cert = Certificate(**{key: tuple(value) if isinstance(value, list) else value
+                              for key, value in fields.items()})
+        spec = endo(2, 3, "a", "b^2")
+        assert certify_infinite(spec).certificate == cert
+        assert check_certificate(cert, spec)
 
     def test_rejects_kappa_witness_off_the_kernel(self):
         spec = endo(3, -3, "a^3", "b")
