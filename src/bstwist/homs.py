@@ -3,10 +3,12 @@
 An endomorphism is given by image words for the generators a and b.  It is
 valid iff the image of the defining relator is trivial.  A spec is
 immutable, so that check runs once per spec object: `EndoSpec.induced`
-caches the `InducedData`, which `endo_validate` and the certificate catalog
-read.  The certificate checker never reads it and applies the relator
-itself.  `EndoSpec.model_images` caches the model images of image_a and
-image_b in the same way, for the enumerator's boxes.  Valid maps induce
+caches the `InducedData`, which `endo_validate` returns.  The certificate
+catalog calls `endo_validate` only to validate its maps and reads none of
+the fields: its rules recompute what they need from the image words.  The
+certificate checker never calls it and applies the relator itself.
+`EndoSpec.model_images` caches the model images of image_a and image_b in
+the same way, for the enumerator's boxes.  Valid maps induce
 multiplication by k = |phi(a)|_a on the quotient Z = B(m,n)/K and a map
 on the abelianization Z_{|n-m|} + Z.  On the kernel
 K = ker|.|_a, generated by g_i = a^-i b a^i with relations

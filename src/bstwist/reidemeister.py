@@ -15,13 +15,12 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from typing import Callable
 
 from .errors import (
     BoxTooSmall, GroupMismatch, NotInKernel, UnsupportedGroup, WordSyntaxError,
     WrongFamily,
 )
-from .homs import EndoSpec, InducedData, endo_apply, endo_validate, kappa
+from .homs import EndoSpec, endo_apply, endo_validate, kappa
 from .models import ModelFamily, model_family, slice_of
 from .words import (
     A, B, GroupSpec, Word, are_equal, exp_sum, multiply, parse_word, relator,
@@ -98,115 +97,119 @@ class ReidemeisterOutcome:
 
 NUM_WITNESSES = 10
 _TAGS = ("phi", "psi")
-_TARGETS = {INV_A_SUM: "Z, the a-exponent quotient",
-            INV_B_SUM: "Z, the b-exponent quotient (m = n)"}
 # "1", x, x^2, ...: the formatted words x^j, j < NUM_WITNESSES
 _WITNESS_TEXTS = {letter: ("1", letter) + tuple(
     f"{letter}^{j}" for j in range(2, NUM_WITNESSES)) for letter in (A, B)}
 
 
-def _target(invariant: str, group: GroupSpec) -> str:
-    if invariant == INV_KAPPA:
-        return f"Q via kappa(g_i) = ({group.n}/{group.m})^i on K"
-    return _TARGETS[invariant]
+def _exp_sums(letter: str, specs: list[EndoSpec]) -> list:
+    """(|x(a)|_letter, |x(b)|_letter) for each map x."""
+    return [(exp_sum(s.image_a, letter), exp_sum(s.image_b, letter))
+            for s in specs]
 
 
-def _exp_sum_checks(letter: str, specs: list[EndoSpec]) -> dict:
-    """The identities lam(x(a)), lam(x(b)) for lam = |.|_letter."""
+def _exp_sum_checks(letter: str, sums: list) -> dict:
+    """The identities lam(x(a)), lam(x(b)) for lam = |.|_letter, from
+    `_exp_sums`."""
     checks = {}
-    for tag, spec in zip(_TAGS, specs):
-        checks[f"|{tag}(a)|_{letter}"] = exp_sum(spec.image_a, letter)
-        checks[f"|{tag}(b)|_{letter}"] = exp_sum(spec.image_b, letter)
+    for tag, (on_a, on_b) in zip(_TAGS, sums):
+        checks[f"|{tag}(a)|_{letter}"] = on_a
+        checks[f"|{tag}(b)|_{letter}"] = on_b
     return checks
 
 
-def _kappa_checks(ratio: Fraction, rows) -> dict:
-    """The identities behind kappa(x(g_i)) = kappa(g_i), from (k, kappa(x(b)))
-    of each map."""
-    checks = {}
-    for tag, (k, scale) in zip(_TAGS, rows):
-        checks[f"k of {tag}"] = k
-        checks[f"kappa({tag}(b))"] = str(scale)
-        checks[f"(n/m)^(k-1) of {tag}"] = str(ratio ** (k - 1))
-    return checks
+def _a_sum(group: GroupSpec, specs: list[EndoSpec]) -> str | tuple:
+    sums = _exp_sums(A, specs)
+    if all(pair == (1, 0) for pair in sums):
+        return ("Z, the a-exponent quotient", _exp_sum_checks(A, sums), A,
+                lambda w: exp_sum(w, A))
+    return f"{INV_A_SUM}: needs k = 1 and |x(b)|_a = 0, got " + ", ".join(
+        f"k of {tag} = {k}, |{tag}(b)|_a = {on_b}"
+        for tag, (k, on_b) in zip(_TAGS, sums))
 
 
-def _certificate(invariant: str, group: GroupSpec, checks: dict, letter: str,
-                 value: Callable[[Word], object]) -> Certificate:
-    """The witness family letter^j, j < NUM_WITNESSES, with its lam-values.
-
-    The base is 1 and lam is a homomorphism, so the j-th value is
-    j * lam(letter): one evaluation of lam for the whole family.
-    """
-    step = value(word([(letter, 1)]))
-    return Certificate(invariant=invariant, target=_target(invariant, group),
-                       scale_checks=checks, witness_base="1",
-                       witness_step=letter,
-                       first_witnesses=_WITNESS_TEXTS[letter],
-                       values=tuple(str(j * step) for j in range(NUM_WITNESSES)))
+def _b_sum(group: GroupSpec, specs: list[EndoSpec]) -> str | tuple:
+    if group.m != group.n:
+        return f"{INV_B_SUM}: only applies when m = n"
+    sums = _exp_sums(B, specs)
+    if all(pair == (0, 1) for pair in sums):
+        return ("Z, the b-exponent quotient (m = n)", _exp_sum_checks(B, sums),
+                B, lambda w: exp_sum(w, B))
+    return f"{INV_B_SUM}: needs (|x(b)|_b, |x(a)|_b) = (1, 0), got " + ", ".join(
+        f"{(on_b, on_a)} for {tag}" for tag, (on_a, on_b) in zip(_TAGS, sums))
 
 
-def _exp_sum_certificate(letter: str, group: GroupSpec,
-                         specs: list[EndoSpec]) -> Certificate:
-    return _certificate(INV_A_SUM if letter == A else INV_B_SUM, group,
-                        _exp_sum_checks(letter, specs), letter,
-                        lambda w: exp_sum(w, letter))
-
-
-def _kappa_certificate(group: GroupSpec,
-                       data: list[InducedData]) -> Certificate:
+def _kappa(group: GroupSpec, specs: list[EndoSpec]) -> str | tuple:
     """kappa(phi(g_i)) = (n/m)^(k i) kappa(phi(b)), so kappa(phi(b)) = 1 and
-    (n/m)^(k-1) = 1 together prove kappa(phi(g_i)) = kappa(g_i) for every i."""
-    checks = _kappa_checks(Fraction(group.n, group.m),
-                           [(d.k, d.kappa_scale) for d in data])
-    return _certificate(INV_KAPPA, group, checks, B, lambda w: kappa(w, group))
+    (n/m)^(k-1) = 1 together prove kappa(phi(g_i)) = kappa(g_i) for every
+    i.  On an endomorphism the first forces the second, through the
+    relator's kappa(phi(b)) (m (n/m)^k - n) = 0; both are recorded."""
+    ks = [exp_sum(s.image_a, A) for s in specs] + [1] * (2 - len(specs))
+    if any(exp_sum(s.image_b, A) for s in specs) or ks[0] == ks[1]:
+        return (f"{INV_KAPPA}: needs kernels preserved and k of phi != "
+                "k of psi (psi = id has k = 1) to pin twisting into K")
+    scales = [kappa(s.image_b, group) for s in specs]
+    if all(d == 1 for d in scales):
+        ratio = Fraction(group.n, group.m)
+        powers = [ratio ** (k - 1) for k in ks]
+        if all(p == 1 for p in powers):
+            checks = {}
+            for tag, k, d, p in zip(_TAGS, ks, scales, powers):
+                checks[f"k of {tag}"] = k
+                checks[f"kappa({tag}(b))"] = str(d)
+                checks[f"(n/m)^(k-1) of {tag}"] = str(p)
+            return (f"Q via kappa(g_i) = ({group.n}/{group.m})^i on K", checks,
+                    B, lambda w: kappa(w, group))
+    return f"{INV_KAPPA}: needs scale d = 1, got " + ", ".join(
+        f"d = {d} for {tag}" for tag, d in zip(_TAGS, scales))
+
+
+# One rule per invariant lam, in the catalog's try order, read by both the
+# catalog and the checker.  rule(group, specs) reads only the image words
+# of endomorphisms [phi] or [phi, psi] (an omitted psi is the identity) and
+# returns the attempt text when they do not fix lam, else (target,
+# scale_checks, step letter, lam).
+_RULES = {INV_A_SUM: _a_sum, INV_B_SUM: _b_sum, INV_KAPPA: _kappa}
 
 
 def _catalog(specs: list[EndoSpec]) -> ReidemeisterOutcome:
     """Try the invariant catalog on [phi] or [phi, psi]; Infinite on first
     success, never Finite.
 
+    Each map is validated first (`endo_validate` raises RelationViolated);
+    no field of the `InducedData` is read.  The rules of `_RULES` then run
+    in order on the image words: |.|_a when every map has k = 1 and
+    preserves K; |.|_b when m = n and every map fixes it; kappa when every
+    map preserves K with scale 1 and k of phi != k of psi, which forces
+    every in-kernel twist to come from gamma in K.  The first rule that
+    finds lam fixed gives the witness family letter^j, j < NUM_WITNESSES:
+    the base is 1 and lam is a homomorphism, so the j-th value is
+    j * lam(letter), one evaluation of lam.  Otherwise the outcome is
+    unknown with every rule's attempt text.
+
     R(phi) = R(phi, id): an omitted psi is the identity (k = 1, K preserved,
-    kappa scale 1, |b|_b = 1, |a|_b = 0), never validated.  Catalog: |.|_a
-    when every map has k = 1 and preserves K; |.|_b when m = n and every map
-    fixes it; kappa when every map preserves K with scale 1 and k of phi !=
-    k of psi, which forces every in-kernel twist to come from gamma in K.
+    kappa scale 1, |b|_b = 1, |a|_b = 0), never validated.
     """
     group = specs[0].group
     if (group.m, group.n) == (1, 1):
         raise UnsupportedGroup(
             "B(1,1) = Z + Z admits automorphisms with finite Reidemeister "
             "number; refusing rather than misleading")
-    data = [endo_validate(spec) for spec in specs]
+    for spec in specs:
+        endo_validate(spec)
     attempts = []
-
-    if all(d.k == 1 and d.kernel_preserved for d in data):
-        return ReidemeisterOutcome.infinite(
-            _exp_sum_certificate(A, group, specs))
-    attempts.append(f"{INV_A_SUM}: needs k = 1 and |x(b)|_a = 0, got " + ", ".join(
-        f"k of {tag} = {d.k}, |{tag}(b)|_a = {exp_sum(spec.image_b, A)}"
-        for tag, d, spec in zip(_TAGS, data, specs)))
-
-    if group.m == group.n:
-        sums = [(exp_sum(s.image_b, B), exp_sum(s.image_a, B)) for s in specs]
-        if all(pair == (1, 0) for pair in sums):
-            return ReidemeisterOutcome.infinite(
-                _exp_sum_certificate(B, group, specs))
-        attempts.append(f"{INV_B_SUM}: needs (|x(b)|_b, |x(a)|_b) = (1, 0), got "
-                        + ", ".join(f"{p} for {t}" for t, p in zip(_TAGS, sums)))
-    else:
-        attempts.append(f"{INV_B_SUM}: only applies when m = n")
-
-    ks = [d.k for d in data] + [1] * (2 - len(data))
-    if all(d.kernel_preserved for d in data) and ks[0] != ks[1]:
-        if all(d.kappa_scale == 1 for d in data):
-            return ReidemeisterOutcome.infinite(_kappa_certificate(group, data))
-        attempts.append(f"{INV_KAPPA}: needs scale d = 1, got " + ", ".join(
-            f"d = {d.kappa_scale} for {tag}" for tag, d in zip(_TAGS, data)))
-    else:
-        attempts.append(f"{INV_KAPPA}: needs kernels preserved and k of phi != "
-                        "k of psi (psi = id has k = 1) to pin twisting into K")
-
+    for invariant, rule in _RULES.items():
+        found = rule(group, specs)
+        if isinstance(found, str):
+            attempts.append(found)
+            continue
+        target, checks, letter, lam = found
+        step = lam(word([(letter, 1)]))
+        return ReidemeisterOutcome.infinite(Certificate(
+            invariant=invariant, target=target, scale_checks=checks,
+            witness_base="1", witness_step=letter,
+            first_witnesses=_WITNESS_TEXTS[letter],
+            values=tuple(str(j * step) for j in range(NUM_WITNESSES))))
     return ReidemeisterOutcome.unknown(attempts)
 
 
@@ -228,18 +231,19 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
 
     Checks that each spec is an endomorphism of phi's group (trivial relator
     image, computed here by the word problem: the cached `endo_validate`
-    result is never read), then recomputes the scale identities and the
-    witnesses' lam-values; True iff lam is fixed, the identities equal the
-    certificate's `scale_checks` key for key, its `target` is the one its
-    invariant names, and the values, of two or more witnesses, are the
-    stated ones and pairwise distinct.  The witnesses must be the
-    family they name: the j-th is base * step^j as a freely reduced word,
-    so lam(base) != lam(base * step) proves lam(step) != 0 and the whole
-    family base * step^j pairwise distinct.  A base, step or
-    witness that does not parse, or a witness outside lam's domain, refutes
-    the certificate.  An omitted psi is the identity.  For kappa,
-    kappa(phi(g_i)) = kappa(g_i) is checked for every i through
-    kappa(phi(b)) = 1 and (n/m)^(k-1) = 1.
+    result is never read), then runs the rule that `_RULES` holds for the
+    certificate's invariant on the specs' image words, as the catalog does;
+    True iff that rule finds lam fixed, its identities equal the
+    certificate's `scale_checks` key for key, its `target` is the
+    certificate's, and the values of lam on two or more witnesses are the
+    stated ones and pairwise distinct.  An invariant with no rule refutes
+    the certificate.  The witnesses must be the family they name: the j-th
+    is base * step^j as a freely reduced word, so lam(base) !=
+    lam(base * step) proves lam(step) != 0 and the whole family
+    base * step^j pairwise distinct.  A base, step or witness that does not
+    parse, or a witness outside lam's domain, refutes the certificate.  An
+    omitted psi is the identity.  For kappa, kappa(phi(g_i)) = kappa(g_i)
+    is checked for every i through kappa(phi(b)) = 1 and (n/m)^(k-1) = 1.
     """
     group = phi.group
     specs = [phi] + ([psi] if psi is not None else [])
@@ -259,36 +263,18 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
     if any(multiply(prev, step) != w for prev, w in zip(witnesses, witnesses[1:])):
         return False
 
-    if cert.invariant in (INV_A_SUM, INV_B_SUM):
-        letter = A if cert.invariant == INV_A_SUM else B
-        if letter == B and group.m != group.n:
-            return False
-        fixed = (1, 0) if letter == A else (0, 1)  # (lam(a), lam(b))
-        checks = _exp_sum_checks(letter, specs)
-        # the identities come as (lam(x(a)), lam(x(b))) for each map x
-        if tuple(checks.values()) != fixed * len(specs):
-            return False
-        values = [exp_sum(w, letter) for w in witnesses]
-    elif cert.invariant == INV_KAPPA:
-        ratio = Fraction(group.n, group.m)
-        ks = [exp_sum(spec.image_a, A) for spec in specs]
-        for spec, k in zip(specs, ks):
-            if (exp_sum(spec.image_b, A) != 0 or kappa(spec.image_b, group) != 1
-                    or ratio ** (k - 1) != 1):
-                return False
-        checks = _kappa_checks(ratio, [(k, 1) for k in ks])
-        # twisting must be pinned inside K; psi = id has k = 1
-        ks += [1] * (2 - len(ks))
-        if ks[0] == ks[1]:
-            return False
-        try:
-            values = [kappa(w, group) for w in witnesses]
-        except NotInKernel:
-            return False
-    else:
+    rule = _RULES.get(cert.invariant)
+    if rule is None:
         return False
-
-    if cert.scale_checks != checks or cert.target != _target(cert.invariant, group):
+    found = rule(group, specs)
+    if isinstance(found, str):
+        return False
+    target, checks, _, lam = found
+    if cert.scale_checks != checks or cert.target != target:
+        return False
+    try:
+        values = [lam(w) for w in witnesses]
+    except NotInKernel:
         return False
     if [str(v) for v in values] != list(cert.values):
         return False

@@ -4,6 +4,7 @@ each command loads, and the digit limit `main` lifts before any handler.
 Each check that depends on import state runs in its own interpreter, since
 the test process has already imported every submodule."""
 
+import ast
 import importlib
 import json
 import os
@@ -176,3 +177,41 @@ def test_every_cache_is_bounded():
     unbounded = sorted(name for name, cache in caches.items()
                        if cache.cache_info().maxsize is None)
     assert unbounded == []
+
+
+def _unused_imports(path):
+    """(line, name) for each name that `path` imports and never reads,
+    except on lines marked `# noqa: F401` (a deliberate re-export).  A
+    name counts as read anywhere in the module, annotations included."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias, (alias.asname or alias.name).split(".")[0])
+                         for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(alias, alias.asname or alias.name)
+                         for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(alias.lineno, name) for alias, name in imported
+            if name not in read
+            and "# noqa: F401" not in lines[alias.lineno - 1]]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "bstwist").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_unused_import(path):
+    assert _unused_imports(path) == []
+
+
+def test_unused_import_check_sees_a_dangling_name(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from __future__ import annotations\n"
+                      "import os.path\n"
+                      "from typing import Callable, Iterable\n"
+                      "from .words import power_constraint  # noqa: F401\n"
+                      "def f(x: Iterable) -> None:\n"
+                      "    return os.sep\n")
+    assert _unused_imports(module) == [(3, "Callable")]

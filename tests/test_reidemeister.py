@@ -38,20 +38,24 @@ class TestCertifyInfinite:
         assert check_certificate(outcome.certificate, spec)
 
     def test_kappa_route(self):
-        # a -> a^2, b -> b^4 on B(1,2): valid (a^-2 b a^2 = b^4), k = 2,
-        # kappa scale 4... need scale 1: use a -> b^-1 a b? keep simple:
-        # on B(2,-2), a -> a^3, b -> b has k = 3 and kappa scale 1
+        # on B(2,-2), a -> a^3, b -> b has k = 3 and kappa scale 1; the
+        # b-sum needs m = n, so kappa is the only entry that fires
         spec = endo(2, -2, "a^3", "b")
         outcome = certify_infinite(spec)
         assert outcome.kind == "infinite"
-        assert outcome.certificate.invariant in (INV_KAPPA, INV_B_SUM)
+        assert outcome.certificate.invariant == INV_KAPPA
         assert check_certificate(outcome.certificate, spec)
 
     def test_unknown_records_attempts(self):
         # a -> a^2, b -> 1 on B(1,2): valid, k = 2, kappa scale 0; no route
         outcome = certify_infinite(endo(1, 2, "a^2", "1"))
         assert outcome.kind == "unknown"
-        assert len(outcome.attempts) == 3
+        assert outcome.attempts == (
+            f"{INV_A_SUM}: needs k = 1 and |x(b)|_a = 0, got k of phi = 2, "
+            "|phi(b)|_a = 0",
+            f"{INV_B_SUM}: only applies when m = n",
+            f"{INV_KAPPA}: needs scale d = 1, got d = 0 for phi",
+        )
 
     def test_never_finite(self):
         for spec in (endo(2, 3, "a", "b"), endo(1, 2, "a^2", "1"),
@@ -150,6 +154,18 @@ class TestCheckCertificate:
             assert not check_certificate(replace(cert, scale_checks=bad), *specs)
 
     @pytest.mark.parametrize("specs", CERTIFIED)
+    def test_rejects_another_catalog_name(self, specs):
+        # each name selects its own rule: relabelled, every other field of
+        # the certificate is still the one its own rule gave
+        cert = (coincidence_certify if len(specs) == 2 else certify_infinite)(
+            *specs).certificate
+        assert check_certificate(cert, *specs)
+        others = {INV_A_SUM, INV_B_SUM, INV_KAPPA} - {cert.invariant}
+        assert len(others) == 2
+        for name in others:
+            assert not check_certificate(replace(cert, invariant=name), *specs)
+
+    @pytest.mark.parametrize("specs", CERTIFIED)
     def test_rejects_a_target_its_invariant_does_not_name(self, specs):
         cert = (coincidence_certify if len(specs) == 2 else certify_infinite)(
             *specs).certificate
@@ -199,8 +215,10 @@ class TestCoincidence:
         # equal k != 1 on both: the kappa route must not fire
         phi = endo(2, -2, "a^3", "b")
         outcome = coincidence_certify(phi, phi)
-        if outcome.kind == "infinite":
-            assert outcome.certificate.invariant != INV_KAPPA
+        assert outcome.kind == "unknown"
+        assert outcome.attempts[-1] == (
+            f"{INV_KAPPA}: needs kernels preserved and k of phi != k of psi "
+            "(psi = id has k = 1) to pin twisting into K")
 
 
 class TestPowerConstraint:
