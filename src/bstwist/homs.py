@@ -2,11 +2,14 @@
 
 An endomorphism is given by image words for the generators a and b.  It is
 valid iff the image of the defining relator is trivial.  A spec is
-immutable, so that check runs once per spec object: `EndoSpec.induced`
-caches the `InducedData`, which `endo_validate` returns.  The certificate
-catalog calls `endo_validate` only to validate its maps and reads none of
-the fields: its rules recompute what they need from the image words.  The
-certificate checker never calls it and applies the relator itself.
+immutable, so that check runs once per spec object:
+`EndoSpec._relator_checked` caches it, and `EndoSpec.induced` caches the
+`InducedData`, which `endo_validate` returns after the check.  The
+certificate catalog and the enumerator only need their maps to be
+endomorphisms, so they read the relator check alone and never build the
+`InducedData`; the catalog's rules recompute what they need from the image
+words.  The certificate checker reads neither cache and applies the
+relator itself.
 `EndoSpec.model_images` caches the model images of image_a and image_b in
 the same way, for the enumerator's boxes.  Valid maps induce
 multiplication by k = |phi(a)|_a on the quotient Z = B(m,n)/K and a map
@@ -43,10 +46,18 @@ class EndoSpec:
         return f"a -> {format_word(self.image_a)}, b -> {format_word(self.image_b)}"
 
     @cached_property
+    def _relator_checked(self) -> bool:
+        """True once the image of the relator is trivial, checked on first
+        use; raises RelationViolated, uncached, on every read when it is
+        not.  The fields are immutable words, so the answer is a function
+        of them."""
+        return _check_relator(self)
+
+    @cached_property
     def induced(self) -> InducedData:
         """The spec's `InducedData`, computed on first use (see
-        `endo_validate`).  The fields are immutable words, so the value is
-        a function of them; a raise is not cached and repeats on every read.
+        `endo_validate`) and cached like `_relator_checked`, which it reads
+        first, so a non-endomorphism raises RelationViolated here too.
         """
         return _induced(self)
 
@@ -130,18 +141,24 @@ def endo_validate(spec: EndoSpec) -> InducedData:
     """Check the relation image and compute every induced invariant.
 
     Raises RelationViolated, with the normal form of the relator image, when
-    the spec is no endomorphism.  The result is cached on the spec
-    (`EndoSpec.induced`), so each spec object applies the relator once
-    however often it is validated; an invalid spec raises on every call.
+    the spec is no endomorphism.  The check and the result are cached on
+    the spec (`EndoSpec._relator_checked`, `EndoSpec.induced`), so each spec
+    object applies the relator once however often it is validated, and
+    once in all when only the check was read before; an invalid spec raises
+    on every call.
     """
     return spec.induced
 
 
-def _induced(spec: EndoSpec) -> InducedData:
+def _check_relator(spec: EndoSpec) -> bool:
     image = endo_apply(spec, relator(spec.group))
     if britton_reduce(image, spec.group):
         raise RelationViolated(format_word(normal_form(image, spec.group).word))
+    return True
 
+
+def _induced(spec: EndoSpec) -> InducedData:
+    spec._relator_checked  # raises RelationViolated on a non-endomorphism
     k = exp_sum(spec.image_a, A)
     kernel_preserved = exp_sum(spec.image_b, A) == 0
     if spec.group.m != spec.group.n and not kernel_preserved:
@@ -169,11 +186,11 @@ def kernel_decompose(w: Word) -> tuple[tuple[int, int], ...]:
         raise NotInKernel(f"|w|_a = {exp_sum(w, A)} != 0")
     terms = []
     level = 0
-    for s in w:
-        if s.base == A:
-            level += s.exp
+    for base, exp in w.syllables:
+        if base == A:
+            level += exp
         else:
-            terms.append((-level, s.exp))
+            terms.append((-level, exp))
     return tuple(terms)
 
 

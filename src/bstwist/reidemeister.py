@@ -20,10 +20,10 @@ from .errors import (
     BoxTooSmall, GroupMismatch, NotInKernel, UnsupportedGroup, WordSyntaxError,
     WrongFamily,
 )
-from .homs import EndoSpec, endo_apply, endo_validate, kappa
+from .homs import EndoSpec, endo_apply, kappa
 from .models import ModelFamily, model_family, slice_of
 from .words import (
-    A, B, GroupSpec, Word, are_equal, exp_sum, multiply, parse_word, relator,
+    A, B, GroupSpec, britton_reduce, exp_sum, multiply, parse_word, relator,
     word,
 )
 # A closed form in (m, n), defined with the word layer so that
@@ -176,12 +176,13 @@ def _catalog(specs: list[EndoSpec]) -> ReidemeisterOutcome:
     """Try the invariant catalog on [phi] or [phi, psi]; Infinite on first
     success, never Finite.
 
-    Each map is validated first (`endo_validate` raises RelationViolated);
-    no field of the `InducedData` is read.  The rules of `_RULES` then run
-    in order on the image words: |.|_a when every map has k = 1 and
-    preserves K; |.|_b when m = n and every map fixes it; kappa when every
-    map preserves K with scale 1 and k of phi != k of psi, which forces
-    every in-kernel twist to come from gamma in K.  The first rule that
+    Each map is checked to be an endomorphism first (its cached relator
+    check raises RelationViolated), and no `InducedData` is built.  The
+    rules of `_RULES` then run in order on the image words: |.|_a when
+    every map has k = 1 and preserves K; |.|_b when m = n and every map
+    fixes it; kappa when every map preserves K with scale 1 and k of phi
+    != k of psi, which forces every in-kernel twist to come from gamma in
+    K.  The first rule that
     finds lam fixed gives the witness family letter^j, j < NUM_WITNESSES:
     the base is 1 and lam is a homomorphism, so the j-th value is
     j * lam(letter), one evaluation of lam.  Otherwise the outcome is
@@ -196,7 +197,7 @@ def _catalog(specs: list[EndoSpec]) -> ReidemeisterOutcome:
             "B(1,1) = Z + Z admits automorphisms with finite Reidemeister "
             "number; refusing rather than misleading")
     for spec in specs:
-        endo_validate(spec)
+        spec._relator_checked
     attempts = []
     for invariant, rule in _RULES.items():
         found = rule(group, specs)
@@ -230,8 +231,8 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
     """Independent soundness check of an emitted certificate.
 
     Checks that each spec is an endomorphism of phi's group (trivial relator
-    image, computed here by the word problem: the cached `endo_validate`
-    result is never read), then runs the rule that `_RULES` holds for the
+    image, reduced here by `britton_reduce`: the spec's cached relator check
+    is never read), then runs the rule that `_RULES` holds for the
     certificate's invariant on the specs' image words, as the catalog does;
     True iff that rule finds lam fixed, its identities equal the
     certificate's `scale_checks` key for key, its `target` is the
@@ -248,8 +249,8 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
     group = phi.group
     specs = [phi] + ([psi] if psi is not None else [])
     for spec in specs:
-        if spec.group != group or not are_equal(
-                endo_apply(spec, relator(group)), Word(), group):
+        if spec.group != group or britton_reduce(
+                endo_apply(spec, relator(group)), group):
             return False
     try:
         base = parse_word(cert.witness_base, group)
@@ -314,8 +315,10 @@ def union_runs(size: int, width: int, runs) -> tuple[list, int]:
     every run (src, dst) of index slices, and the count of successful
     merges.  Every run's two sides are non-empty and of equal length, and
     each side lies inside one row, as the runs of `models._Columns` and of
-    `selftest._box_oracle` do.  A run with src == dst merges nothing and
-    is skipped.
+    `selftest._box_oracle` do.  A slice's start is an int, its step may be
+    None for 1, and its stop is None only when it descends through index
+    0 (`models.slice_of`).  A run with src == dst merges nothing and is
+    skipped.
 
     Edges arrive a run at a time, so the enumerator's inner loop is one
     call for the whole box rather than one per edge, and most runs take a
@@ -330,7 +333,8 @@ def union_runs(size: int, width: int, runs) -> tuple[list, int]:
     - the first run of an untouched row whose sides both step 1 and
       together cover the row translates the row by c: it leaves the
       residue classes of the row mod |c|, written as one slice, and the
-      row gets modulus |c|;
+      row gets modulus |c|.  This test reads the slices' fields as they
+      are; only the runs it leaves are decoded into ranges;
     - a run whose dst is its src reversed has edges j and L - 1 - j as
       the same pair, so only its first L // 2 edges count;
     - a run whose sides are disjoint (the rows differ, or the sides are
@@ -350,23 +354,26 @@ def union_runs(size: int, width: int, runs) -> tuple[list, int]:
     if len(indices) < size:
         indices = _indices = list(range(size))
     parent = indices[:size]  # find, inlined below: the inner loop
-    cells = range(size)
     touched = bytearray(-(-size // width))
     modulus, rest, merges = {}, [], 0
-    for src, dst in runs:
-        s, d = cells[src], cells[dst]
-        lo, c = min(s.start, d.start), abs(d.start - s.start)
+    for run in runs:
+        src, dst = run
+        s0, d0 = src.start, dst.start
+        lo, c = (s0, d0 - s0) if s0 < d0 else (d0, s0 - d0)
         row = lo // width
-        if (s.step != 1 or d.step != 1 or lo % width or touched[row]
-                or not 0 < c == width - len(s)):
-            rest.append((src, dst, s, d))
+        if (src.step not in (1, None) or dst.step not in (1, None)
+                or lo % width or touched[row]
+                or not 0 < c == width - src.stop + s0):
+            rest.append(run)
             continue
         parent[lo:lo + width] = (indices[lo:lo + c] * (width // c + 1))[:width]
         merges += width - c
         modulus[row], touched[row] = c, 1
-    for src, dst, s, d in rest:
+    cells = range(size)
+    for src, dst in rest:
         if src == dst:
             continue
+        s, d = cells[src], cells[dst]
         edges = len(s)
         r, to = s.start // width, d.start // width
         reverse = d.start == s[-1] and d.step == -s.step
@@ -413,8 +420,9 @@ def _box_inputs(group: GroupSpec, phi: EndoSpec, psi: EndoSpec | None,
     """(family, bounds) after the checks both box users share: phi and psi
     on `group` (GroupMismatch), a model family (WrongFamily), bounds (the
     family's `default` bounds when None) that are the family's box, and
-    phi and a given psi endomorphisms (RelationViolated).  An omitted psi
-    is the identity: it has the images a and b and no spec, so nothing is
+    phi and a given psi endomorphisms (RelationViolated, from each spec's
+    cached relator check; no `InducedData` is built).  An omitted psi is
+    the identity: it has the images a and b and no spec, so nothing is
     built or checked for it."""
     for tag, spec in (("phi", phi), ("psi", psi)):
         if spec is not None and spec.group != group:
@@ -423,9 +431,9 @@ def _box_inputs(group: GroupSpec, phi: EndoSpec, psi: EndoSpec | None,
     if bounds is None:
         bounds = getattr(family, default)
     _check_bounds(family, bounds)
-    endo_validate(phi)
+    phi._relator_checked
     if psi is not None:
-        endo_validate(psi)
+        psi._relator_checked
     return family, bounds
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import WordSyntaxError
@@ -49,6 +50,7 @@ B = "b"
 _new_object = object.__new__
 _set_field = object.__setattr__
 _new_tuple = tuple.__new__
+_exponent = itemgetter(1)  # of a (base, exp) pair
 
 
 class _Value:
@@ -424,9 +426,12 @@ def exp_sum(w: Word, base: str) -> int:
 
     For base A this is a homomorphism to Z on every B(m,n).  For base B it
     is a homomorphism only when m = n; otherwise it is well defined only
-    modulo |n - m|.
+    modulo |n - m|.  A Word alternates bases, so the syllables of `base`
+    are every other one from the first of them.
     """
-    return sum(exp for b, exp in w if b == base)
+    syls = w.syllables
+    first = 0 if syls and syls[0][0] == base else 1
+    return sum(map(_exponent, syls[first::2]))
 
 
 def substitute(w: Word, image_a: Word, image_b: Word) -> Word:

@@ -698,6 +698,39 @@ def test_runs_merge_as_their_edges(box):
     assert _merged_by_runs(runs, size, width) == _merged_by_edges(runs, size)
 
 
+@pytest.mark.parametrize("runs", [
+    # a step-1 run from a row start that covers the row: on an untouched
+    # row (steps 1 and None), then on a row an earlier one touched
+    [(slice(5, 8, 1), slice(7, 10, 1))],
+    [_translation(5, 5, -3)],
+    [_translation(5, 5, 2), (slice(5, 7, 1), slice(8, 10, 1))],
+    # step 1 on both sides off a row start: with c = width - len, and in
+    # one row
+    [(slice(3, 5, 1), slice(6, 8, 1)), (slice(7, 9, 1), slice(10, 12, 1)),
+     (slice(11, 13, 1), slice(13, 15, 1))],
+    # descending through index 0, so the stop is None: self-reverse, onto
+    # another row, and from a row with a modulus
+    [(slice(0, 3, 1), slice(2, None, -1))],
+    [(slice(5, 9, 1), slice(3, None, -1)), (slice(11, 14), slice(2, None, -1))],
+    [_translation(0, 5, 3), (slice(4, None, -1), slice(10, 15))],
+    # src == dst merges nothing, stepping up or down through index 0
+    [(slice(5, 10, 1), slice(5, 10, 1)), (slice(4, None, -1), slice(4, None, -1)),
+     _translation(5, 5, 1)],
+])
+def test_each_kind_of_run_merges_as_its_edges(runs):
+    size, width = 15, 5
+    assert _meets_the_run_contract(runs, size, width)
+    assert _merged_by_runs(runs, size, width) == _merged_by_edges(runs, size)
+
+
+def test_a_row_translation_from_its_row_start_takes_the_closed_form():
+    # the one slice write points each element of the row at the first of
+    # its residue class; edge by edge, x would point at x + c
+    for run, c in (((slice(5, 8, 1), slice(7, 10, 1)), 2), (_translation(5, 5, -3), 3)):
+        parent, merges = union_runs(15, 5, [run])
+        assert parent[5:10] == [5 + x % c for x in range(5)] and merges == 5 - c
+
+
 @settings(max_examples=100, deadline=None)
 @given(large=box_runs(st.just(4), st.just(9)), small=box_runs(st.just(1), st.just(2)))
 # the large box joins 0 and 1, which the small box, with no run, keeps apart
@@ -731,13 +764,13 @@ def test_only_given_specs_are_validated(monkeypatch):
     # an omitted psi is the identity, with images a and b and no spec to
     # validate; phi and a given psi apply the relator once each across
     # both box users
-    calls, real = [], homs._induced
+    calls, real = [], homs._check_relator
 
     def counting(spec):
         calls.append(spec)
         return real(spec)
 
-    monkeypatch.setattr(homs, "_induced", counting)
+    monkeypatch.setattr(homs, "_check_relator", counting)
     klein, bounds = GroupSpec(1, -1), {"u": 8, "v": 4}
     cert = Certificate(INV_A_SUM, "Z", {}, "a", "a^2", ("a", "a^3"), ("1", "3"))
     for psi_given in (False, True):

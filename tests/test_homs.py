@@ -9,12 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 from bstwist import homs
 from bstwist.errors import NotInKernel, RelationViolated, WrongFamily
 from bstwist.homs import (
-    EndoSpec, InducedData, endo_apply, endo_compose, endo_validate,
+    EndoSpec, endo_apply, endo_compose, endo_validate,
     identity_endo, induced_on_ab, inner_by, kappa, kappa_scale,
     kernel_decompose, parse_endo_file,
 )
 from bstwist.models import model_embed
-from bstwist.reidemeister import certify_infinite, check_certificate
+from bstwist.reidemeister import (
+    certify_infinite, check_certificate, coincidence_certify,
+    enumerate_classes_ball, witnesses_stay_separated,
+)
 from bstwist.words import (
     A, B, GroupSpec, Word, are_equal, format_word, invert, multiply,
     parse_word, relator, substitute, word,
@@ -103,6 +106,40 @@ class TestValidateOnce:
         assert residues[0] == residues[1]
         assert "induced" not in vars(spec)
 
+    def test_catalog_and_box_users_build_no_induced_data(self):
+        # they need only the relator check, so no InducedData is built; a
+        # later endo_validate gives what it gives on a spec they never saw,
+        # and an invalid spec raises the same residue through each of them
+        klein = GroupSpec(1, -1)
+
+        def fresh(a="a"):
+            return (EndoSpec(klein, parse_word(a), parse_word("b^2")),
+                    EndoSpec(klein, parse_word("a^-1"), parse_word("b")))
+
+        cert = certify_infinite(fresh()[0]).certificate
+        users = (lambda phi, psi: certify_infinite(phi),
+                 coincidence_certify,
+                 lambda phi, psi: enumerate_classes_ball(klein, phi, psi),
+                 lambda phi, psi: witnesses_stay_separated(cert, phi, psi))
+        for use in users:
+            specs = fresh()
+            use(*specs)
+            assert "induced" not in vars(specs[0])
+            assert "induced" not in vars(specs[1])
+            for spec, twin in zip(specs, fresh()):
+                assert endo_validate(spec) == endo_validate(twin)
+        with pytest.raises(RelationViolated) as info:
+            endo_validate(fresh("a^2")[0])
+        for use in users:
+            specs = fresh("a^2")
+            with pytest.raises(RelationViolated) as used:
+                use(*specs)
+            assert used.value.residue == info.value.residue
+            assert "induced" not in vars(specs[0])
+            with pytest.raises(RelationViolated) as later:
+                endo_validate(specs[0])
+            assert later.value.residue == info.value.residue
+
     def test_cache_keeps_equality_hash_and_repr(self):
         spec = EndoSpec(GroupSpec(2, 3), parse_word("a"), parse_word("b^2"))
         twin = EndoSpec(GroupSpec(2, 3), parse_word("a"), parse_word("b^2"))
@@ -113,15 +150,13 @@ class TestValidateOnce:
 
     def test_checker_ignores_a_forged_validation(self):
         # a -> a, b -> b a b a^-1 fixes both a-exponent sums of the a-sum
-        # certificate but is no endomorphism of B(2,3); with valid-looking
-        # induced data forged into its cache the catalog certifies it, and
+        # certificate but is no endomorphism of B(2,3); with a passed
+        # relator check forged into its cache the catalog certifies it, and
         # only the checker's own relator check refuses the certificate
         spec = EndoSpec(GroupSpec(2, 3), parse_word("a"), parse_word("b a b a^-1"))
         with pytest.raises(RelationViolated):
             endo_validate(spec)
-        vars(spec)["induced"] = InducedData(
-            k=1, kernel_preserved=True, ab_map=induced_on_ab(spec),
-            kappa_scale=None)
+        vars(spec)["_relator_checked"] = True
         outcome = certify_infinite(spec)
         assert outcome.kind == "infinite"
         assert not check_certificate(outcome.certificate, spec)

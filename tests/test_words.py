@@ -108,6 +108,18 @@ class TestFreeArithmetic:
         assert exp_sum(w, A) == 0
         assert exp_sum(w, B) == -3
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from((A, B)), st.integers(-3, 3)),
+                    max_size=12))
+    @example([])
+    @example([(B, 2), (A, -1), (B, 3)])
+    def test_exp_sum_is_the_naive_sum(self, pairs):
+        # every other syllable from the first of the base, against a scan
+        # of all of them; the empty word sums to 0
+        w = word(pairs)
+        for base in (A, B):
+            assert exp_sum(w, base) == sum(e for b, e in w.syllables if b == base)
+
 
 class TestBritton:
     def test_forward_pinch(self):
