@@ -4,8 +4,9 @@ class counts.
 A group is presented as Z_{d_1} + ... + Z_{d_t} + Z^r with the convention
 d_i = 0 meaning a free Z slot (so Z_{|n-m|} + Z covers every B(m,n)
 abelianization uniformly, including m = n).  Twisted classes of a pair
-(f, g) are the cosets of im(g - f), counted through the Smith normal form
-of the presentation matrix stacked with g - f.
+(f, g) are the cosets of im(g - f).  The rank of one Smith normal form of
+the presentation matrix stacked with g - f gives their number when it is
+full and a fixed functional otherwise: exactly one of the two is None.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 from operator import index
 
 from .errors import ShapeMismatch
-from .intmat import IntMatrix, _coker_order, left_kernel_functional
+from .intmat import IntMatrix, snf
 
 # presentation() and AbelianMap.identity keep this many groups: the B(m,n)
 # abelianizations a run touches, which are few
@@ -101,13 +102,11 @@ def twisted_class_count(f: AbelianMap, g: AbelianMap):
     The class set is A / im(g - f); its order is the cokernel order of the
     relation matrix of A stacked with g - f.
     """
-    return _coker_order(_stacked(f, g))
+    return snf(_stacked(f, g)).coker_order
 
 
 def fixed_functional(f: AbelianMap, g: AbelianMap) -> tuple[int, ...] | None:
     """Integer functional lam on A with lam(g(x)) = lam(f(x)) and lam
-    nonzero, vanishing on torsion; certifies an infinite class count."""
-    functional = left_kernel_functional(_stacked(f, g))
-    if functional is None or not any(functional):
-        return None
-    return functional
+    nonzero, vanishing on torsion; certifies an infinite class count.
+    None exactly when `twisted_class_count` is finite."""
+    return snf(_stacked(f, g)).left_kernel_functional

@@ -171,13 +171,13 @@ def _enumerate(args):
 
 
 def _snf(args):
-    from .intmat import IntMatrix, coker_order, snf
+    from .intmat import IntMatrix, snf
     rows = [[int(x) for x in row.split()] for row in args.matrix.split(";")]
     if not any(rows):
         raise ValueError(f"matrix has no entries: {args.matrix!r}")
     M = IntMatrix.from_rows(rows)
     result = snf(M)
-    order = coker_order(M) if M.rows == M.cols else None
+    order = result.coker_order if M.rows == M.cols else None
     payload = {"diagonal": list(result.diagonal),
                "U": [list(r) for r in result.U.entries],
                "V": [list(r) for r in result.V.entries],

@@ -19,7 +19,7 @@ g_{i+1}^m = g_i^n, the rational invariant kappa(g_i) = (n/m)^i is a
 homomorphism K -> Q, evaluated as one integer fraction.  Conjugation by x
 scales kappa on K by (n/m)^(|x|_a), so an endomorphism preserving K scales
 it by a single d = kappa(phi(b)) exactly when kappa(phi(b)) = 0 or
-(n/m)^(k-1) = 1; `kappa_scale` uses that closed form.
+(n/m)^(k-1) = 1, the closed form `words.power_constraint`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from .abelian import AbelianGroup, AbelianMap
 from .errors import NotInKernel, RelationViolated
 from .words import (
     A, B, GroupSpec, Word, britton_reduce, exp_sum, format_word, invert,
-    multiply, normal_form, parse_word, relator, substitute, word,
+    multiply, normal_form, parse_word, power_constraint, relator, substitute,
+    word,
 )
 
 
@@ -127,14 +128,12 @@ def induced_on_ab(spec: EndoSpec) -> AbelianMap:
 
 
 def _injectivity_obstruction(group: GroupSpec, k: int) -> str | None:
-    m, n = group.m, group.n
-    if abs(m) != abs(n) and k != 1:
-        return (f"not injective: an injective endomorphism of {group} must "
-                f"induce k = 1 on the quotient Z, got k = {k}")
-    if m == -n and k % 2 == 0:
-        return (f"not injective: an injective endomorphism of {group} must "
-                f"induce an odd k on the quotient Z, got k = {k}")
-    return None
+    """Why phi is not injective, or None: `power_constraint` fails at k."""
+    if power_constraint(group.m, group.n, (k, k)):
+        return None
+    need = "an odd k" if group.m == -group.n else "k = 1"
+    return (f"not injective: an injective endomorphism of {group} must "
+            f"induce {need} on the quotient Z, got k = {k}")
 
 
 def endo_validate(spec: EndoSpec) -> InducedData:
@@ -215,16 +214,16 @@ def kappa_scale(spec: EndoSpec) -> Fraction | None:
 
     phi(g_i) = phi(a)^-i phi(b) phi(a)^i, so kappa(phi(g_i)) =
     (n/m)^(k i) kappa(phi(b)) with k = |phi(a)|_a.  A single scale exists
-    exactly when kappa(phi(b)) = 0 or (n/m)^(k-1) = 1 (k = 1, m = n, or
-    m = -n with k odd), and it is d = kappa(phi(b)).  Returns None when no
+    exactly when kappa(phi(b)) = 0 or (n/m)^(k-1) = 1 (`power_constraint`
+    holds at k), and it is d = kappa(phi(b)).  Returns None when no
     single scale fits (Incompatible); on a valid spec the relator forces
     kappa(phi(b)) (m (n/m)^k - n) = 0, so that happens only for specs that
     fail validation.  Raises NotInKernel when |phi(b)|_a != 0.
     """
-    m, n = spec.group.m, spec.group.n
-    d = kappa(spec.image_b, spec.group)
+    group = spec.group
+    d = kappa(spec.image_b, group)
     k = exp_sum(spec.image_a, A)
-    if d == 0 or k == 1 or m == n or (m == -n and k % 2 == 1):
+    if d == 0 or power_constraint(group.m, group.n, (k, k)):
         return d
     return None
 

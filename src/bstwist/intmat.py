@@ -1,8 +1,8 @@
 """Exact integer matrices, Smith normal form, and cokernel orders.
 
-Entries are arbitrary-precision Python integers throughout; numpy is
-deliberately avoided because the row operations overflow fixed-width
-integer types.
+Entries are arbitrary-precision Python integers, since the row operations
+overflow fixed-width ones.  The cokernel order and a left-kernel functional
+are read off the rank of one Smith normal form (`SNFResult`).
 """
 
 from __future__ import annotations
@@ -89,7 +89,8 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """U M V = D with U, V unimodular, d1 | d2 | ... and every d_i >= 0."""
+    """U M V = D with U, V unimodular, d1 | d2 | ... and every d_i >= 0;
+    the nonzero d_i come first, so their count is the rank r of M."""
 
     D: IntMatrix
     U: IntMatrix
@@ -99,6 +100,23 @@ class SNFResult:
     def diagonal(self) -> tuple[int, ...]:
         entries = self.D.entries
         return tuple(entries[i][i] for i in range(min(self.D.rows, self.D.cols)))
+
+    @property
+    def rank(self) -> int:
+        return sum(map(bool, self.diagonal))
+
+    @property
+    def coker_order(self) -> int | None:
+        """Order of Z^rows / M Z^cols: the product of the diagonal when
+        r = rows, else None (infinite cokernel)."""
+        return prod(self.diagonal) if self.rank == self.D.rows else None
+
+    @property
+    def left_kernel_functional(self) -> tuple[int, ...] | None:
+        """Row r of U when r < rows, else None: row r of D is zero, so it
+        kills M, and it is nonzero because U is unimodular."""
+        r = self.rank
+        return self.U.entries[r] if r < self.D.rows else None
 
 
 def snf(M: IntMatrix) -> SNFResult:
@@ -173,32 +191,17 @@ def snf(M: IntMatrix) -> SNFResult:
                      IntMatrix(tuple(map(tuple, v))))
 
 
-def _coker_order(M: IntMatrix):
-    """Order of Z^rows / M Z^cols: the product of the SNF diagonal, or None
-    when it has fewer than `rows` entries or one vanishes (infinite cokernel)."""
-    diag = snf(M).diagonal
-    return None if len(diag) < M.rows or 0 in diag else prod(diag)
-
-
 def coker_order(M: IntMatrix):
-    """Order of Z^r / M Z^r for a square M; see `_coker_order`."""
+    """Order of Z^r / M Z^r for a square M; see `SNFResult.coker_order`."""
     if M.rows != M.cols:
         raise ValueError("coker_order expects a square matrix")
-    return _coker_order(M)
+    return snf(M).coker_order
 
 
 def left_kernel_functional(M: IntMatrix) -> tuple[int, ...] | None:
-    """A nonzero integer row vector f with f M = 0, if one exists.
-
-    Taken from a row of U matching a zero SNF diagonal entry (or a zero
-    row below the diagonal block); used to certify infinite cokernels.
-    """
-    result = snf(M)
-    for i in range(M.rows):
-        if i >= M.cols or result.D[i, i] == 0:
-            if all(result.D[i, j] == 0 for j in range(M.cols)):
-                return tuple(result.U.entries[i])
-    return None
+    """A nonzero integer row f with f M = 0, or None when there is none;
+    see `SNFResult.left_kernel_functional`."""
+    return snf(M).left_kernel_functional
 
 
 __all__ = [

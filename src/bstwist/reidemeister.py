@@ -12,7 +12,6 @@ finiteness.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 
@@ -23,12 +22,9 @@ from .errors import (
 from .homs import EndoSpec, endo_apply, kappa
 from .models import ModelFamily, model_family, slice_of
 from .words import (
-    A, B, GroupSpec, britton_reduce, exp_sum, multiply, parse_word, relator,
-    word,
+    A, B, GroupSpec, britton_reduce, exp_sum, multiply, parse_word,
+    power_constraint, relator, word,
 )
-# A closed form in (m, n), defined with the word layer so that
-# `bs-twist power-constraint` loads no other; kept importable from here.
-from .words import power_constraint  # noqa: F401
 
 INV_A_SUM = "a-exponent-sum"
 INV_B_SUM = "b-exponent-sum"
@@ -141,25 +137,24 @@ def _b_sum(group: GroupSpec, specs: list[EndoSpec]) -> str | tuple:
 
 def _kappa(group: GroupSpec, specs: list[EndoSpec]) -> str | tuple:
     """kappa(phi(g_i)) = (n/m)^(k i) kappa(phi(b)), so kappa(phi(b)) = 1 and
-    (n/m)^(k-1) = 1 together prove kappa(phi(g_i)) = kappa(g_i) for every
-    i.  On an endomorphism the first forces the second, through the
-    relator's kappa(phi(b)) (m (n/m)^k - n) = 0; both are recorded."""
+    (n/m)^(k-1) = 1 (`power_constraint` at k) together prove
+    kappa(phi(g_i)) = kappa(g_i) for every i.  On an endomorphism the first
+    forces the second, through the relator's kappa(phi(b)) (m (n/m)^k - n)
+    = 0; both are recorded, as "1" each."""
     ks = [exp_sum(s.image_a, A) for s in specs] + [1] * (2 - len(specs))
     if any(exp_sum(s.image_b, A) for s in specs) or ks[0] == ks[1]:
         return (f"{INV_KAPPA}: needs kernels preserved and k of phi != "
                 "k of psi (psi = id has k = 1) to pin twisting into K")
     scales = [kappa(s.image_b, group) for s in specs]
-    if all(d == 1 for d in scales):
-        ratio = Fraction(group.n, group.m)
-        powers = [ratio ** (k - 1) for k in ks]
-        if all(p == 1 for p in powers):
-            checks = {}
-            for tag, k, d, p in zip(_TAGS, ks, scales, powers):
-                checks[f"k of {tag}"] = k
-                checks[f"kappa({tag}(b))"] = str(d)
-                checks[f"(n/m)^(k-1) of {tag}"] = str(p)
-            return (f"Q via kappa(g_i) = ({group.n}/{group.m})^i on K", checks,
-                    B, lambda w: kappa(w, group))
+    if all(d == 1 for d in scales) and all(
+            power_constraint(group.m, group.n, (k, k)) for k in ks):
+        checks = {}
+        for tag, k in zip(_TAGS, ks[:len(specs)]):
+            checks[f"k of {tag}"] = k
+            checks[f"kappa({tag}(b))"] = "1"
+            checks[f"(n/m)^(k-1) of {tag}"] = "1"
+        return (f"Q via kappa(g_i) = ({group.n}/{group.m})^i on K", checks,
+                B, lambda w: kappa(w, group))
     return f"{INV_KAPPA}: needs scale d = 1, got " + ", ".join(
         f"d = {d} for {tag}" for tag, d in zip(_TAGS, scales))
 
@@ -242,9 +237,10 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
     is base * step^j as a freely reduced word, so lam(base) !=
     lam(base * step) proves lam(step) != 0 and the whole family
     base * step^j pairwise distinct.  A base, step or witness that does not
-    parse, or a witness outside lam's domain, refutes the certificate.  An
-    omitted psi is the identity.  For kappa, kappa(phi(g_i)) = kappa(g_i)
-    is checked for every i through kappa(phi(b)) = 1 and (n/m)^(k-1) = 1.
+    parse, or a witness outside lam's domain (off K, for kappa), refutes
+    the certificate.  An omitted psi is the identity.  For kappa,
+    kappa(phi(g_i)) = kappa(g_i) is checked for every i through
+    kappa(phi(b)) = 1 and `power_constraint` at k.
     """
     group = phi.group
     specs = [phi] + ([psi] if psi is not None else [])

@@ -1,12 +1,14 @@
 """Finitely generated abelian groups and twisted class counts."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bstwist import abelian
 from bstwist.abelian import (
     AbelianGroup, AbelianMap, fixed_functional, twisted_class_count,
 )
 from bstwist.errors import ShapeMismatch
-from bstwist.intmat import IntMatrix
+from bstwist.intmat import IntMatrix, snf
 
 
 class TestAbelianGroup:
@@ -125,3 +127,54 @@ class TestFixedFunctional:
         identity = AbelianMap.identity(g)
         assert twisted_class_count(f, identity) == 2
         assert fixed_functional(f, identity) is None
+
+    def test_maps_on_different_groups_are_refused(self):
+        f = AbelianMap.identity(AbelianGroup(torsion=(4,), rank=1))
+        g = AbelianMap.identity(AbelianGroup(torsion=(6,), rank=1))
+        with pytest.raises(ShapeMismatch, match="different groups"):
+            twisted_class_count(f, g)
+        with pytest.raises(ShapeMismatch, match="different groups"):
+            fixed_functional(f, g)
+
+
+ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70))
+
+
+@st.composite
+def map_pairs(draw):
+    """Two maps of Z_d + Z, d in {0, 1, 2, 3, 4, 6} (0 is a free slot)."""
+    group = AbelianGroup(torsion=(draw(st.sampled_from((0, 1, 2, 3, 4, 6))),), rank=1)
+    column = st.tuples(ENTRIES, ENTRIES)
+    return tuple(AbelianMap.from_columns(group, draw(st.tuples(column, column)))
+                 for _ in range(2))
+
+
+class TestReadOuts:
+    @settings(max_examples=300, deadline=None)
+    @given(map_pairs())
+    def test_exactly_one_answer(self, pair):
+        f, g = pair
+        count, functional = twisted_class_count(f, g), fixed_functional(f, g)
+        assert (count is None) != (functional is None)
+        if functional is not None:
+            assert any(functional)
+            d = f.group.torsion[0]
+            assert functional[0] * d == 0  # kills the torsion slot
+            diff = g.matrix - f.matrix
+            assert all(sum(functional[i] * diff[i, j] for i in range(2)) == 0
+                       for j in range(2))
+
+    def test_one_snf_per_answer(self, monkeypatch):
+        calls = []
+
+        def counting_snf(M):
+            calls.append(M)
+            return snf(M)
+
+        monkeypatch.setattr(abelian, "snf", counting_snf)
+        group = AbelianGroup(torsion=(4,), rank=1)
+        f = AbelianMap.from_columns(group, [(3, 0), (0, 3)])
+        assert twisted_class_count(f, AbelianMap.identity(group)) == 4
+        assert len(calls) == 1
+        assert fixed_functional(f, AbelianMap.identity(group)) is None
+        assert len(calls) == 2

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from bstwist import selftest
+from bstwist import intmat, selftest
 from bstwist.selftest import ACCEPTANCE_CHECKS
 
 BUDGETS = {  # seconds, where the criterion carries one
@@ -40,3 +40,19 @@ def test_a_validation_crash_fails_the_check(monkeypatch):
     results = {name: (passed, detail) for name, passed, detail in selftest.run_all()}
     for name in ("coincidence-certificates", "infinitude-certificates"):
         assert results[name] == (False, "raised RuntimeError: validation refused")
+
+
+def test_snf_oracle_takes_one_snf_per_matrix(monkeypatch):
+    # the skip of singular matrices reads the same SNF as the box oracle
+    seen, real = [], selftest.snf
+
+    def recording(M):
+        seen.append(M)  # kept alive, so no two share an id
+        return real(M)
+
+    # both names: the check's own import and the one intmat reads inside
+    monkeypatch.setattr(selftest, "snf", recording)
+    monkeypatch.setattr(intmat, "snf", recording)
+    assert selftest.check_snf_oracle()[0]
+    assert len(seen) >= selftest.SNF_SAMPLES
+    assert len({id(M) for M in seen}) == len(seen)

@@ -10,8 +10,9 @@ import sys
 import jsonschema
 import pytest
 
-from bstwist import __version__, selftest as selftest_mod
+from bstwist import __version__, intmat, selftest as selftest_mod
 from bstwist.cli import _build_parser, main
+from bstwist.intmat import snf
 
 SCHEMAS = pathlib.Path(__file__).resolve().parents[1] / "src/bstwist/schemas"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -285,6 +286,20 @@ class TestMatrixCommands:
         payload = run_json(capsys, "snf", "2 4; 6 8", "--format", "json")
         assert payload["diagonal"] == [2, 4]
         assert payload["coker_order"] == 8
+
+    @pytest.mark.parametrize("matrix,order", [("2 4; 6 8", 8), ("1 2; 2 4", None)])
+    def test_snf_of_a_square_matrix_takes_one_snf(self, capsys, monkeypatch,
+                                                   matrix, order):
+        calls = []
+
+        def counting_snf(M):
+            calls.append(M)
+            return snf(M)
+
+        monkeypatch.setattr(intmat, "snf", counting_snf)
+        payload = run_json(capsys, "snf", matrix, "--format", "json")
+        assert payload["coker_order"] == order
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("matrix", ["", ";", " ; "])
     def test_snf_of_no_entries_is_refused(self, capsys, matrix):

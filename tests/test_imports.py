@@ -215,3 +215,52 @@ def test_unused_import_check_sees_a_dangling_name(tmp_path):
                       "def f(x: Iterable) -> None:\n"
                       "    return os.sep\n")
     assert _unused_imports(module) == [(3, "Callable")]
+
+
+def _unread_private_names(paths):
+    """(file name, line, name) for each private module-level name (one
+    leading underscore, not a dunder) that a module in `paths` defines and
+    no module in `paths` reads: as a name, an attribute or an import."""
+    defined, read = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                named = [(node.lineno, node.name)]
+            elif isinstance(node, ast.Assign):
+                named = [(target.lineno, target.id) for target in node.targets
+                         if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                named = [(node.lineno, node.target.id)]
+            else:
+                named = []
+            defined += [(path.name, line, name) for line, name in named
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [entry for entry in defined if entry[2] not in read]
+
+
+def test_every_private_name_is_read():
+    assert _unread_private_names(sorted((SRC / "bstwist").glob("*.py"))) == []
+
+
+def test_private_name_check_sees_a_dangling_name(tmp_path):
+    (tmp_path / "one.py").write_text("_LIMIT = 3\n"
+                                     "_left: int = 0\n"
+                                     "__all__ = []\n"
+                                     "def _helper():\n"
+                                     "    return _LIMIT\n"
+                                     "def _leftover():\n"
+                                     "    return 1\n")
+    (tmp_path / "two.py").write_text("from .one import _helper\n"
+                                     "class _Unused:\n"
+                                     "    pass\n")
+    assert _unread_private_names(sorted(tmp_path.glob("*.py"))) == [
+        ("one.py", 2, "_left"), ("one.py", 6, "_leftover"),
+        ("two.py", 2, "_Unused")]

@@ -1,6 +1,7 @@
 """Integer matrix arithmetic and Smith normal form."""
 
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -257,3 +258,40 @@ class TestLeftKernel:
             assert all(sum(f[i] * m[i, j] for i in range(3)) == 0
                        for j in range(3))
             found += 1
+
+
+def _ref_coker_order(M):
+    """Reference: the cokernel order as first read off the diagonal."""
+    diag = snf(M).diagonal
+    return None if len(diag) < M.rows or 0 in diag else prod(diag)
+
+
+def _ref_left_kernel_functional(M):
+    """Reference: the first row of U whose row of D is zero, found by
+    scanning D for a zero diagonal entry or a row below the diagonal."""
+    result = snf(M)
+    for i in range(M.rows):
+        if i >= M.cols or result.D[i, i] == 0:
+            if all(result.D[i, j] == 0 for j in range(M.cols)):
+                return tuple(result.U.entries[i])
+    return None
+
+
+class TestReadOuts:
+    @settings(max_examples=400, deadline=None)
+    @given(matrices())
+    def test_match_the_diagonal_scan(self, m):
+        result = snf(m)
+        assert result.coker_order == _ref_coker_order(m)
+        assert result.left_kernel_functional == _ref_left_kernel_functional(m)
+        assert left_kernel_functional(m) == _ref_left_kernel_functional(m)
+        if m.rows == m.cols:
+            assert coker_order(m) == _ref_coker_order(m)
+        # exactly one of the two answers: the rank is full or it is not
+        assert (result.coker_order is None) != (result.left_kernel_functional is None)
+
+    def test_rank(self):
+        assert snf(IntMatrix.from_rows([[1, 2], [2, 4]])).rank == 1
+        assert snf(IntMatrix.from_rows([[2, 0], [0, 3]])).rank == 2
+        assert snf(IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])).rank == 0
+        assert snf(IntMatrix.from_rows([[1], [0], [1]])).rank == 1

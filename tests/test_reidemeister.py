@@ -6,16 +6,18 @@ from pathlib import Path
 
 import pytest
 
+from bstwist import reidemeister
 from bstwist.errors import (
-    BoxTooSmall, GroupMismatch, RelationViolated, UnsupportedGroup,
+    BoxTooSmall, GroupMismatch, NotInKernel, RelationViolated,
+    UnsupportedGroup,
 )
-from bstwist.homs import EndoSpec, identity_endo, inner_by
+from bstwist.homs import EndoSpec, identity_endo, inner_by, kappa
 from bstwist.reidemeister import (
     INV_A_SUM, INV_B_SUM, INV_KAPPA, Certificate, certify_infinite,
     check_certificate, coincidence_certify, enumerate_classes_ball,
     power_constraint, witnesses_stay_separated,
 )
-from bstwist.words import GroupSpec, parse_word
+from bstwist.words import GroupSpec, format_word, parse_word
 
 
 def endo(m, n, a_text, b_text):
@@ -190,12 +192,30 @@ class TestCheckCertificate:
         assert certify_infinite(spec).certificate == cert
         assert check_certificate(cert, spec)
 
-    def test_rejects_kappa_witness_off_the_kernel(self):
+    def test_rejects_kappa_witness_off_the_kernel(self, monkeypatch):
         spec = endo(3, -3, "a^3", "b")
         cert = certify_infinite(spec).certificate
         assert cert.invariant == INV_KAPPA
+        # a witness a against base 1 fails the family check
         bad = replace(cert, first_witnesses=("a",) + cert.first_witnesses[1:])
         assert not check_certificate(bad, spec)
+        # base a and the consistent family a b^j pass every family check,
+        # so the checker evaluates kappa on a, off K, and refutes there
+        off_k = replace(cert, witness_base="a", first_witnesses=("a", "a b") + tuple(
+            f"a b^{j}" for j in range(2, len(cert.first_witnesses))))
+        raised = []
+
+        def recording_kappa(w, group):
+            try:
+                return kappa(w, group)
+            except NotInKernel:
+                raised.append(format_word(w))
+                raise
+
+        monkeypatch.setattr(reidemeister, "kappa", recording_kappa)
+        assert not check_certificate(off_k, spec)
+        assert raised == ["a"]
+        assert check_certificate(cert, spec)
 
 
 class TestCoincidence:
