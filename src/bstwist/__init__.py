@@ -18,10 +18,10 @@ _EXPORTS = {
     "errors": ("BoxTooSmall", "BSTwistError", "GroupMismatch", "NotInKernel",
                "RelationViolated", "ShapeMismatch", "UnsupportedGroup",
                "WordSyntaxError", "WrongFamily"),
-    "homs": ("EndoSpec", "InducedData", "endo_apply", "endo_compose",
-             "endo_validate", "identity_endo", "induced_on_ab", "kappa",
-             "kappa_scale", "kernel_decompose", "parse_endo_file"),
-    "intmat": ("IntMatrix", "SNFResult", "coker_order", "snf"),
+    "homs": ("EndoSpec", "InducedData", "endo_apply", "endo_validate",
+             "induced_on_ab", "kappa", "kappa_scale", "kernel_decompose",
+             "parse_endo_file"),
+    "intmat": ("IntMatrix", "SNFResult", "snf"),
     "models": ("AffineElement", "KleinElement", "PermutedProduct",
                "model_embed", "model_equal_oracle"),
     "reidemeister": ("BallReport", "Certificate", "ReidemeisterOutcome",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index
 
 from .errors import ShapeMismatch
 from .intmat import IntMatrix, snf
@@ -53,7 +52,8 @@ class AbelianGroup:
 
 @dataclass(frozen=True)
 class AbelianMap:
-    """Column j of `matrix` is the image of generator j, reduced mod torsion."""
+    """Column j of `matrix` is the image of generator j, reduced mod torsion
+    on construction: equal maps have equal fields, so `==` and `hash` agree."""
 
     group: AbelianGroup
     matrix: IntMatrix
@@ -62,31 +62,20 @@ class AbelianMap:
         size = self.group.ngens
         if self.matrix.rows != size or self.matrix.cols != size:
             raise ShapeMismatch(f"matrix must be {size}x{size}")
+        reduced = tuple(zip(*map(self.group.reduce, zip(*self.matrix.entries))))
+        if reduced != self.matrix.entries:
+            object.__setattr__(self, "matrix", IntMatrix(reduced))
 
     @classmethod
     def from_columns(cls, group: AbelianGroup, columns) -> "AbelianMap":
-        """The map sending generator j to columns[j], reduced mod torsion;
-        an entry that is not an integer raises TypeError."""
-        cols = [group.reduce(map(index, c)) for c in columns]
-        return cls(group, IntMatrix(tuple(zip(*cols))))
+        """Generator j goes to columns[j]; a non-integer entry raises TypeError."""
+        return cls(group, IntMatrix.from_rows(zip(*columns)))
 
     @classmethod
     @lru_cache(maxsize=_GROUPS_CACHED)
     def identity(cls, group: AbelianGroup) -> "AbelianMap":
         """The identity of `group`, built once per group and shared."""
         return cls(group, IntMatrix.identity(group.ngens))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.matrix[i, j] for i in range(self.group.ngens))
-
-    def __eq__(self, other):
-        if not isinstance(other, AbelianMap):
-            return NotImplemented
-        if self.group != other.group:
-            return False
-        return all(
-            self.group.reduce(self.column(j)) == self.group.reduce(other.column(j))
-            for j in range(self.group.ngens))
 
 
 def _stacked(f: AbelianMap, g: AbelianMap) -> IntMatrix:

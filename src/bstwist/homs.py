@@ -3,13 +3,12 @@
 An endomorphism is given by image words for the generators a and b.  It is
 valid iff the image of the defining relator is trivial.  A spec is
 immutable, so that check runs once per spec object:
-`EndoSpec._relator_checked` caches it, and `EndoSpec.induced` caches the
-`InducedData`, which `endo_validate` returns after the check.  The
-certificate catalog and the enumerator only need their maps to be
-endomorphisms, so they read the relator check alone and never build the
-`InducedData`; the catalog's rules recompute what they need from the image
-words.  The certificate checker reads neither cache and applies the
-relator itself.
+`EndoSpec._relator_checked` caches it, and `endo_validate` reads it and
+then builds the `InducedData`.  The certificate catalog and the enumerator
+only need their maps to be endomorphisms, so they read the relator check
+alone and never build the `InducedData`; the catalog's rules recompute
+what they need from the image words.  The certificate checker reads no
+cache and applies the relator itself.
 `EndoSpec.model_images` caches the model images of image_a and image_b in
 the same way, for the enumerator's boxes.  Valid maps induce
 multiplication by k = |phi(a)|_a on the quotient Z = B(m,n)/K and a map
@@ -55,25 +54,13 @@ class EndoSpec:
         return _check_relator(self)
 
     @cached_property
-    def induced(self) -> InducedData:
-        """The spec's `InducedData`, computed on first use (see
-        `endo_validate`) and cached like `_relator_checked`, which it reads
-        first, so a non-endomorphism raises RelationViolated here too.
-        """
-        return _induced(self)
-
-    @cached_property
     def model_images(self) -> tuple:
         """(image_a, image_b) embedded in the faithful model of the group
-        (`models.model_embed`), computed on first use and cached like
-        `induced`, so every box the spec twists reads the same elements.
-        Raises WrongFamily, uncached, when the group has no model."""
+        (`models.model_embed`), cached like `_relator_checked`, so every
+        box the spec twists reads the same elements.  Raises WrongFamily,
+        uncached, when the group has no model."""
         from .models import model_embed
         return model_embed(self.image_a, self.group), model_embed(self.image_b, self.group)
-
-
-def identity_endo(group: GroupSpec) -> EndoSpec:
-    return EndoSpec(group, word([(A, 1)]), word([(B, 1)]))
 
 
 def inner_by(group: GroupSpec, g: Word) -> EndoSpec:
@@ -140,23 +127,10 @@ def endo_validate(spec: EndoSpec) -> InducedData:
     """Check the relation image and compute every induced invariant.
 
     Raises RelationViolated, with the normal form of the relator image, when
-    the spec is no endomorphism.  The check and the result are cached on
-    the spec (`EndoSpec._relator_checked`, `EndoSpec.induced`), so each spec
-    object applies the relator once however often it is validated, and
-    once in all when only the check was read before; an invalid spec raises
-    on every call.
+    the spec is no endomorphism.  Only the check is cached on the spec
+    (`EndoSpec._relator_checked`): each spec object applies the relator
+    once, and an invalid spec raises on every call.
     """
-    return spec.induced
-
-
-def _check_relator(spec: EndoSpec) -> bool:
-    image = endo_apply(spec, relator(spec.group))
-    if britton_reduce(image, spec.group):
-        raise RelationViolated(format_word(normal_form(image, spec.group).word))
-    return True
-
-
-def _induced(spec: EndoSpec) -> InducedData:
     spec._relator_checked  # raises RelationViolated on a non-endomorphism
     k = exp_sum(spec.image_a, A)
     kernel_preserved = exp_sum(spec.image_b, A) == 0
@@ -172,6 +146,13 @@ def _induced(spec: EndoSpec) -> InducedData:
         kappa_scale=scale,
         injectivity_obstruction=_injectivity_obstruction(spec.group, k),
     )
+
+
+def _check_relator(spec: EndoSpec) -> bool:
+    image = endo_apply(spec, relator(spec.group))
+    if britton_reduce(image, spec.group):
+        raise RelationViolated(format_word(normal_form(image, spec.group).word))
+    return True
 
 
 def kernel_decompose(w: Word) -> tuple[tuple[int, int], ...]:

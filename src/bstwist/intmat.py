@@ -189,22 +189,3 @@ def snf(M: IntMatrix) -> SNFResult:
     return SNFResult(IntMatrix(tuple(map(tuple, m))),
                      IntMatrix(tuple(map(tuple, u))),
                      IntMatrix(tuple(map(tuple, v))))
-
-
-def coker_order(M: IntMatrix):
-    """Order of Z^r / M Z^r for a square M; see `SNFResult.coker_order`."""
-    if M.rows != M.cols:
-        raise ValueError("coker_order expects a square matrix")
-    return snf(M).coker_order
-
-
-def left_kernel_functional(M: IntMatrix) -> tuple[int, ...] | None:
-    """A nonzero integer row f with f M = 0, or None when there is none;
-    see `SNFResult.left_kernel_functional`."""
-    return snf(M).left_kernel_functional
-
-
-__all__ = [
-    "IntMatrix", "SNFResult", "snf", "coker_order",
-    "left_kernel_functional",
-]

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from itertools import compress
 from math import gcd, lcm
+from operator import index
 
 from .errors import (
     BoxTooSmall, GroupMismatch, NotInKernel, UnsupportedGroup, WordSyntaxError,
@@ -400,13 +401,22 @@ def union_runs(size: int, width: int, runs) -> tuple[list, int]:
     return parent, merges
 
 
+def _is_int_at_least(value, low: int) -> bool:
+    """value is an integer (`operator.index` takes it) of at least low."""
+    try:
+        return index(value) >= low
+    except TypeError:
+        return False
+
+
 def _check_bounds(family: ModelFamily, bounds: dict) -> None:
     """Bounds give each of the family's box keys (the affine e may be
-    omitted: it defaults to min(k, 4)) and no other, all positive: a zero
-    bound other than e leaves one row or one axis position, so no twist
-    that moves along it has an edge in the box."""
+    omitted: it defaults to min(k, 4)) and no other, all positive integers:
+    a zero bound other than e leaves one row or one axis position, so no
+    twist that moves along it has an edge in the box."""
     known = set(family.enumerate_bounds)
-    if not known - {"e"} <= set(bounds) <= known or min(bounds.values()) < 1:
+    if not (known - {"e"} <= set(bounds) <= known
+            and all(_is_int_at_least(bound, 1) for bound in bounds.values())):
         raise ValueError(f"{family.name} bounds take positive values for "
                          f"{sorted(known)}, got {bounds}")
 
@@ -507,11 +517,11 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
 
     The twist grids are built once, on the box; it is merged along their
     runs and eroded along the same runs.  Raises GroupMismatch when phi or
-    psi lives on another group, ValueError on a negative margin or bounds
-    that are not the family's positive box, and BoxTooSmall when nothing
-    is stable.
+    psi lives on another group, ValueError on a margin that is not a
+    non-negative integer or bounds that are not the family's positive box
+    (`_check_bounds`), and BoxTooSmall when nothing is stable.
     """
-    if inner_margin < 0:
+    if not _is_int_at_least(inner_margin, 0):
         raise ValueError(f"inner_margin must be non-negative, got {inner_margin}")
     family, bounds = _box_inputs(group, phi, psi, bounds, "enumerate_bounds")
     parent, merges, grids = _merge_box(family, group, phi, psi, bounds)
@@ -535,7 +545,8 @@ def witnesses_stay_separated(cert: Certificate, phi: EndoSpec,
     """Enumerator cross-check: listed witnesses never merge in the box.
 
     Vacuously true for groups outside the modeled families, where no
-    enumeration substrate exists.  Raises GroupMismatch when psi lives on
+    enumeration substrate exists, and false, as for `check_certificate`,
+    when a witness does not parse.  Raises GroupMismatch when psi lives on
     another group than phi, ValueError on bounds that are not the family's
     positive box, and RelationViolated when phi or psi is no endomorphism.
     """
@@ -544,11 +555,13 @@ def witnesses_stay_separated(cert: Certificate, phi: EndoSpec,
         family, bounds = _box_inputs(group, phi, psi, bounds, "witness_bounds")
     except WrongFamily:
         return True
+    try:
+        witnesses = [parse_word(text, group) for text in cert.first_witnesses]
+    except WordSyntaxError:
+        return False
     parent, _, _ = _merge_box(family, group, phi, psi, bounds)
-    roots = []
-    for text in cert.first_witnesses:
-        index = family.index_of(family.embed(parse_word(text, group), group), bounds)
-        if index is None:
-            continue  # witness outside the box: no merge evidence either way
-        roots.append(_root(parent, index))
+    # a witness outside the box is no merge evidence either way
+    indices = [family.index_of(family.embed(witness, group), bounds)
+               for witness in witnesses]
+    roots = [_root(parent, at) for at in indices if at is not None]
     return len(roots) == len(set(roots))

@@ -36,7 +36,7 @@ class TestAbelianMap:
     def test_from_columns_reduces(self):
         g = AbelianGroup(torsion=(3,), rank=1)
         f = AbelianMap.from_columns(g, [(5, 0), (1, 2)])
-        assert f.column(0) == (2, 0)
+        assert f.matrix.entries == ((2, 1), (0, 2))
 
     def test_apply(self):
         # column j is the image of generator j, so the map acts as the
@@ -51,12 +51,37 @@ class TestAbelianMap:
         f2 = AbelianMap.from_columns(g, [(4, 0), (3, 1)])
         assert f1 == f2
 
+    def test_equal_maps_hash_equal(self):
+        # on Z_1 + Z the torsion row of the identity reduces to zero, so
+        # the identity and the map built from its columns are one map
+        g = AbelianGroup(torsion=(1,), rank=1)
+        identity = AbelianMap.identity(g)
+        built = AbelianMap.from_columns(g, [(1, 0), (0, 1)])
+        assert identity == built and hash(identity) == hash(built)
+        assert len({identity, built}) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((0, 1, 2, 3, 6)),
+           st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+           st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+    def test_shift_by_torsion_is_the_same_map(self, d, entries, shifts):
+        # adding a multiple of d to the torsion row changes no image
+        g = AbelianGroup(torsion=(d,), rank=1)
+        rows = [entries[:2], entries[2:]]
+        shifted = [[x + s * d for x, s in zip(rows[0], shifts)], rows[1]]
+        f = AbelianMap(g, IntMatrix.from_rows(rows))
+        h = AbelianMap(g, IntMatrix.from_rows(shifted))
+        assert f == h and hash(f) == hash(h)
+        if d:
+            assert f.matrix.entries[0] == tuple(x % d for x in rows[0])
+
     def test_non_integral_entry_rejected(self):
         # 1.9 is not truncated to 1 and then stored
         g = AbelianGroup(torsion=(4,), rank=1)
         with pytest.raises(TypeError):
             AbelianMap.from_columns(g, [(1.9, 2), (0, 1)])
-        assert AbelianMap.from_columns(g, [(5, 2 ** 70), (0, 1)]).column(0) == (1, 2 ** 70)
+        assert AbelianMap.from_columns(g, [(5, 2 ** 70), (0, 1)]).matrix.entries == (
+            (1, 0), (2 ** 70, 1))
 
     def test_shape_check(self):
         g = AbelianGroup(torsion=(3,), rank=1)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bstwist.errors import GroupMismatch, RelationViolated, UnsupportedGroup
-from bstwist.homs import EndoSpec, endo_validate, identity_endo, kappa
+from bstwist.homs import EndoSpec, endo_validate, kappa
 from bstwist.reidemeister import (
     INV_A_SUM, INV_B_SUM, INV_KAPPA, Certificate, ReidemeisterOutcome,
     certify_infinite, check_certificate, coincidence_certify,
@@ -25,6 +25,7 @@ from bstwist.words import (
 )
 
 from test_closed_forms import GROUPS
+from test_homs import identity_spec
 
 CATALOG_GROUPS = GROUPS + (GroupSpec(1, 1),)
 
@@ -293,7 +294,7 @@ def test_pair_matches_reference(data, group):
 @given(data=st.data(), group=st.sampled_from(CATALOG_GROUPS))
 def test_single_map_is_pair_with_identity(data, group):
     """R(phi) = R(phi, id): the same outcome kind and invariant."""
-    phi, identity = data.draw(specs_on(group)), identity_endo(group)
+    phi, identity = data.draw(specs_on(group)), identity_spec(group)
     (single, error) = _run(certify_infinite, phi)
     (pair, pair_error) = _run(coincidence_certify, phi, identity)
     assert error == pair_error
@@ -387,12 +388,12 @@ class TestCheckerRejectsNonEndomorphisms:
     def test_pair_with_invalid_psi(self):
         group = GroupSpec(2, 3)
         phi = _endo(group, "a", "b^2")
-        cert = coincidence_certify(phi, identity_endo(group)).certificate
-        assert check_certificate(cert, phi, identity_endo(group))
+        cert = coincidence_certify(phi, identity_spec(group)).certificate
+        assert check_certificate(cert, phi, identity_spec(group))
         assert not check_certificate(cert, phi, _endo(group, "a", "b a b a^-1"))
 
     def test_pair_on_another_group(self):
         group = GroupSpec(2, 3)
         phi = _endo(group, "a", "b^2")
         cert = certify_infinite(phi).certificate
-        assert not check_certificate(cert, phi, identity_endo(GroupSpec(1, 2)))
+        assert not check_certificate(cert, phi, identity_spec(GroupSpec(1, 2)))

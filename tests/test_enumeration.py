@@ -26,9 +26,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bstwist.errors import BoxTooSmall, GroupMismatch, RelationViolated
-from bstwist.homs import (
-    EndoSpec, endo_apply, endo_validate, identity_endo, parse_endo_file,
-)
+from bstwist.homs import EndoSpec, endo_apply, endo_validate, parse_endo_file
 from bstwist import homs, reidemeister, selftest
 from bstwist.models import (
     AFFINE, KLEIN, AffineElement, KleinElement, PermutedProduct, _Columns,
@@ -41,6 +39,8 @@ from bstwist.reidemeister import (
     enumerate_classes_ball, union_runs, witnesses_stay_separated,
 )
 from bstwist.words import A, B, GroupSpec, invert, multiply, parse_word, word
+
+from test_homs import identity_spec
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def _ref_once(group, phi, psi, bounds, margin):
 
 
 def reference_report(group, phi, psi, bounds, margin):
-    psi = identity_endo(group) if psi is None else psi
+    psi = identity_spec(group) if psi is None else psi
     uf, roots_all, roots_inner, membership, _ = _ref_once(group, phi, psi, bounds, margin)
     if not roots_inner:
         raise BoxTooSmall(str(bounds))
@@ -157,7 +157,7 @@ def reference_report(group, phi, psi, bounds, margin):
 
 def reference_separated(cert, phi, psi, bounds):
     group = phi.group
-    psi = identity_endo(group) if psi is None else psi
+    psi = identity_spec(group) if psi is None else psi
     uf, _, _, membership, key = _ref_once(group, phi, psi, bounds, 0)
     roots = []
     for text in cert.first_witnesses:
@@ -297,7 +297,7 @@ def test_affine_kernel_leaves_the_lattice():
     # (p/2, k) then has no key on the 1/2 lattice for odd p
     group, bounds = GroupSpec(1, 2), {"k": 2, "t": 4, "e": 1}
     psi = valid_map(group, 1, 1, 1, word([(A, -2), (B, 1), (A, 2)]))
-    phi = identity_endo(group)
+    phi = identity_spec(group)
     columns = _merged_columns(AFFINE, group, phi, psi, bounds)
     assert columns == _model_columns(group, phi, psi, bounds)
     assert sum(_off_lattice(group, phi, psi, bounds, gen) for gen in _REF_GENERATORS)
@@ -327,7 +327,7 @@ def test_inverted_columns_of_an_affine_map_off_the_lattice():
     # (p/2, k) leave the 1/2 lattice both ways; the back columns still agree
     group, bounds = GroupSpec(1, 2), {"k": 2, "t": 4, "e": 1}
     psi = valid_map(group, 1, 1, 1, word([(A, -2), (B, 1), (A, 2)]))
-    phi = identity_endo(group)
+    phi = identity_spec(group)
     off_lattice = 0
     for gen in _GENERATORS:
         _, back = _direct_columns(group, phi, psi, bounds, gen)
@@ -344,7 +344,7 @@ def test_box_keys_match_model_boxes():
                          Case(GroupSpec(3, 3), {"l": 3, "k": 0})]:
         group, bounds = case.group, case.bounds
         family = model_family(group)
-        phi = identity_endo(group)
+        phi = identity_spec(group)
         membership, _ = _ref_membership(group, bounds)
         size = len(_direct_columns(group, phi, phi, bounds, word([(A, 1)]))[0])
         indices = [family.index_of(x, bounds) for x in membership.values()]
@@ -366,7 +366,7 @@ def test_reversing_klein_run_ending_at_index_0():
     # the a-twist of the identity map reverses every row in place: row
     # v = -3 runs u = -6..6 onto u' = 6..-6, so its back run ends at index 0
     group, bounds = GroupSpec(1, -1), {"u": 6, "v": 3}
-    phi = identity_endo(group)
+    phi = identity_spec(group)
     column, back = _direct_columns(group, phi, phi, bounds, word([(A, 1)]))
     assert column[12] == 0 and back[0] == 12
     assert [column, back] == _model_columns(group, phi, phi, bounds, _REF_GENERATORS[:2])
@@ -374,7 +374,7 @@ def test_reversing_klein_run_ending_at_index_0():
 
 def test_affine_runs_with_strides():
     group, bounds = GroupSpec(1, 2), {"k": 3, "t": 12, "e": 1}
-    phi, psi = valid_map(group, 1, 0, -1, word([(B, 1)])), identity_endo(group)
+    phi, psi = valid_map(group, 1, 0, -1, word([(B, 1)])), identity_spec(group)
     # a: scale 2^(lift - 1) and unit 2^lift share 2^(lift - 1) > 1, so on a
     # row only every second p has an image; a^-1 has pk = -1 < 0, so p runs
     # over every p while p' strides by 2
@@ -397,7 +397,7 @@ def test_permuted_runs_cut_at_both_ends():
     # B(3,3): k steps by 3 on a 9-wide axis, and the b-twist shifts k by
     # 1 - j = 2 (b^-1: -2), so runs lose their last (first) entries
     group, bounds = GroupSpec(3, 3), {"l": 1, "k": 4}
-    phi, psi = valid_map(group, 2, 1, -1, word([(A, 1)])), identity_endo(group)
+    phi, psi = valid_map(group, 2, 1, -1, word([(A, 1)])), identity_spec(group)
     assert _merged_columns(model_family(group), group, phi, psi, bounds) == \
         _model_columns(group, phi, psi, bounds)
 
@@ -420,7 +420,7 @@ def test_permuted_rows_are_one_run_when_phi_g_has_no_free_part():
     # b-twist's free part does not depend on k and each row is one run of
     # step 1; phi(a)^-1 = (x3^-2, -1) keeps one run per residue of k mod 3
     group, bounds = GroupSpec(3, 3), {"l": 2, "k": 4}
-    phi, psi = valid_map(group, 2, 1, -1, word([])), identity_endo(group)
+    phi, psi = valid_map(group, 2, 1, -1, word([])), identity_spec(group)
     assert _merged_columns(model_family(group), group, phi, psi, bounds) == \
         _model_columns(group, phi, psi, bounds)
     rows = len(_ref_free_words(3, 2))
@@ -440,7 +440,7 @@ def test_permuted_rows_are_one_run_when_phi_g_has_no_free_part():
 def test_runs_cover_the_columns_disjointly(case, phi_args, psi_args):
     group, bounds = case.group, case.bounds
     phi = valid_map(group, *phi_args)
-    psi = identity_endo(group) if psi_args is None else valid_map(group, *psi_args)
+    psi = identity_spec(group) if psi_args is None else valid_map(group, *psi_args)
     for gen in _GENERATORS:
         grid = _direct_grid(group, phi, psi, bounds, gen)
         column, back = _column(grid), _back(grid)
@@ -492,7 +492,7 @@ def _erosion_pair(group, phi, psi, bounds, margin):
 def test_mask_erosion_matches_the_set_erosion(case, phi_args, psi_args, margin):
     group, bounds = case.group, case.bounds
     phi = valid_map(group, *phi_args)
-    psi = identity_endo(group) if psi_args is None else valid_map(group, *psi_args)
+    psi = identity_spec(group) if psi_args is None else valid_map(group, *psi_args)
     got, want = _erosion_pair(group, phi, psi, bounds, margin)
     assert got == want
 
@@ -502,7 +502,7 @@ def test_mask_erosion_keeps_the_whole_box_and_can_erode_all_of_it():
     # (|v| <= 2), so margin 0 keeps all 45 elements; one step keeps row
     # v = 0 only, and no element survives a second or third step
     group, bounds = GroupSpec(-1, 1), {"u": 4, "v": 2}
-    phi, psi = valid_map(group, 3, 0, 1, word([])), identity_endo(group)
+    phi, psi = valid_map(group, 3, 0, 1, word([])), identity_spec(group)
     (inner, _), (want, _) = _erosion_pair(group, phi, psi, bounds, 0)
     assert inner == want == set(range(45))
     (inner, roots), (want, want_roots) = _erosion_pair(group, phi, psi, bounds, 3)
@@ -522,7 +522,7 @@ def test_erosion_stops_at_its_fixpoint():
     for margin in (8, 10 ** 9):
         with pytest.raises(BoxTooSmall):
             enumerate_classes_ball(klein, flip, inner_margin=margin)
-    identity, bounds = identity_endo(klein), {"u": 16, "v": 4}
+    identity, bounds = identity_spec(klein), {"u": 16, "v": 4}
     reports = [enumerate_classes_ball(klein, identity, bounds=bounds, inner_margin=margin)
                for margin in (0, 20, 10 ** 9)]
     assert reports[1] == reports[2] != reports[0]
@@ -789,7 +789,7 @@ def test_only_given_specs_are_validated(monkeypatch):
 
 def test_stabilized_is_never_true_for_a_certified_infinite_map():
     group = GroupSpec(1, 5)
-    phi = identity_endo(group)
+    phi = identity_spec(group)
     outcome = certify_infinite(phi)
     assert outcome.kind == "infinite" and check_certificate(outcome.certificate, phi)
     assert not enumerate_classes_ball(group, phi).stabilized
@@ -831,8 +831,8 @@ def test_witness_separation_matches_the_model_enumerator():
     fake = Certificate(INV_A_SUM, "Z", {}, "a", "1", ("a", "b a b^-1", "a^3"),
                        ("1", "1", "3"))
     for bounds in ({"u": 8, "v": 4}, {"u": 1, "v": 1}):
-        assert witnesses_stay_separated(fake, identity_endo(klein), bounds=bounds) == \
-            reference_separated(fake, identity_endo(klein), None, bounds)
+        assert witnesses_stay_separated(fake, identity_spec(klein), bounds=bounds) == \
+            reference_separated(fake, identity_spec(klein), None, bounds)
 
 
 @pytest.mark.parametrize("text,text2", [

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from bstwist import homs
 from bstwist.errors import NotInKernel, RelationViolated, WrongFamily
 from bstwist.homs import (
-    EndoSpec, endo_apply, endo_compose, endo_validate,
-    identity_endo, induced_on_ab, inner_by, kappa, kappa_scale,
-    kernel_decompose, parse_endo_file,
+    EndoSpec, InducedData, endo_apply, endo_compose, endo_validate,
+    induced_on_ab, inner_by, kappa, kappa_scale, kernel_decompose,
+    parse_endo_file,
 )
 from bstwist.models import model_embed
 from bstwist.reidemeister import (
@@ -31,10 +31,16 @@ def kernel_generator(i):
     return word([(A, -i), (B, 1), (A, i)])
 
 
+def identity_spec(group):
+    """Test-local oracle: the identity a -> a, b -> b as a spec, for the
+    calls that take phi (an omitted psi is the identity already)."""
+    return EndoSpec(group, word([(A, 1)]), word([(B, 1)]))
+
+
 class TestValidate:
     def test_identity_is_valid(self):
         for g in (GroupSpec(2, 3), GroupSpec(1, -1), GroupSpec(3, 3)):
-            data = endo_validate(identity_endo(g))
+            data = endo_validate(identity_spec(g))
             assert data.k == 1
             assert data.kernel_preserved
 
@@ -104,13 +110,21 @@ class TestValidateOnce:
                 endo_validate(spec)
             residues.append(info.value.residue)
         assert residues[0] == residues[1]
-        assert "induced" not in vars(spec)
+        assert "_relator_checked" not in vars(spec)
 
-    def test_catalog_and_box_users_build_no_induced_data(self):
+    def test_catalog_and_box_users_build_no_induced_data(self, monkeypatch):
         # they need only the relator check, so no InducedData is built; a
         # later endo_validate gives what it gives on a spec they never saw,
         # and an invalid spec raises the same residue through each of them
         klein = GroupSpec(1, -1)
+        built = []
+        build = InducedData.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args or kwargs)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(InducedData, "__init__", spy)
 
         def fresh(a="a"):
             return (EndoSpec(klein, parse_word(a), parse_word("b^2")),
@@ -124,10 +138,11 @@ class TestValidateOnce:
         for use in users:
             specs = fresh()
             use(*specs)
-            assert "induced" not in vars(specs[0])
-            assert "induced" not in vars(specs[1])
+            assert built == []
             for spec, twin in zip(specs, fresh()):
                 assert endo_validate(spec) == endo_validate(twin)
+            assert len(built) == 4
+            built.clear()
         with pytest.raises(RelationViolated) as info:
             endo_validate(fresh("a^2")[0])
         for use in users:
@@ -135,7 +150,7 @@ class TestValidateOnce:
             with pytest.raises(RelationViolated) as used:
                 use(*specs)
             assert used.value.residue == info.value.residue
-            assert "induced" not in vars(specs[0])
+            assert built == []
             with pytest.raises(RelationViolated) as later:
                 endo_validate(specs[0])
             assert later.value.residue == info.value.residue
@@ -144,9 +159,13 @@ class TestValidateOnce:
         spec = EndoSpec(GroupSpec(2, 3), parse_word("a"), parse_word("b^2"))
         twin = EndoSpec(GroupSpec(2, 3), parse_word("a"), parse_word("b^2"))
         before = repr(spec)
-        assert endo_validate(spec) is endo_validate(spec)
+        data = endo_validate(spec), endo_validate(twin)
+        assert "_relator_checked" in vars(spec)
         assert spec == twin and hash(spec) == hash(twin)
         assert repr(spec) == before
+        # the twins' data are one value: equal, hash equal, one in a set
+        assert data[0] == data[1] and hash(data[0]) == hash(data[1])
+        assert len(set(data)) == 1
 
     def test_checker_ignores_a_forged_validation(self):
         # a -> a, b -> b a b a^-1 fixes both a-exponent sums of the a-sum
@@ -171,7 +190,7 @@ class TestModelImages:
                           model_embed(spec.image_b, spec.group))
 
     def test_a_group_with_no_model_raises_on_every_read(self):
-        spec = identity_endo(GroupSpec(2, 3))
+        spec = identity_spec(GroupSpec(2, 3))
         for _ in range(2):
             with pytest.raises(WrongFamily):
                 spec.model_images
@@ -208,8 +227,8 @@ class TestApplyCompose:
 
     def test_compose_group_mismatch(self):
         with pytest.raises(ValueError):
-            endo_compose(identity_endo(GroupSpec(2, 2)),
-                         identity_endo(GroupSpec(2, 3)))
+            endo_compose(identity_spec(GroupSpec(2, 2)),
+                         identity_spec(GroupSpec(2, 3)))
 
 
 class TestInduced:
@@ -218,7 +237,8 @@ class TestInduced:
         spec = EndoSpec(g, parse_word("a b"), parse_word("b^2"))
         f = induced_on_ab(spec)
         assert f.group.torsion == (1,)
-        assert f.column(1) == (0, 1)  # a-bar image has a-sum 1
+        # a-bar's image has a-sum 1; every entry of the Z_1 row is 0
+        assert f.matrix.entries == ((0, 0), (0, 1))
 
     def test_ab_functoriality(self):
         g = GroupSpec(2, 2)
@@ -359,7 +379,7 @@ class TestKappaScale:
         assert kappa_scale(spec) == 3
 
     def test_identity(self):
-        assert kappa_scale(identity_endo(GroupSpec(2, 3))) == 1
+        assert kappa_scale(identity_spec(GroupSpec(2, 3))) == 1
 
     def test_a_scaling_endo(self):
         # on B(2,2): a -> a^2, b -> b scales kappa by 1 (n/m = 1)

@@ -26,10 +26,10 @@ EXPORTED = {
     "BoxTooSmall", "BSTwistError", "GroupMismatch", "NotInKernel",
     "RelationViolated", "ShapeMismatch", "UnsupportedGroup", "WordSyntaxError",
     "WrongFamily",
-    "EndoSpec", "InducedData", "endo_apply", "endo_compose", "endo_validate",
-    "identity_endo", "induced_on_ab", "kappa", "kappa_scale",
-    "kernel_decompose", "parse_endo_file",
-    "IntMatrix", "SNFResult", "coker_order", "snf",
+    "EndoSpec", "InducedData", "endo_apply", "endo_validate",
+    "induced_on_ab", "kappa", "kappa_scale", "kernel_decompose",
+    "parse_endo_file",
+    "IntMatrix", "SNFResult", "snf",
     "AffineElement", "KleinElement", "PermutedProduct", "model_embed",
     "model_equal_oracle",
     "BallReport", "Certificate", "ReidemeisterOutcome", "certify_infinite",
@@ -264,3 +264,54 @@ def test_private_name_check_sees_a_dangling_name(tmp_path):
     assert _unread_private_names(sorted(tmp_path.glob("*.py"))) == [
         ("one.py", 2, "_left"), ("one.py", 6, "_leftover"),
         ("two.py", 2, "_Unused")]
+
+
+def _unread_exports(exports, paths):
+    """(module, name) for each name of `exports` (submodule -> names) that
+    no module in `paths` reads, as a loaded name or an import, outside the
+    top-level `def` or `class` that defines it.  `__init__.py` is skipped:
+    its export table lists every export."""
+    read = set()
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            own = (node.name if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None)
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
+                    names = [inner.id]
+                elif isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    names = [alias.name for alias in inner.names]
+                else:
+                    continue
+                read.update(name for name in names if name != own)
+    return [(module, name) for module, names in exports.items()
+            for name in names if name not in read]
+
+
+def test_every_export_is_read_in_the_library():
+    """An export that nothing in the library reads is test-only code; it
+    leaves the table (and is deleted, or kept in its module for a planned
+    caller)."""
+    paths = sorted((SRC / "bstwist").glob("*.py"))
+    assert _unread_exports(bstwist._EXPORTS, paths) == []
+
+
+def test_export_check_sees_a_dangling_export(tmp_path):
+    (tmp_path / "__init__.py").write_text("_EXPORTS = {'one': ('Shape',)}\n"
+                                          "from .one import Shape\n")
+    (tmp_path / "one.py").write_text("def used():\n"
+                                     "    return 1\n"
+                                     "def alone(n):\n"
+                                     "    return alone(n - 1) if n else 0\n"
+                                     "class Shape:\n"
+                                     "    def copy(self) -> Shape:\n"
+                                     "        return Shape()\n"
+                                     "def helper():\n"
+                                     "    return sizes\n")
+    (tmp_path / "two.py").write_text("from .one import used\n"
+                                     "sizes = used()\n")
+    exports = {"one": ("used", "alone", "Shape", "helper"), "two": ("sizes",)}
+    assert _unread_exports(exports, sorted(tmp_path.glob("*.py"))) == [
+        ("one", "alone"), ("one", "Shape"), ("one", "helper")]

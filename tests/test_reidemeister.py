@@ -11,13 +11,15 @@ from bstwist.errors import (
     BoxTooSmall, GroupMismatch, NotInKernel, RelationViolated,
     UnsupportedGroup,
 )
-from bstwist.homs import EndoSpec, identity_endo, inner_by, kappa
+from bstwist.homs import EndoSpec, inner_by, kappa
 from bstwist.reidemeister import (
     INV_A_SUM, INV_B_SUM, INV_KAPPA, Certificate, certify_infinite,
     check_certificate, coincidence_certify, enumerate_classes_ball,
     power_constraint, witnesses_stay_separated,
 )
 from bstwist.words import GroupSpec, format_word, parse_word
+
+from test_homs import identity_spec
 
 
 def endo(m, n, a_text, b_text):
@@ -274,7 +276,7 @@ class TestEnumeration:
         # plain conjugacy on the Klein group has unbounded class count, so
         # the doubled box reports more stable classes
         g = GroupSpec(1, -1)
-        counts = [enumerate_classes_ball(g, identity_endo(g), bounds=bounds).stable_classes
+        counts = [enumerate_classes_ball(g, identity_spec(g), bounds=bounds).stable_classes
                   for bounds in ({"u": 16, "v": 4}, {"u": 32, "v": 8})]
         assert counts == [93, 313]
 
@@ -319,7 +321,7 @@ class TestEnumeration:
         with pytest.raises(RelationViolated):
             witnesses_stay_separated(fake, bad)
         with pytest.raises(RelationViolated):
-            witnesses_stay_separated(fake, identity_endo(bad.group), bad)
+            witnesses_stay_separated(fake, identity_spec(bad.group), bad)
         # off the modeled families the answer stays vacuously true
         assert witnesses_stay_separated(fake, endo(2, 3, "a", "b a"))
 
@@ -340,12 +342,41 @@ class TestEnumeration:
         (GroupSpec(2, 2), {"l": 2, "k": 0}),
     ])
     def test_bounds_must_be_the_family_box(self, group, bounds):
-        spec = identity_endo(group)
+        spec = identity_spec(group)
         fake = Certificate(INV_A_SUM, "Z", {}, "1", "a", ("a", "a^2"), ("1", "2"))
         with pytest.raises(ValueError):
             enumerate_classes_ball(group, spec, bounds=bounds)
         with pytest.raises(ValueError):
             witnesses_stay_separated(fake, spec, bounds=bounds)
+
+    @pytest.mark.parametrize("bounds", [
+        {"u": 64.5, "v": 8}, {"u": 64.0, "v": 8}, {"u": "64", "v": 8}])
+    def test_non_integer_bounds_are_refused(self, bounds):
+        # refused up front, not with a TypeError inside the box build
+        klein = GroupSpec(1, -1)
+        spec = endo(1, -1, "a^3", "b^2")
+        cert = certify_infinite(spec).certificate
+        with pytest.raises(ValueError):
+            enumerate_classes_ball(klein, spec, bounds=bounds)
+        with pytest.raises(ValueError):
+            witnesses_stay_separated(cert, spec, bounds=bounds)
+
+    def test_non_integer_margin_is_refused(self):
+        klein = GroupSpec(1, -1)
+        with pytest.raises(ValueError):
+            enumerate_classes_ball(klein, endo(1, -1, "a^3", "b^2"),
+                                   bounds={"u": 64, "v": 8}, inner_margin=2.0)
+
+    def test_unparsable_witness_is_not_separated(self):
+        # as check_certificate has it: a witness that does not parse
+        # refutes the certificate instead of raising WordSyntaxError
+        klein = GroupSpec(1, -1)
+        spec = identity_spec(klein)
+        cert = certify_infinite(spec).certificate
+        assert cert.invariant == INV_A_SUM
+        bad = replace(cert, first_witnesses=("x", "x", "x"))
+        assert not witnesses_stay_separated(bad, spec)
+        assert not check_certificate(bad, spec)
 
     def test_affine_e_may_be_omitted(self):
         g = GroupSpec(1, 2)
@@ -359,7 +390,7 @@ class TestEnumeration:
         # alpha and its twist psi(b) alpha phi(b)^-1 = b alpha b^-1 for the
         # identity endo are in the same class by construction
         g = GroupSpec(1, -1)
-        spec = identity_endo(g)
+        spec = identity_spec(g)
         fake = Certificate(INV_A_SUM, "Z", {}, "a", "1",
                            ("a", "b a b^-1", "a^3"), ("1", "1", "3"))
         assert not witnesses_stay_separated(fake, spec,
