@@ -57,7 +57,7 @@ class GroupMismatch(BSTwistError):
 
 
 class UnsupportedGroup(BSTwistError):
-    """Certificate operations refuse B(1,1) = Z + Z rather than mislead."""
+    """Certificate operations refuse Z + Z (B(1,1), B(-1,-1)) rather than mislead."""
 
     code = "unsupported-group"
 

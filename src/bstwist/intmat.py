@@ -2,7 +2,9 @@
 
 Entries are arbitrary-precision Python integers, since the row operations
 overflow fixed-width ones.  The cokernel order and a left-kernel functional
-are read off the rank of one Smith normal form (`SNFResult`).
+are read off the rank of one Smith normal form (`SNFResult`).  There is no
+determinant or matrix product: the library reads neither, and the tests
+take theirs from sympy.
 """
 
 from __future__ import annotations
@@ -42,14 +44,6 @@ class IntMatrix:
         i, j = pos
         return self.entries[i][j]
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        return IntMatrix(tuple(
-            tuple(sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                  for j in range(other.cols))
-            for i in range(self.rows)))
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
@@ -60,31 +54,6 @@ class IntMatrix:
         if self.rows != other.rows:
             raise ValueError("dimension mismatch")
         return IntMatrix(tuple(ra + rb for ra, rb in zip(self.entries, other.entries)))
-
-    def det(self) -> int:
-        """Fraction-free determinant (Bareiss)."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        size = self.rows
-        if size == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(size - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, size):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, size):
-                for j in range(k + 1, size):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[-1][-1]
 
 
 @dataclass(frozen=True)

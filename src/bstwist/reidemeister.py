@@ -185,12 +185,13 @@ def _catalog(specs: list[EndoSpec]) -> ReidemeisterOutcome:
     unknown with every rule's attempt text.
 
     R(phi) = R(phi, id): an omitted psi is the identity (k = 1, K preserved,
-    kappa scale 1, |b|_b = 1, |a|_b = 0), never validated.
+    kappa scale 1, |b|_b = 1, |a|_b = 0), never validated.  B(1,1) and
+    B(-1,-1) (m n = 1) are Z + Z, which raises UnsupportedGroup.
     """
     group = specs[0].group
-    if (group.m, group.n) == (1, 1):
+    if group.m * group.n == 1:
         raise UnsupportedGroup(
-            "B(1,1) = Z + Z admits automorphisms with finite Reidemeister "
+            f"{group} = Z + Z admits automorphisms with finite Reidemeister "
             "number; refusing rather than misleading")
     for spec in specs:
         spec._relator_checked

@@ -27,7 +27,7 @@ from bstwist.words import (
 from test_closed_forms import GROUPS
 from test_homs import identity_spec
 
-CATALOG_GROUPS = GROUPS + (GroupSpec(1, 1),)
+CATALOG_GROUPS = GROUPS + (GroupSpec(1, 1), GroupSpec(-1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +98,8 @@ def _ref_attempts(specs, data):
 
 def _ref_certify_infinite(spec):
     group = spec.group
-    if (group.m, group.n) == (1, 1):
-        raise UnsupportedGroup("B(1,1)")
+    if group.m * group.n == 1:
+        raise UnsupportedGroup(str(group))
     data = endo_validate(spec)
     if data.k == 1 and data.kernel_preserved:
         return ReidemeisterOutcome.infinite(_ref_a_sum([spec]))
@@ -115,8 +115,8 @@ def _ref_coincidence_certify(phi, psi):
     if phi.group != psi.group:
         raise GroupMismatch(f"{phi.group} vs {psi.group}")
     group = phi.group
-    if (group.m, group.n) == (1, 1):
-        raise UnsupportedGroup("B(1,1)")
+    if group.m * group.n == 1:
+        raise UnsupportedGroup(str(group))
     data_phi = endo_validate(phi)
     data_psi = endo_validate(psi)
     if (data_phi.k == 1 and data_psi.k == 1

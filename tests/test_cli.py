@@ -209,11 +209,17 @@ class TestCertifyCommands:
                        "B(1,2), --group is B(2,3)\n")
 
     def test_b11_refused(self, capsys, tmp_path):
-        path = tmp_path / "id.endo"
-        path.write_text("group 1 1\na -> a\nb -> b\n")
-        code, _, err = run(capsys, "certify", "--group", "1,1",
-                           "--spec", str(path))
-        assert code == 1 and "unsupported-group" in err
+        # B(-1,-1) is Z + Z too; the message names the group it refuses
+        path = tmp_path / "phi.endo"
+        for m in (1, -1):
+            path.write_text(f"group {m} {m}\na -> a^2 b\nb -> a b\n")
+            for argv in (["certify"], ["coincidence", "--spec2", str(path)]):
+                code, out, err = run(capsys, *argv, f"--group={m},{m}",
+                                     "--spec", str(path))
+                assert (code, out) == (1, "")
+                assert err == (f"error [unsupported-group]: B({m},{m}) = Z + Z "
+                               "admits automorphisms with finite Reidemeister "
+                               "number; refusing rather than misleading\n")
 
 
 class TestEnumerate:

@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from sympy import Matrix
 
 from bstwist import homs
+from bstwist.abelian import AbelianMap
 from bstwist.errors import NotInKernel, RelationViolated, WrongFamily
 from bstwist.homs import (
     EndoSpec, InducedData, endo_apply, endo_compose, endo_validate,
     induced_on_ab, inner_by, kappa, kappa_scale, kernel_decompose,
     parse_endo_file,
 )
+from bstwist.intmat import IntMatrix
 from bstwist.models import model_embed
 from bstwist.reidemeister import (
     certify_infinite, check_certificate, coincidence_certify,
@@ -246,8 +249,8 @@ class TestInduced:
         s2 = EndoSpec(g, parse_word("a b"), parse_word("b"))
         lhs = induced_on_ab(endo_compose(s1, s2))
         f1, f2 = induced_on_ab(s1), induced_on_ab(s2)
-        from bstwist.abelian import AbelianMap
-        rhs = AbelianMap(f1.group, f1.matrix * f2.matrix)
+        product = Matrix(f1.matrix.entries) * Matrix(f2.matrix.entries)
+        rhs = AbelianMap(f1.group, IntMatrix.from_rows(product.tolist()))
         assert lhs == rhs
 
 

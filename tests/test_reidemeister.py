@@ -67,8 +67,13 @@ class TestCertifyInfinite:
             assert certify_infinite(spec).kind != "finite"
 
     def test_refuses_b11(self):
-        with pytest.raises(UnsupportedGroup):
-            certify_infinite(endo(1, 1, "a", "b"))
+        # B(-1,-1) = <a, b | a^-1 b^-1 a = b^-1> is Z + Z as B(1,1) is:
+        # a -> a^2 b, b -> a b has R = 1 there, and a -> a, b -> b^2 would
+        # otherwise get an a-sum certificate
+        for m in (1, -1):
+            for a_text, b_text in (("a", "b"), ("a^2 b", "a b"), ("a", "b^2")):
+                with pytest.raises(UnsupportedGroup, match=rf"^B\({m},{m}\) = Z \+ Z"):
+                    certify_infinite(endo(m, m, a_text, b_text))
 
     def test_inner_twists_certified(self):
         g = GroupSpec(2, 3)
@@ -232,6 +237,12 @@ class TestCoincidence:
     def test_group_mismatch(self):
         with pytest.raises(GroupMismatch):
             coincidence_certify(endo(2, 3, "a", "b^2"), endo(1, 2, "a", "b^2"))
+
+    def test_refuses_both_copies_of_z2(self):
+        for m in (1, -1):
+            phi, psi = endo(m, m, "a^2 b", "a b"), endo(m, m, "a", "b^2")
+            with pytest.raises(UnsupportedGroup, match=rf"^B\({m},{m}\) = "):
+                coincidence_certify(phi, psi)
 
     def test_kappa_needs_distinct_k(self):
         # equal k != 1 on both: the kappa route must not fire
