@@ -2,25 +2,39 @@
 
 Entries are arbitrary-precision Python integers, since the row operations
 overflow fixed-width ones.  The cokernel order and a left-kernel functional
-are read off the rank of one Smith normal form (`SNFResult`).  There is no
-determinant or matrix product: the library reads neither, and the tests
-take theirs from sympy.
+are read off the rank of one Smith normal form (`SNFResult`), and `snf`
+keeps the forms of the last `_SNFS_CACHED` distinct matrices: both values
+are immutable, so every caller of one matrix shares one elimination.
+There is no determinant or matrix product: the library reads neither, and
+the tests take theirs from sympy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from operator import index, sub
+
+# snf keeps this many forms: the stacked matrices of a run's maps, which
+# repeat, since the abelianization forgets conjugators
+_SNFS_CACHED = 64
 
 
 @dataclass(frozen=True)
 class IntMatrix:
+    """Rows of exact `int` entries.  A bool or other int-like entry raises
+    TypeError (`from_rows` converts those): True == 1 with equal hashes, so
+    it would share 1's cached form, and the form must hold ints only."""
+
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if len(set(map(len, self.entries))) > 1:
             raise ValueError("ragged matrix")
+        if {type(x) for row in self.entries for x in row} - {int}:
+            raise TypeError("IntMatrix entries must be exact ints; "
+                            "from_rows converts int-likes")
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -88,8 +102,10 @@ class SNFResult:
         return self.U.entries[r] if r < self.D.rows else None
 
 
+@lru_cache(maxsize=_SNFS_CACHED)
 def snf(M: IntMatrix) -> SNFResult:
-    """Smith normal form with the unimodular transforms recorded.
+    """Smith normal form with the unimodular transforms recorded, computed
+    once per distinct matrix among the last `_SNFS_CACHED` and shared.
 
     Step t moves a nonzero entry of smallest magnitude in the block
     t.., t.. (the first one in row-major order) to (t, t), clears row t

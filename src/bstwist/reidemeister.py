@@ -12,6 +12,7 @@ finiteness.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm
 from operator import index
@@ -223,6 +224,33 @@ def coincidence_certify(phi: EndoSpec, psi: EndoSpec) -> ReidemeisterOutcome:
     return _catalog([phi, psi])
 
 
+# _witness_family keeps this many families; the catalog emits two, x^j for
+# x = a and x = b
+_FAMILIES_CACHED = 64
+
+
+@lru_cache(maxsize=_FAMILIES_CACHED)
+def _witness_family(base: str, step: str, texts: tuple[str, ...]):
+    """(witnesses, chained) for a certificate's witness texts, its base and
+    its step: the parsed `texts`, None when one does not parse, and whether
+    they are the family they name, base * step^j for j = 0, 1, ... as
+    freely reduced words (False too when base or step does not parse, or
+    when there are fewer than two witnesses).  Parsing does not depend on
+    the group, so one family is parsed and chained once for every group
+    and every map."""
+    try:
+        witnesses = tuple(parse_word(text) for text in texts)
+    except WordSyntaxError:
+        return None, False
+    try:
+        first, factor = parse_word(base), parse_word(step)
+    except WordSyntaxError:
+        return witnesses, False
+    # w_0 = base and w_j = w_(j-1) step give w_j = base step^j by induction
+    return witnesses, len(witnesses) >= 2 and witnesses[0] == first and all(
+        multiply(prev, factor) == w for prev, w in zip(witnesses, witnesses[1:]))
+
+
 def check_certificate(cert: Certificate, phi: EndoSpec,
                       psi: EndoSpec | None = None) -> bool:
     """Independent soundness check of an emitted certificate.
@@ -235,7 +263,8 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
     certificate's `scale_checks` key for key, its `target` is the
     certificate's, and the values of lam on two or more witnesses are the
     stated ones and pairwise distinct.  An invariant with no rule refutes
-    the certificate.  The witnesses must be the family they name: the j-th
+    the certificate.  The witnesses must be the family they name
+    (`_witness_family`, which parses and chains each family once): the j-th
     is base * step^j as a freely reduced word, so lam(base) !=
     lam(base * step) proves lam(step) != 0 and the whole family
     base * step^j pairwise distinct.  A base, step or witness that does not
@@ -250,16 +279,9 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
         if spec.group != group or britton_reduce(
                 endo_apply(spec, relator(group)), group):
             return False
-    try:
-        base = parse_word(cert.witness_base, group)
-        step = parse_word(cert.witness_step, group)
-        witnesses = [parse_word(text, group) for text in cert.first_witnesses]
-    except WordSyntaxError:
-        return False
-    # w_0 = base and w_j = w_(j-1) step give w_j = base step^j by induction
-    if len(witnesses) < 2 or witnesses[0] != base:
-        return False
-    if any(multiply(prev, step) != w for prev, w in zip(witnesses, witnesses[1:])):
+    witnesses, chained = _witness_family(
+        cert.witness_base, cert.witness_step, tuple(cert.first_witnesses))
+    if not chained:
         return False
 
     rule = _RULES.get(cert.invariant)
@@ -547,18 +569,21 @@ def witnesses_stay_separated(cert: Certificate, phi: EndoSpec,
 
     Vacuously true for groups outside the modeled families, where no
     enumeration substrate exists, and false, as for `check_certificate`,
-    when a witness does not parse.  Raises GroupMismatch when psi lives on
-    another group than phi, ValueError on bounds that are not the family's
-    positive box, and RelationViolated when phi or psi is no endomorphism.
+    when a witness does not parse.  Only the parsed witnesses of
+    `_witness_family` are read: whether base and step parse, and whether
+    the witnesses are their family, is the checker's question, not this
+    one's.  Raises GroupMismatch when psi lives on another group than phi,
+    ValueError on bounds that are not the family's positive box, and
+    RelationViolated when phi or psi is no endomorphism.
     """
     group = phi.group
     try:
         family, bounds = _box_inputs(group, phi, psi, bounds, "witness_bounds")
     except WrongFamily:
         return True
-    try:
-        witnesses = [parse_word(text, group) for text in cert.first_witnesses]
-    except WordSyntaxError:
+    witnesses, _ = _witness_family(
+        cert.witness_base, cert.witness_step, tuple(cert.first_witnesses))
+    if witnesses is None:
         return False
     parent, _, _ = _merge_box(family, group, phi, psi, bounds)
     # a witness outside the box is no merge evidence either way

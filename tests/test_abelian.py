@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 
-from bstwist import abelian
+from bstwist import abelian, intmat
 from bstwist.abelian import (
     AbelianGroup, AbelianMap, fixed_functional, twisted_class_count,
 )
@@ -204,3 +204,23 @@ class TestReadOuts:
         assert len(calls) == 1
         assert fixed_functional(f, AbelianMap.identity(group)) is None
         assert len(calls) == 2
+
+    def test_one_elimination_per_stacked_matrix(self, monkeypatch):
+        # the count, the functional and a caller's own snf of one stacked
+        # matrix, as the certify path reads them, share one SNFResult
+        built, result = [], intmat.SNFResult
+
+        def counting_result(*fields):
+            built.append(fields[0])
+            return result(*fields)
+
+        snf.cache_clear()
+        monkeypatch.setattr(intmat, "SNFResult", counting_result)
+        group = AbelianGroup(torsion=(4,), rank=1)
+        f = AbelianMap.from_columns(group, [(1, 0), (2, 1)])
+        identity = AbelianMap.identity(group)
+        stacked = group.presentation().hstack(identity.matrix - f.matrix)
+        assert twisted_class_count(f, identity) is None
+        assert fixed_functional(f, identity) == snf(stacked).left_kernel_functional
+        assert snf(stacked) is snf(IntMatrix(stacked.entries))
+        assert len(built) == 1

@@ -175,7 +175,8 @@ def test_every_cache_is_bounded():
     shows up as peak memory; every one here must drop old entries."""
     caches = dict(_functools_caches())
     assert {"words.relator", "abelian.AbelianGroup.presentation",
-            "abelian.AbelianMap.identity"} <= set(caches)
+            "abelian.AbelianMap.identity", "intmat.snf",
+            "reidemeister._witness_family"} <= set(caches)
     unbounded = sorted(name for name, cache in caches.items()
                        if cache.cache_info().maxsize is None)
     assert unbounded == []

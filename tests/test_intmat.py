@@ -52,6 +52,17 @@ class TestIntMatrix:
             IntMatrix.from_rows([[1, "3"]])
         assert IntMatrix.from_rows([[True, 2 ** 70]]).entries == ((1, 2 ** 70),)
 
+    def test_entries_that_are_not_exact_ints_rejected(self):
+        # True == 1 with equal hashes: built directly, it would share the
+        # cached form of 1 and put a bool into that form's D
+        class Int(int):
+            pass
+
+        for entry in (True, Int(1), 2.0):
+            with pytest.raises(TypeError):
+                IntMatrix(((entry, 2),))
+        assert type(IntMatrix.from_rows([[Int(1), 2]]).entries[0][0]) is int
+
 
 def _ref_snf(M):
     """Reference: the Smith normal form as first written, with one closure
@@ -203,6 +214,35 @@ class TestSNF:
             theirs = smith_normal_form(sym(m), domain=ZZ)
             assert snf(m).diagonal == tuple(
                 abs(int(theirs[i, i])) for i in range(min(rows, cols)))
+
+
+def _all_ints(result):
+    return all(type(x) is int for M in (result.D, result.U, result.V)
+               for row in M.entries for x in row)
+
+
+class TestCache:
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    def test_equals_the_uncached_form(self, m):
+        assert snf(m) == snf.__wrapped__(m)
+
+    def test_equal_matrices_share_one_form(self):
+        m = IntMatrix.from_rows([[4, 6], [2, 8]])
+        assert snf(m) is snf(IntMatrix(((4, 6), (2, 8))))
+
+    @pytest.mark.parametrize("bool_first", [True, False])
+    def test_forms_hold_ints_in_either_call_order(self, bool_first):
+        snf.cache_clear()
+        rows = [[True, 2], [1, 2]] if bool_first else [[1, 2], [True, 2]]
+        results = []
+        for row in rows:
+            if row[0] is True:
+                with pytest.raises(TypeError):
+                    IntMatrix((tuple(row),))
+            results.append(snf(IntMatrix.from_rows([row])))
+        assert results[0] is results[1]
+        assert _all_ints(results[0])
 
 
 class TestCoker:

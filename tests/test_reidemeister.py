@@ -225,6 +225,62 @@ class TestCheckCertificate:
         assert check_certificate(cert, spec)
 
 
+    def test_each_witness_family_is_parsed_once(self, monkeypatch):
+        # two maps on two groups with one family: its twelve texts (ten
+        # witnesses, base and step) are parsed once over four checks
+        specs = endo(2, 3, "a", "b^2"), endo(3, 5, "a", "b")
+        certs = [certify_infinite(spec).certificate for spec in specs]
+        assert certs[0].first_witnesses == certs[1].first_witnesses
+        parsed = _count_parses(monkeypatch)
+        for cert, spec in zip(certs, specs):
+            assert check_certificate(cert, spec)
+            assert check_certificate(cert, spec)
+        cert = certs[0]
+        assert sorted(parsed) == sorted(
+            cert.first_witnesses + (cert.witness_base, cert.witness_step))
+
+    def test_a_refused_family_stays_refused(self, monkeypatch):
+        spec = endo(2, 3, "a", "b^2")
+        cert = certify_infinite(spec).certificate
+        broken = replace(cert, first_witnesses=("1", "a", "a^3"),
+                         values=("0", "1", "3"))
+        parsed = _count_parses(monkeypatch)
+        assert not check_certificate(broken, spec)
+        assert not check_certificate(broken, spec)
+        assert len(parsed) == 5
+        # an accepted family vouches for its own base and step only
+        assert check_certificate(cert, spec)
+        for base, step in (("a", "a"), ("1", "b"), ("1", "a^2"), ("1", "A")):
+            assert not check_certificate(
+                replace(cert, witness_base=base, witness_step=step), spec)
+        assert check_certificate(cert, spec)
+
+    def test_list_witnesses_are_checked(self):
+        # the shape `as_dict` emits, with lists for tuples
+        spec = identity_spec(GroupSpec(1, -1))
+        cert = certify_infinite(spec).certificate
+        rebuilt = Certificate(**cert.as_dict())
+        assert isinstance(rebuilt.first_witnesses, list)
+        assert check_certificate(rebuilt, spec)
+        assert witnesses_stay_separated(rebuilt, spec)
+        assert not check_certificate(
+            replace(rebuilt, first_witnesses=["1", "a", "a^3"]), spec)
+
+
+def _count_parses(monkeypatch):
+    """The texts the witness-family cache parses from here on, starting
+    from an empty cache."""
+    parsed = []
+
+    def counting_parse(text, group=None):
+        parsed.append(text)
+        return parse_word(text, group)
+
+    reidemeister._witness_family.cache_clear()
+    monkeypatch.setattr(reidemeister, "parse_word", counting_parse)
+    return parsed
+
+
 class TestCoincidence:
     def test_pairs_on_b23(self):
         phi = endo(2, 3, "a", "b^2")
@@ -388,6 +444,19 @@ class TestEnumeration:
         bad = replace(cert, first_witnesses=("x", "x", "x"))
         assert not witnesses_stay_separated(bad, spec)
         assert not check_certificate(bad, spec)
+
+    def test_witness_separation_reads_only_the_parse(self, monkeypatch):
+        # a base that does not parse refutes the certificate, but the
+        # witnesses parse and stay separated; the checker's parse is reused
+        spec = identity_spec(GroupSpec(1, -1))
+        cert = certify_infinite(spec).certificate
+        unchained = replace(cert, witness_base="zz")
+        parsed = _count_parses(monkeypatch)
+        assert not check_certificate(unchained, spec)
+        assert len(parsed) == len(cert.first_witnesses) + 1
+        parsed.clear()
+        assert witnesses_stay_separated(unchained, spec)
+        assert parsed == []
 
     def test_affine_e_may_be_omitted(self):
         g = GroupSpec(1, 2)
