@@ -12,8 +12,8 @@ finiteness.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache
-from itertools import compress
+from functools import lru_cache, partial
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import index
 
@@ -21,12 +21,12 @@ from .errors import (
     BoxTooSmall, GroupMismatch, NotInKernel, UnsupportedGroup, WordSyntaxError,
     WrongFamily,
 )
-from .homs import EndoSpec, endo_apply, kappa
+from .homs import EndoSpec, endo_apply, kappa, kappa_scale
 from .models import ModelFamily, model_family, slice_of
 from .words import (
-    A, B, GroupSpec, britton_reduce, exp_sum, multiply, parse_word,
-    power_constraint, relator, word,
+    A, B, GroupSpec, britton_reduce, exp_sum, multiply, parse_word, relator, word,
 )
+from .words import power_constraint  # noqa: F401 (perfbench binds it here)
 
 INV_A_SUM = "a-exponent-sum"
 INV_B_SUM = "b-exponent-sum"
@@ -100,56 +100,49 @@ _WITNESS_TEXTS = {letter: ("1", letter) + tuple(
     f"{letter}^{j}" for j in range(2, NUM_WITNESSES)) for letter in (A, B)}
 
 
-def _exp_sums(letter: str, specs: list[EndoSpec]) -> list:
-    """(|x(a)|_letter, |x(b)|_letter) for each map x."""
-    return [(exp_sum(s.image_a, letter), exp_sum(s.image_b, letter))
+# lam = |.|_x's scale_checks keys |phi(a)|_x, |phi(b)|_x, |psi(a)|_x, |psi(b)|_x
+_CHECK_KEYS = {x: tuple(f"|{tag}({gen})|_{x}" for tag in _TAGS for gen in (A, B))
+               for x in (A, B)}
+# letter -> (invariant, target, lam, (lam(a), lam(b)), what a failed
+# attempt needs, and its text of one map x's |x(a)|_letter, |x(b)|_letter)
+_EXP_SUMS = {
+    A: (INV_A_SUM, "Z, the a-exponent quotient", lambda w: exp_sum(w, A),
+        (1, 0), "k = 1 and |x(b)|_a = 0",
+        lambda tag, on_a, on_b: f"k of {tag} = {on_a}, |{tag}(b)|_a = {on_b}"),
+    B: (INV_B_SUM, "Z, the b-exponent quotient (m = n)", lambda w: exp_sum(w, B),
+        (0, 1), "(|x(b)|_b, |x(a)|_b) = (1, 0)",
+        lambda tag, on_a, on_b: f"({on_b}, {on_a}) for {tag}"),
+}
+
+
+def _exp_sum(letter: str, group: GroupSpec, specs: list[EndoSpec]) -> str | tuple:
+    """lam = |.|_letter, a homomorphism to Z on every B(m,n) for a and only
+    when m = n for b (`words.exp_sum`).  A map x fixes lam exactly when
+    (|x(a)|_letter, |x(b)|_letter) = (lam(a), lam(b))."""
+    invariant, target, lam, fixed, needs, shown = _EXP_SUMS[letter]
+    if letter == B and group.m != group.n:
+        return f"{invariant}: only applies when m = n"
+    sums = [(exp_sum(s.image_a, letter), exp_sum(s.image_b, letter))
             for s in specs]
-
-
-def _exp_sum_checks(letter: str, sums: list) -> dict:
-    """The identities lam(x(a)), lam(x(b)) for lam = |.|_letter, from
-    `_exp_sums`."""
-    checks = {}
-    for tag, (on_a, on_b) in zip(_TAGS, sums):
-        checks[f"|{tag}(a)|_{letter}"] = on_a
-        checks[f"|{tag}(b)|_{letter}"] = on_b
-    return checks
-
-
-def _a_sum(group: GroupSpec, specs: list[EndoSpec]) -> str | tuple:
-    sums = _exp_sums(A, specs)
-    if all(pair == (1, 0) for pair in sums):
-        return ("Z, the a-exponent quotient", _exp_sum_checks(A, sums), A,
-                lambda w: exp_sum(w, A))
-    return f"{INV_A_SUM}: needs k = 1 and |x(b)|_a = 0, got " + ", ".join(
-        f"k of {tag} = {k}, |{tag}(b)|_a = {on_b}"
-        for tag, (k, on_b) in zip(_TAGS, sums))
-
-
-def _b_sum(group: GroupSpec, specs: list[EndoSpec]) -> str | tuple:
-    if group.m != group.n:
-        return f"{INV_B_SUM}: only applies when m = n"
-    sums = _exp_sums(B, specs)
-    if all(pair == (0, 1) for pair in sums):
-        return ("Z, the b-exponent quotient (m = n)", _exp_sum_checks(B, sums),
-                B, lambda w: exp_sum(w, B))
-    return f"{INV_B_SUM}: needs (|x(b)|_b, |x(a)|_b) = (1, 0), got " + ", ".join(
-        f"{(on_b, on_a)} for {tag}" for tag, (on_a, on_b) in zip(_TAGS, sums))
+    if all(pair == fixed for pair in sums):
+        checks = dict(zip(_CHECK_KEYS[letter], chain.from_iterable(sums)))
+        return target, checks, letter, lam
+    return f"{invariant}: needs {needs}, got " + ", ".join(
+        shown(tag, *pair) for tag, pair in zip(_TAGS, sums))
 
 
 def _kappa(group: GroupSpec, specs: list[EndoSpec]) -> str | tuple:
-    """kappa(phi(g_i)) = (n/m)^(k i) kappa(phi(b)), so kappa(phi(b)) = 1 and
-    (n/m)^(k-1) = 1 (`power_constraint` at k) together prove
-    kappa(phi(g_i)) = kappa(g_i) for every i.  On an endomorphism the first
-    forces the second, through the relator's kappa(phi(b)) (m (n/m)^k - n)
-    = 0; both are recorded, as "1" each."""
+    """kappa(phi(g_i)) = (n/m)^(k i) kappa(phi(b)), so a kappa scale
+    `homs.kappa_scale` of 1, which is kappa(phi(b)) = 1 with (n/m)^(k-1) = 1,
+    proves kappa(phi(g_i)) = kappa(g_i) for every i.  On an endomorphism
+    the scale is kappa(phi(b)): the relator forces kappa(phi(b))
+    (m (n/m)^k - n) = 0.  Both halves are recorded, as "1" each."""
     ks = [exp_sum(s.image_a, A) for s in specs] + [1] * (2 - len(specs))
     if any(exp_sum(s.image_b, A) for s in specs) or ks[0] == ks[1]:
         return (f"{INV_KAPPA}: needs kernels preserved and k of phi != "
                 "k of psi (psi = id has k = 1) to pin twisting into K")
-    scales = [kappa(s.image_b, group) for s in specs]
-    if all(d == 1 for d in scales) and all(
-            power_constraint(group.m, group.n, (k, k)) for k in ks):
+    scales = [kappa_scale(s) for s in specs]
+    if all(d == 1 for d in scales):
         checks = {}
         for tag, k in zip(_TAGS, ks[:len(specs)]):
             checks[f"k of {tag}"] = k
@@ -162,11 +155,12 @@ def _kappa(group: GroupSpec, specs: list[EndoSpec]) -> str | tuple:
 
 
 # One rule per invariant lam, in the catalog's try order, read by both the
-# catalog and the checker.  rule(group, specs) reads only the image words
-# of endomorphisms [phi] or [phi, psi] (an omitted psi is the identity) and
-# returns the attempt text when they do not fix lam, else (target,
-# scale_checks, step letter, lam).
-_RULES = {INV_A_SUM: _a_sum, INV_B_SUM: _b_sum, INV_KAPPA: _kappa}
+# catalog and the checker; the two exponent sums are one rule.  rule(group,
+# specs) reads only the image words of endomorphisms [phi] or [phi, psi]
+# (an omitted psi is the identity) and returns the attempt text when they
+# do not fix lam, else (target, scale_checks, step letter, lam).
+_RULES = {INV_A_SUM: partial(_exp_sum, A), INV_B_SUM: partial(_exp_sum, B),
+          INV_KAPPA: _kappa}
 
 
 def _catalog(specs: list[EndoSpec]) -> ReidemeisterOutcome:
@@ -175,12 +169,12 @@ def _catalog(specs: list[EndoSpec]) -> ReidemeisterOutcome:
 
     Each map is checked to be an endomorphism first (its cached relator
     check raises RelationViolated), and no `InducedData` is built.  The
-    rules of `_RULES` then run in order on the image words: |.|_a when
-    every map has k = 1 and preserves K; |.|_b when m = n and every map
-    fixes it; kappa when every map preserves K with scale 1 and k of phi
-    != k of psi, which forces every in-kernel twist to come from gamma in
-    K.  The first rule that
-    finds lam fixed gives the witness family letter^j, j < NUM_WITNESSES:
+    rules of `_RULES` then run in order on the image words: the one
+    exponent-sum rule under two names, |.|_a when every map has k = 1 and
+    preserves K, then |.|_b when m = n and every map fixes it; kappa when
+    every map preserves K with scale 1 and k of phi != k of psi, which
+    forces every in-kernel twist to come from gamma in K.  The first rule
+    that finds lam fixed gives the witness family letter^j, j < NUM_WITNESSES:
     the base is 1 and lam is a homomorphism, so the j-th value is
     j * lam(letter), one evaluation of lam.  Otherwise the outcome is
     unknown with every rule's attempt text.
@@ -270,8 +264,8 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
     base * step^j pairwise distinct.  A base, step or witness that does not
     parse, or a witness outside lam's domain (off K, for kappa), refutes
     the certificate.  An omitted psi is the identity.  For kappa,
-    kappa(phi(g_i)) = kappa(g_i) is checked for every i through
-    kappa(phi(b)) = 1 and `power_constraint` at k.
+    kappa(phi(g_i)) = kappa(g_i) is checked for every i through a
+    `kappa_scale` of 1.
     """
     group = phi.group
     specs = [phi] + ([psi] if psi is not None else [])

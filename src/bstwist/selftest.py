@@ -14,12 +14,12 @@ from .intmat import IntMatrix, snf
 from .models import model_embed, model_equal_oracle
 from .reidemeister import (
     INV_A_SUM, _root, check_certificate, certify_infinite,
-    coincidence_certify, enumerate_classes_ball, power_constraint, union_runs,
+    coincidence_certify, enumerate_classes_ball, union_runs,
     witnesses_stay_separated,
 )
 from .words import (
     A, B, GroupSpec, Word, are_equal, britton_reduce, multiply, parse_word,
-    relator, word,
+    power_constraint, relator, word,
 )
 
 

@@ -87,13 +87,16 @@ class _Value:
 
 
 class GroupSpec(_Value):
-    """The index pair (m, n) of B(m,n).  Both entries must be nonzero."""
+    """The index pair (m, n) of B(m,n), nonzero exact ints: 2.0 or True
+    hashes as an int and would share its cached relator, so raises TypeError."""
 
     __slots__ = ("m", "n")
     m: int
     n: int
 
     def __init__(self, m: int, n: int):
+        if type(m) is not int or type(n) is not int:
+            raise TypeError(f"B(m,n) takes exact int indices, got {m!r}, {n!r}")
         if m == 0 or n == 0:
             raise ValueError("B(m,n) requires m != 0 and n != 0")
         _set_field(self, "m", m)
@@ -113,9 +116,9 @@ class Syllable(NamedTuple):
 
 class Word(_Value):
     """Freely reduced sequence of syllables; the empty word is the identity.
-    The one check of every syllable: base A or B, exponent nonzero, and
-    bases alternating.  The word operations below build their results with
-    `_word`, which skips the check that their stacks pass by construction."""
+    The one check of every syllable: base A or B, exponent a nonzero exact
+    int (else TypeError), bases alternating.  The word operations build
+    results with `_word`, which skips it: their stacks pass by construction."""
 
     __slots__ = ("syllables",)
     syllables: tuple[Syllable, ...]
@@ -125,6 +128,8 @@ class Word(_Value):
         for base, exp in syllables:
             if base not in (A, B):
                 raise ValueError(f"bad syllable base {base!r}")
+            if type(exp) is not int:
+                raise TypeError(f"syllable exponent must be an exact int, got {exp!r}")
             if not exp:
                 raise ValueError("syllable exponent must be nonzero")
             if base == prev:

@@ -131,10 +131,13 @@ class TestHomCommands:
         assert "relation-violated" in err
 
     @pytest.mark.parametrize("text", ["groupie 2 3\na -> a\nb -> b^2\n",
-                                      "group 2 3\na -> \nb -> b^2\n"])
+                                      "group 2 3\na -> \nb -> b^2\n",
+                                      "group 2 3\na -> a\na -> b\n",
+                                      "group 2 3\na -> a\nc -> b\n"])
     def test_lenient_spec_files_are_refused(self, capsys, tmp_path, text):
-        # a header that only starts with "group", and an empty image that
-        # once read as the identity (written 1)
+        # a header that only starts with "group", an empty image that once
+        # read as the identity (written 1), and a repeated or unknown
+        # generator
         path = tmp_path / "lenient.endo"
         path.write_text(text)
         code, out, err = run(capsys, "hom-validate", "--group", "2,3",
@@ -322,6 +325,13 @@ class TestMatrixCommands:
                            "--range=-100000,100000", "--format", "json")
         assert payload["solutions"] == list(range(-99999, 100000, 2))
         assert len(payload["solutions"]) == 100000
+
+    @pytest.mark.parametrize("group", ["0,3", "2", "2,3,4"])
+    def test_malformed_group_is_a_usage_error(self, capsys, group):
+        with pytest.raises(SystemExit) as info:
+            main(["normalize", f"--group={group}", "a"])
+        assert info.value.code == 2
+        assert "--group expects m,n" in capsys.readouterr().err
 
     def test_negative_m_via_equals_form(self, capsys):
         payload = run_json(capsys, "standardize", "--group=-3,2",

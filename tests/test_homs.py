@@ -62,6 +62,22 @@ class TestValidate:
         # the residue is the nontrivial normal form of the relator image
         assert info.value.residue != "1"
 
+    @pytest.mark.parametrize("float_first", [True, False])
+    def test_relator_cache_holds_ints_in_either_call_order(self, float_first):
+        # GroupSpec(2.0, 3) == GroupSpec(2, 3) with equal hashes once seeded
+        # the shared relator cache with b^2.0, and every later B(2,3)
+        # residue read a^-1.0
+        relator.cache_clear()
+        for m in ((2.0, 2) if float_first else (2, 2.0)):
+            if type(m) is float:
+                with pytest.raises(TypeError):
+                    GroupSpec(m, 3)
+            else:
+                assert format_word(relator(GroupSpec(m, 3))) == "a^-1 b^2 a b^-3"
+        with pytest.raises(RelationViolated) as info:
+            endo_validate(parse_endo_file("group 2 3\na -> a\nb -> a\n"))
+        assert info.value.residue == "a^-1"
+
     def test_inner_endos_are_valid(self):
         rng = random.Random(3)
         g = GroupSpec(2, 3)
@@ -414,6 +430,14 @@ class TestEndoFiles:
             parse_endo_file("group 1 2\na -> a\n")
         with pytest.raises(ValueError):
             parse_endo_file("group 1 2\na -> a\nc -> b\nb -> b")
+
+    @pytest.mark.parametrize("lines", ["a -> a\na -> b", "a -> a\nc -> b",
+                                       "c -> a\nb -> b"])
+    def test_images_are_for_exactly_a_and_b(self, lines):
+        # a repeated or unknown generator line, in an otherwise
+        # well-formed three-line file
+        with pytest.raises(ValueError, match="exactly a and b"):
+            parse_endo_file(f"group 2 3\n{lines}\n")
 
     @pytest.mark.parametrize("header", ["groupie 2 3", "group 2 3 4", "group 2",
                                         "group2 3", "GROUP 2 3"])

@@ -38,6 +38,14 @@ class TestIntMatrix:
         b = IntMatrix.from_rows([[3], [4]])
         assert a.hstack(b) == IntMatrix.from_rows([[1, 3], [2, 4]])
 
+    def test_mismatched_shapes_rejected(self):
+        one_by_two = IntMatrix.from_rows([[1, 2]])
+        two_by_one = IntMatrix.from_rows([[1], [2]])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            one_by_two - two_by_one
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            one_by_two.hstack(two_by_one)
+
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])

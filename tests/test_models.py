@@ -159,6 +159,10 @@ class TestAffine:
                 assert model_embed(multiply(u, v), g) == \
                     model_embed(u, g) * model_embed(v, g)
 
+    def test_product_across_ambient_n_rejected(self):
+        with pytest.raises(ValueError, match="mixed ambient n"):
+            AffineElement(1, 0, 0, 2) * AffineElement(1, 0, 0, -2)
+
     def test_m_minus_one_folds(self):
         g = GroupSpec(-1, 2)
         # a^-1 b^-1 a = b^2 in B(-1,2)
@@ -197,6 +201,10 @@ class TestPermuted:
                 u, v = random_word(rng), random_word(rng)
                 assert model_embed(multiply(u, v), g) == \
                     model_embed(u, g) * model_embed(v, g)
+
+    def test_product_across_rank_rejected(self):
+        with pytest.raises(ValueError, match="mixed ambient rank"):
+            PermutedProduct(((1, 1),), 0, 2) * PermutedProduct(((1, 1),), 0, 3)
 
     def test_sigma_has_order_m(self):
         w = ((1, 1), (2, -1))  # x1 x2^-1

@@ -190,6 +190,18 @@ class TestCheckCertificate:
             replace(cert, scale_checks={"|phi(a)|_a": 7}), spec)
         assert not check_certificate(replace(cert, target="anything"), spec)
 
+    def test_b_sum_certificate_needs_m_equal_n(self):
+        # a -> a^-1, b -> b is an endomorphism of B(2,2), B(2,-2) and
+        # B(1,-1), and fixes |.|_b on each, but |.|_b is a homomorphism
+        # only on B(2,2): elsewhere the catalog gives kappa, and the
+        # B(2,2) certificate is refused
+        cert = certify_infinite(endo(2, 2, "a^-1", "b")).certificate
+        assert cert.invariant == INV_B_SUM
+        for m, n in ((2, -2), (1, -1)):
+            spec = endo(m, n, "a^-1", "b")
+            assert certify_infinite(spec).certificate.invariant == INV_KAPPA
+            assert not check_certificate(cert, spec)
+
     def test_golden_certificate_accepted(self):
         golden = Path(__file__).parent / "golden" / "certificate.json"
         fields = json.loads(golden.read_text())["certificate"]

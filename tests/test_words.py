@@ -95,6 +95,15 @@ class TestFreeArithmetic:
         with pytest.raises(ValueError):
             Word((Syllable(A, 1), Syllable(A, 2)))
 
+    def test_word_rejects_exponents_that_are_not_exact_ints(self):
+        # b^0.5 once normalized as it stood, and b^2.0 as b^2
+        for pairs in ([(B, 0.5), (A, 1)], [(A, 1), (B, 2.0)], [(B, True)],
+                      [(B, 0.5), (B, 0.5)]):
+            with pytest.raises(TypeError, match="exact int"):
+                word(pairs)
+            with pytest.raises(TypeError, match="exact int"):
+                Word(tuple(Syllable(*pair) for pair in pairs))
+
     def test_word_rejects_a_bad_base_or_a_zero_exponent(self):
         # a Syllable is a plain pair; Word checks every syllable
         for bad in (Syllable("c", 1), Syllable(A, 0), Syllable(B, 0)):
@@ -291,6 +300,18 @@ class TestGroupSpec:
         with pytest.raises(ValueError):
             GroupSpec(2, 0)
 
+    def test_indices_that_are_not_exact_ints_rejected(self):
+        # 2.0 and True compare and hash equal to ints, so they would share
+        # an int group's cached relator
+        class Int(int):
+            pass
+
+        for bad in (2.0, True, Int(2)):
+            with pytest.raises(TypeError):
+                GroupSpec(bad, 3)
+            with pytest.raises(TypeError):
+                GroupSpec(3, bad)
+
 
 class TestValueClasses:
     """`GroupSpec`, `Word`, `NormalForm` and the model elements
@@ -360,6 +381,19 @@ class TestValueClasses:
             GroupSpec(0, 1)
         with pytest.raises(ValueError):
             Word(((A, 0),))
+
+    def test_operators_agree_with_the_functions(self):
+        # Word's * and str, and NormalForm's str, are public spellings of
+        # multiply and format_word
+        rng = random.Random(19)
+        assert str(Word()) == "1" and Word() * Word() == Word()
+        for group in GRID:
+            for _ in range(30):
+                u, v = random_word(rng), random_word(rng)
+                assert u * v == multiply(u, v)
+                assert str(u) == format_word(u)
+                form = normal_form(u, group)
+                assert str(form) == format_word(form.word)
 
 
 # ---------------------------------------------------------------------------
