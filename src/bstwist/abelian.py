@@ -7,6 +7,15 @@ abelianization uniformly, including m = n).  Twisted classes of a pair
 (f, g) are the cosets of im(g - f).  The rank of one Smith normal form of
 the presentation matrix stacked with g - f gives their number when it is
 full and a fixed functional otherwise: exactly one of the two is None.
+
+The stacked matrix of a pair is built once per pair (`_stacked`, keyed by
+the two maps, which are immutable values) among the last `_STACKS_CACHED`
+pairs.  The pairs repeat, since the abelianization forgets conjugators:
+2,640 `certify` benchmark operations (seed 4, passes 0-19) read 35
+distinct maps and 42 distinct stacked matrices.  The difference and the
+stack are built by `IntMatrix`'s trusted constructions, since both maps'
+matrices are checked already; a map from columns (`from_columns`) checks
+the caller's entries.
 """
 
 from __future__ import annotations
@@ -20,6 +29,8 @@ from .intmat import IntMatrix, snf
 # presentation() and AbelianMap.identity keep this many groups: the B(m,n)
 # abelianizations a run touches, which are few
 _GROUPS_CACHED = 64
+# _stacked keeps this many pairs of maps
+_STACKS_CACHED = 128
 
 
 @dataclass(frozen=True)
@@ -78,8 +89,10 @@ class AbelianMap:
         return cls(group, IntMatrix.identity(group.ngens))
 
 
+@lru_cache(maxsize=_STACKS_CACHED)
 def _stacked(f: AbelianMap, g: AbelianMap) -> IntMatrix:
-    """The relation matrix of the maps' group stacked with g - f."""
+    """The relation matrix of the maps' group stacked with g - f, built
+    once per pair among the last `_STACKS_CACHED` and shared."""
     if f.group != g.group:
         raise ShapeMismatch("maps act on different groups")
     return f.group.presentation().hstack(g.matrix - f.matrix)

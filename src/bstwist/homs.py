@@ -2,15 +2,28 @@
 
 An endomorphism is given by image words for the generators a and b.  It is
 valid iff the image of the defining relator is trivial.  A spec is
-immutable, so that check runs once per spec object:
-`EndoSpec._relator_checked` caches it, and `endo_validate` reads it and
-then builds the `InducedData`.  The certificate catalog and the enumerator
-only need their maps to be endomorphisms, so they read the relator check
-alone and never build the `InducedData`; the catalog's rules recompute
-what they need from the image words.  The certificate checker reads no
-cache and applies the relator itself.
-`EndoSpec.model_images` caches the model images of image_a and image_b in
-the same way, for the enumerator's boxes.  Valid maps induce
+immutable, so everything derived from its image words is derived once per
+spec object, on first read, and kept on it:
+
+- `EndoSpec._relator_checked`, the relator check;
+- `EndoSpec.exp_sums`, the four exponent sums of the images;
+- `EndoSpec._kappa_scale`, the kappa scale that `kappa_scale` reads;
+- `EndoSpec.model_images`, the model images of image_a and image_b, for
+  the enumerator's boxes.
+
+`endo_validate` reads these and builds the `InducedData`.  The
+certificate catalog and the enumerator only need their maps to be
+endomorphisms, so they read the relator check alone and never build the
+`InducedData`; the catalog's rules read the sums and the scale.  The map
+on the abelianization is one shared `AbelianMap` per group and pair of
+columns (`induced_on_ab`), so the pairs of maps that `abelian` keys its
+memo by repeat as values and as objects.
+
+The certificate checker must not trust what the catalog computed, so it
+reads none of these caches: it runs on fresh copies of the specs, built
+from their group and image words, which derive every sum, scale and
+relator image again.  A cache forged on the catalog's spec then changes
+what the catalog claims, never what the checker accepts.  Valid maps induce
 multiplication by k = |phi(a)|_a on the quotient Z = B(m,n)/K and a map
 on the abelianization Z_{|n-m|} + Z.  On the kernel
 K = ker|.|_a, generated by g_i = a^-i b a^i with relations
@@ -24,7 +37,7 @@ it by a single d = kappa(phi(b)) exactly when kappa(phi(b)) = 0 or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 from .abelian import AbelianGroup, AbelianMap
@@ -52,6 +65,25 @@ class EndoSpec:
         not.  The fields are immutable words, so the answer is a function
         of them."""
         return _check_relator(self)
+
+    @cached_property
+    def exp_sums(self) -> tuple[int, int, int, int]:
+        """(|image_a|_a, |image_b|_a, |image_a|_b, |image_b|_b), cached
+        like `_relator_checked`: k, whether K is preserved, and the
+        columns of the map on the abelianization all read them."""
+        return (exp_sum(self.image_a, A), exp_sum(self.image_b, A),
+                exp_sum(self.image_a, B), exp_sum(self.image_b, B))
+
+    @cached_property
+    def _kappa_scale(self) -> Fraction | None:
+        """`kappa_scale` of the spec, cached like `_relator_checked`;
+        raises NotInKernel, uncached, on every read when |image_b|_a != 0."""
+        group = self.group
+        d = kappa(self.image_b, group)
+        k = self.exp_sums[0]
+        if d == 0 or power_constraint(group.m, group.n, (k, k)):
+            return d
+        return None
 
     @cached_property
     def model_images(self) -> tuple:
@@ -106,12 +138,24 @@ def ab_group(group: GroupSpec) -> AbelianGroup:
     return AbelianGroup(torsion=(abs(group.n - group.m),), rank=1)
 
 
+# _ab_map keeps this many maps on the abelianization
+_AB_MAPS_CACHED = 128
+
+
+@lru_cache(maxsize=_AB_MAPS_CACHED)
+def _ab_map(group: GroupSpec, col_b: tuple[int, int],
+            col_a: tuple[int, int]) -> AbelianMap:
+    """The map of Z_{|n-m|} + Z with these columns, built once among the
+    last `_AB_MAPS_CACHED` and shared: the key holds a GroupSpec and
+    exponent sums, all exact ints."""
+    return AbelianMap.from_columns(ab_group(group), [col_b, col_a])
+
+
 def induced_on_ab(spec: EndoSpec) -> AbelianMap:
-    """Images of b-bar = (1,0) and a-bar = (0,1) on Z_{|n-m|} + Z."""
-    grp = ab_group(spec.group)
-    col_b = (exp_sum(spec.image_b, B), exp_sum(spec.image_b, A))
-    col_a = (exp_sum(spec.image_a, B), exp_sum(spec.image_a, A))
-    return AbelianMap.from_columns(grp, [col_b, col_a])
+    """Images of b-bar = (1,0) and a-bar = (0,1) on Z_{|n-m|} + Z, one
+    shared map per group and pair of columns."""
+    a_a, b_a, a_b, b_b = spec.exp_sums
+    return _ab_map(spec.group, (b_b, b_a), (a_b, a_a))
 
 
 def _injectivity_obstruction(group: GroupSpec, k: int) -> str | None:
@@ -127,13 +171,14 @@ def endo_validate(spec: EndoSpec) -> InducedData:
     """Check the relation image and compute every induced invariant.
 
     Raises RelationViolated, with the normal form of the relator image, when
-    the spec is no endomorphism.  Only the check is cached on the spec
-    (`EndoSpec._relator_checked`): each spec object applies the relator
-    once, and an invalid spec raises on every call.
+    the spec is no endomorphism.  The check, the exponent sums and the
+    kappa scale are cached on the spec, so each spec object applies the
+    relator once, and an invalid spec raises on every call; the
+    `InducedData` itself is built anew on each call.
     """
     spec._relator_checked  # raises RelationViolated on a non-endomorphism
-    k = exp_sum(spec.image_a, A)
-    kernel_preserved = exp_sum(spec.image_b, A) == 0
+    k, b_a = spec.exp_sums[:2]
+    kernel_preserved = b_a == 0
     if spec.group.m != spec.group.n and not kernel_preserved:
         # impossible for a valid spec: the torsion subgroup of the
         # abelianization is characteristic, so K maps into K
@@ -199,14 +244,10 @@ def kappa_scale(spec: EndoSpec) -> Fraction | None:
     holds at k), and it is d = kappa(phi(b)).  Returns None when no
     single scale fits (Incompatible); on a valid spec the relator forces
     kappa(phi(b)) (m (n/m)^k - n) = 0, so that happens only for specs that
-    fail validation.  Raises NotInKernel when |phi(b)|_a != 0.
+    fail validation.  Raises NotInKernel when |phi(b)|_a != 0.  Derived
+    once per spec (`EndoSpec._kappa_scale`).
     """
-    group = spec.group
-    d = kappa(spec.image_b, group)
-    k = exp_sum(spec.image_a, A)
-    if d == 0 or power_constraint(group.m, group.n, (k, k)):
-        return d
-    return None
+    return spec._kappa_scale
 
 
 def parse_endo_file(text: str) -> EndoSpec:

@@ -3,16 +3,24 @@
 Entries are arbitrary-precision Python integers, since the row operations
 overflow fixed-width ones.  The cokernel order and a left-kernel functional
 are read off the rank of one Smith normal form (`SNFResult`), and `snf`
-keeps the forms of the last `_SNFS_CACHED` distinct matrices: both values
-are immutable, so every caller of one matrix shares one elimination.
+keeps the forms of the last `_SNFS_CACHED` distinct matrices, keyed by the
+matrix: both values are immutable, so every caller of one matrix shares one
+elimination, and each read-out of a form is computed once, on first read.
 There is no determinant or matrix product: the library reads neither, and
 the tests take theirs from sympy.
+
+The public constructor checks every entry (`IntMatrix`, `from_rows`).
+Matrices whose entries are exact ints by construction skip that check
+through `_matrix`, as `words._word` does for words: the difference and the
+side-by-side stack of two `IntMatrix` values, and the three matrices of a
+Smith normal form, whose entries are sums and products of a checked
+matrix's.  No caller-supplied entry reaches `_matrix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from operator import index, sub
 
@@ -59,42 +67,55 @@ class IntMatrix:
         return self.entries[i][j]
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        if other.__class__ is not IntMatrix:
+            return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
-        return IntMatrix(tuple(
+        return _matrix(tuple(
             tuple(map(sub, ra, rb)) for ra, rb in zip(self.entries, other.entries)))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
+        if other.__class__ is not IntMatrix:
+            raise TypeError("hstack takes an IntMatrix")
         if self.rows != other.rows:
             raise ValueError("dimension mismatch")
-        return IntMatrix(tuple(ra + rb for ra, rb in zip(self.entries, other.entries)))
+        return _matrix(tuple(ra + rb for ra, rb in zip(self.entries, other.entries)))
+
+
+def _matrix(entries: tuple[tuple[int, ...], ...]) -> IntMatrix:
+    """The IntMatrix of rectangular rows of exact ints, built without
+    `IntMatrix`'s check: its callers pass rows that hold by construction."""
+    M = object.__new__(IntMatrix)
+    object.__setattr__(M, "entries", entries)
+    return M
 
 
 @dataclass(frozen=True)
 class SNFResult:
     """U M V = D with U, V unimodular, d1 | d2 | ... and every d_i >= 0;
-    the nonzero d_i come first, so their count is the rank r of M."""
+    the nonzero d_i come first, so their count is the rank r of M.  Each
+    read-out is computed on its first read and kept on the result."""
 
     D: IntMatrix
     U: IntMatrix
     V: IntMatrix
 
-    @property
+    @cached_property
     def diagonal(self) -> tuple[int, ...]:
         entries = self.D.entries
         return tuple(entries[i][i] for i in range(min(self.D.rows, self.D.cols)))
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return sum(map(bool, self.diagonal))
 
-    @property
+    @cached_property
     def coker_order(self) -> int | None:
         """Order of Z^rows / M Z^cols: the product of the diagonal when
         r = rows, else None (infinite cokernel)."""
         return prod(self.diagonal) if self.rank == self.D.rows else None
 
-    @property
+    @cached_property
     def left_kernel_functional(self) -> tuple[int, ...] | None:
         """Row r of U when r < rows, else None: row r of D is zero, so it
         kills M, and it is nonzero because U is unimodular."""
@@ -171,6 +192,6 @@ def snf(M: IntMatrix) -> SNFResult:
             m[t] = [-x for x in m[t]]
             u[t] = [-x for x in u[t]]
 
-    return SNFResult(IntMatrix(tuple(map(tuple, m))),
-                     IntMatrix(tuple(map(tuple, u))),
-                     IntMatrix(tuple(map(tuple, v))))
+    return SNFResult(_matrix(tuple(map(tuple, m))),
+                     _matrix(tuple(map(tuple, u))),
+                     _matrix(tuple(map(tuple, v))))

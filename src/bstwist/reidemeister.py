@@ -103,14 +103,15 @@ _WITNESS_TEXTS = {letter: ("1", letter) + tuple(
 # lam = |.|_x's scale_checks keys |phi(a)|_x, |phi(b)|_x, |psi(a)|_x, |psi(b)|_x
 _CHECK_KEYS = {x: tuple(f"|{tag}({gen})|_{x}" for tag in _TAGS for gen in (A, B))
                for x in (A, B)}
-# letter -> (invariant, target, lam, (lam(a), lam(b)), what a failed
-# attempt needs, and its text of one map x's |x(a)|_letter, |x(b)|_letter)
+# letter -> (invariant, target, lam, where |x(a)|_letter, |x(b)|_letter
+# start in `EndoSpec.exp_sums`, (lam(a), lam(b)), what a failed attempt
+# needs, and its text of one map x's |x(a)|_letter, |x(b)|_letter)
 _EXP_SUMS = {
-    A: (INV_A_SUM, "Z, the a-exponent quotient", lambda w: exp_sum(w, A),
+    A: (INV_A_SUM, "Z, the a-exponent quotient", lambda w: exp_sum(w, A), 0,
         (1, 0), "k = 1 and |x(b)|_a = 0",
         lambda tag, on_a, on_b: f"k of {tag} = {on_a}, |{tag}(b)|_a = {on_b}"),
     B: (INV_B_SUM, "Z, the b-exponent quotient (m = n)", lambda w: exp_sum(w, B),
-        (0, 1), "(|x(b)|_b, |x(a)|_b) = (1, 0)",
+        2, (0, 1), "(|x(b)|_b, |x(a)|_b) = (1, 0)",
         lambda tag, on_a, on_b: f"({on_b}, {on_a}) for {tag}"),
 }
 
@@ -118,12 +119,12 @@ _EXP_SUMS = {
 def _exp_sum(letter: str, group: GroupSpec, specs: list[EndoSpec]) -> str | tuple:
     """lam = |.|_letter, a homomorphism to Z on every B(m,n) for a and only
     when m = n for b (`words.exp_sum`).  A map x fixes lam exactly when
-    (|x(a)|_letter, |x(b)|_letter) = (lam(a), lam(b))."""
-    invariant, target, lam, fixed, needs, shown = _EXP_SUMS[letter]
+    (|x(a)|_letter, |x(b)|_letter) = (lam(a), lam(b)); the sums are read
+    from each spec's cached `exp_sums`."""
+    invariant, target, lam, at, fixed, needs, shown = _EXP_SUMS[letter]
     if letter == B and group.m != group.n:
         return f"{invariant}: only applies when m = n"
-    sums = [(exp_sum(s.image_a, letter), exp_sum(s.image_b, letter))
-            for s in specs]
+    sums = [s.exp_sums[at:at + 2] for s in specs]
     if all(pair == fixed for pair in sums):
         checks = dict(zip(_CHECK_KEYS[letter], chain.from_iterable(sums)))
         return target, checks, letter, lam
@@ -136,9 +137,10 @@ def _kappa(group: GroupSpec, specs: list[EndoSpec]) -> str | tuple:
     `homs.kappa_scale` of 1, which is kappa(phi(b)) = 1 with (n/m)^(k-1) = 1,
     proves kappa(phi(g_i)) = kappa(g_i) for every i.  On an endomorphism
     the scale is kappa(phi(b)): the relator forces kappa(phi(b))
-    (m (n/m)^k - n) = 0.  Both halves are recorded, as "1" each."""
-    ks = [exp_sum(s.image_a, A) for s in specs] + [1] * (2 - len(specs))
-    if any(exp_sum(s.image_b, A) for s in specs) or ks[0] == ks[1]:
+    (m (n/m)^k - n) = 0.  Both halves are recorded, as "1" each.  The
+    sums and the scale are read from each spec's caches."""
+    ks = [s.exp_sums[0] for s in specs] + [1] * (2 - len(specs))
+    if any(s.exp_sums[1] for s in specs) or ks[0] == ks[1]:
         return (f"{INV_KAPPA}: needs kernels preserved and k of phi != "
                 "k of psi (psi = id has k = 1) to pin twisting into K")
     scales = [kappa_scale(s) for s in specs]
@@ -156,9 +158,10 @@ def _kappa(group: GroupSpec, specs: list[EndoSpec]) -> str | tuple:
 
 # One rule per invariant lam, in the catalog's try order, read by both the
 # catalog and the checker; the two exponent sums are one rule.  rule(group,
-# specs) reads only the image words of endomorphisms [phi] or [phi, psi]
-# (an omitted psi is the identity) and returns the attempt text when they
-# do not fix lam, else (target, scale_checks, step letter, lam).
+# specs) reads only what the image words of endomorphisms [phi] or
+# [phi, psi] give, through each spec's cached sums and kappa scale (an
+# omitted psi is the identity), and returns the attempt text when they do
+# not fix lam, else (target, scale_checks, step letter, lam).
 _RULES = {INV_A_SUM: partial(_exp_sum, A), INV_B_SUM: partial(_exp_sum, B),
           INV_KAPPA: _kappa}
 
@@ -169,7 +172,8 @@ def _catalog(specs: list[EndoSpec]) -> ReidemeisterOutcome:
 
     Each map is checked to be an endomorphism first (its cached relator
     check raises RelationViolated), and no `InducedData` is built.  The
-    rules of `_RULES` then run in order on the image words: the one
+    rules of `_RULES` then run in order on the specs' cached exponent sums
+    and kappa scales (`homs.EndoSpec`): the one
     exponent-sum rule under two names, |.|_a when every map has k = 1 and
     preserves K, then |.|_b when m = n and every map fixes it; kappa when
     every map preserves K with scale 1 and k of phi != k of psi, which
@@ -249,10 +253,13 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
                       psi: EndoSpec | None = None) -> bool:
     """Independent soundness check of an emitted certificate.
 
+    The check runs on fresh copies of the specs, built from their group
+    and image words, so it reads none of the caches on the specs it is
+    given (`homs`): every exponent sum and kappa scale is derived again.
     Checks that each spec is an endomorphism of phi's group (trivial relator
-    image, reduced here by `britton_reduce`: the spec's cached relator check
-    is never read), then runs the rule that `_RULES` holds for the
-    certificate's invariant on the specs' image words, as the catalog does;
+    image, reduced here by `britton_reduce`), then runs the rule that
+    `_RULES` holds for the certificate's invariant on the copies, as the
+    catalog does;
     True iff that rule finds lam fixed, its identities equal the
     certificate's `scale_checks` key for key, its `target` is the
     certificate's, and the values of lam on two or more witnesses are the
@@ -268,7 +275,8 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
     `kappa_scale` of 1.
     """
     group = phi.group
-    specs = [phi] + ([psi] if psi is not None else [])
+    specs = [EndoSpec(spec.group, spec.image_a, spec.image_b)
+             for spec in (phi, psi) if spec is not None]
     for spec in specs:
         if spec.group != group or britton_reduce(
                 endo_apply(spec, relator(group)), group):

@@ -224,3 +224,46 @@ class TestReadOuts:
         assert fixed_functional(f, identity) == snf(stacked).left_kernel_functional
         assert snf(stacked) is snf(IntMatrix(stacked.entries))
         assert len(built) == 1
+
+
+def _fresh_answers(f, g):
+    """Test oracle: (count, functional) read off an uncached elimination of
+    the stacked matrix, built here entry by entry."""
+    orders = f.group.orders()
+    rows = [[orders[i] if i == j else 0 for j in range(len(orders))]
+            + [x - y for x, y in zip(g.matrix.entries[i], f.matrix.entries[i])]
+            for i in range(len(orders))]
+    result = snf.__wrapped__(IntMatrix.from_rows(rows))
+    return result.coker_order, result.left_kernel_functional
+
+
+class TestMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 12), st.lists(ENTRIES, min_size=8, max_size=8),
+           st.booleans())
+    def test_matches_a_fresh_elimination_cold_and_warm(self, d, entries, count_first):
+        group = AbelianGroup(torsion=(d,), rank=1)
+        f = AbelianMap(group, IntMatrix.from_rows([entries[0:2], entries[2:4]]))
+        g = AbelianMap(group, IntMatrix.from_rows([entries[4:6], entries[6:8]]))
+        abelian._stacked.cache_clear()
+        snf.cache_clear()
+        for _ in range(2):  # cold, then warm
+            for pair in ((f, g), (g, f)):
+                if count_first:
+                    got = twisted_class_count(*pair), fixed_functional(*pair)
+                else:
+                    got = tuple(reversed((fixed_functional(*pair),
+                                          twisted_class_count(*pair))))
+                assert got == _fresh_answers(*pair)
+
+    def test_one_stacked_matrix_per_pair(self):
+        abelian._stacked.cache_clear()
+        group = AbelianGroup(torsion=(4,), rank=1)
+        f = AbelianMap.from_columns(group, [(1, 0), (2, 1)])
+        twin = AbelianMap.from_columns(group, [(5, 0), (2, 1)])
+        identity = AbelianMap.identity(group)
+        twisted_class_count(f, identity)
+        fixed_functional(twin, identity)
+        assert abelian._stacked(f, identity) is abelian._stacked(twin, identity)
+        info = abelian._stacked.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 1, 1)

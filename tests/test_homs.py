@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix
 
-from bstwist import homs
-from bstwist.abelian import AbelianMap
+from bstwist import abelian, homs
+from bstwist.abelian import (
+    AbelianMap, fixed_functional, twisted_class_count,
+)
 from bstwist.errors import NotInKernel, RelationViolated, WrongFamily
 from bstwist.homs import (
     EndoSpec, InducedData, endo_apply, endo_compose, endo_validate,
@@ -198,6 +200,71 @@ class TestValidateOnce:
         outcome = certify_infinite(spec)
         assert outcome.kind == "infinite"
         assert not check_certificate(outcome.certificate, spec)
+
+    @pytest.mark.parametrize("cache,forged,invariant", [
+        ("exp_sums", (1, 0, 0, 1), "a-exponent-sum"),
+        ("_kappa_scale", Fraction(1), "kappa"),
+    ])
+    def test_checker_ignores_forged_sums_and_scale(self, cache, forged, invariant):
+        # a -> a^3, b -> 1 is an endomorphism of B(2,3) with sums
+        # (3, 0, 0, 0) and kappa scale 0, which no rule certifies; a forged
+        # cache makes the catalog certify it, and the checker, which works
+        # on fresh copies of the specs, refuses the certificate
+        spec = EndoSpec(GroupSpec(2, 3), parse_word("a^3"), Word())
+        assert certify_infinite(spec).kind == "unknown"
+        assert (spec.exp_sums, kappa_scale(spec)) == ((3, 0, 0, 0), 0)
+        vars(spec)[cache] = forged
+        outcome = certify_infinite(spec)
+        assert outcome.kind == "infinite"
+        assert outcome.certificate.invariant == invariant
+        assert not check_certificate(outcome.certificate, spec)
+        assert not check_certificate(outcome.certificate, identity_spec(spec.group), spec)
+        assert vars(spec)[cache] == forged
+
+    def test_sums_and_scale_are_derived_once_per_spec(self, monkeypatch):
+        derived = []
+
+        def counting_kappa(w, group):
+            derived.append(w)
+            return kappa(w, group)
+
+        monkeypatch.setattr(homs, "kappa", counting_kappa)
+        spec = EndoSpec(GroupSpec(2, 3), parse_word("b a b^-1"), parse_word("b^2"))
+        data = endo_validate(spec)
+        assert certify_infinite(spec).kind == "infinite"
+        assert endo_validate(spec) == data and kappa_scale(spec) == 2
+        assert spec.exp_sums == (1, 0, 0, 2) and len(derived) == 1
+        assert induced_on_ab(spec) is data.ab_map
+
+
+class TestAbelianTraffic:
+    @pytest.mark.parametrize("group,image_a,image_b", [
+        (GroupSpec(2, 3), "a", "b^2"), (GroupSpec(2, 2), "a^2", "b")])
+    def test_conjugates_share_one_map_and_one_stacked_matrix(
+            self, group, image_a, image_b):
+        # conjugation changes no exponent sum, so phi and iota_g o phi
+        # induce one map on the abelianization: one shared object, and
+        # every class count and functional after the first reads the
+        # stacked matrix of the first (counted, not timed)
+        phi = EndoSpec(group, parse_word(image_a), parse_word(image_b))
+        conjugators = ("a", "b", "a b", "b^-1 a^2", "a^-1 b a")
+        specs = [phi] + [endo_compose(inner_by(group, parse_word(g)), phi)
+                         for g in conjugators]
+        abelian._stacked.cache_clear()
+        maps = []
+        for spec in specs:
+            data = endo_validate(spec)
+            outcome = certify_infinite(spec)
+            if outcome.kind == "infinite":
+                assert check_certificate(outcome.certificate, spec)
+            identity = AbelianMap.identity(data.ab_map.group)
+            twisted_class_count(data.ab_map, identity)
+            fixed_functional(data.ab_map, identity)
+            maps.append(induced_on_ab(spec))
+            assert maps[-1] is data.ab_map
+        assert all(m is maps[0] for m in maps)
+        info = abelian._stacked.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * len(specs) - 1)
 
 
 class TestModelImages:
@@ -426,10 +493,12 @@ class TestEndoFiles:
         assert spec.image_b == parse_word("b^2")
 
     def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            parse_endo_file("group 1 2\na -> a\n")
-        with pytest.raises(ValueError):
-            parse_endo_file("group 1 2\na -> a\nc -> b\nb -> b")
+        # two lines, and four: the line-count check refuses both before any
+        # image line is read (`test_images_are_for_exactly_a_and_b` reaches
+        # the generator check)
+        for text in ("group 1 2\na -> a\n", "group 1 2\na -> a\nc -> b\nb -> b"):
+            with pytest.raises(ValueError, match="needs lines"):
+                parse_endo_file(text)
 
     @pytest.mark.parametrize("lines", ["a -> a\na -> b", "a -> a\nc -> b",
                                        "c -> a\nb -> b"])

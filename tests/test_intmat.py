@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
+from bstwist import intmat
 from bstwist.intmat import IntMatrix, snf
 
 
@@ -70,6 +71,40 @@ class TestIntMatrix:
             with pytest.raises(TypeError):
                 IntMatrix(((entry, 2),))
         assert type(IntMatrix.from_rows([[Int(1), 2]]).entries[0][0]) is int
+
+    def test_no_caller_data_reaches_the_trusted_constructor(self, monkeypatch):
+        # every matrix built through `_matrix` passes the public check
+        # (`test_ragged_rejected` and
+        # `test_entries_that_are_not_exact_ints_rejected` pin it), and a
+        # matrix-like value that is no IntMatrix is refused before it could
+        # feed its entries there
+        built = []
+
+        def checked(entries):
+            built.append(entries)
+            return IntMatrix(entries)  # raises on a non-int or ragged entry
+
+        monkeypatch.setattr(intmat, "_matrix", checked)
+        rng = random.Random(7)
+        for _ in range(50):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            a, b = (random_matrix(rng, rows, cols, 2 ** 70) for _ in range(2))
+            assert (a - b).hstack(a) == IntMatrix.from_rows(
+                [[x - y for x, y in zip(ra, rb)] + list(ra)
+                 for ra, rb in zip(a.entries, b.entries)])
+            snf.__wrapped__(a.hstack(b))
+        # one difference, two stacks, and D, U and V per round
+        assert len(built) == 50 * (3 + 3)
+
+        class Duck:
+            entries, rows, cols = ((1.5,),), 1, 1
+
+        one = IntMatrix.from_rows([[1]])
+        with pytest.raises(TypeError):
+            one - Duck()
+        with pytest.raises(TypeError):
+            one.hstack(Duck())
+        assert len(built) == 50 * (3 + 3)
 
 
 def _ref_snf(M):
@@ -324,6 +359,21 @@ class TestReadOuts:
         assert result.left_kernel_functional == _ref_left_kernel_functional(m)
         # exactly one of the two answers: the rank is full or it is not
         assert (result.coker_order is None) != (result.left_kernel_functional is None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    def test_each_read_out_is_computed_once(self, m):
+        # a fresh result keeps each read-out on its first read, and the
+        # second read returns the object of the first
+        result = snf.__wrapped__(m)
+        names = ("diagonal", "rank", "coker_order", "left_kernel_functional")
+        assert not set(names) & set(vars(result))
+        first = [getattr(result, name) for name in names]
+        assert set(names) <= set(vars(result))
+        assert [getattr(result, name) for name in names] == first
+        assert all(getattr(result, name) is value for name, value in zip(names, first))
+        assert result.coker_order == _ref_coker_order(m)
+        assert result.left_kernel_functional == _ref_left_kernel_functional(m)
 
     def test_rank(self):
         assert snf(IntMatrix.from_rows([[1, 2], [2, 4]])).rank == 1
