@@ -14,7 +14,10 @@ Matrices whose entries are exact ints by construction skip that check
 through `_matrix`, as `words._word` does for words: the difference and the
 side-by-side stack of two `IntMatrix` values, and the three matrices of a
 Smith normal form, whose entries are sums and products of a checked
-matrix's.  No caller-supplied entry reaches `_matrix`.
+matrix's.  No caller-supplied entry reaches `_matrix`.  The difference
+and the stack build their tuples from lists, not from `map` iterators, for
+the reason `words._word` gives: the iterator form leaves the cyclic
+collector's generation-0 count higher than it found it.
 """
 
 from __future__ import annotations
@@ -71,15 +74,15 @@ class IntMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
-        return _matrix(tuple(
-            tuple(map(sub, ra, rb)) for ra, rb in zip(self.entries, other.entries)))
+        return _matrix(tuple([tuple([*map(sub, ra, rb)])
+                              for ra, rb in zip(self.entries, other.entries)]))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if other.__class__ is not IntMatrix:
             raise TypeError("hstack takes an IntMatrix")
         if self.rows != other.rows:
             raise ValueError("dimension mismatch")
-        return _matrix(tuple(ra + rb for ra, rb in zip(self.entries, other.entries)))
+        return _matrix(tuple([ra + rb for ra, rb in zip(self.entries, other.entries)]))
 
 
 def _matrix(entries: tuple[tuple[int, ...], ...]) -> IntMatrix:

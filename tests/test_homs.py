@@ -1,6 +1,8 @@
 """Endomorphism validation, induced maps, and the kernel invariant."""
 
+import gc
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -265,6 +267,48 @@ class TestAbelianTraffic:
         assert all(m is maps[0] for m in maps)
         info = abelian._stacked.cache_info()
         assert (info.misses, info.hits) == (1, 2 * len(specs) - 1)
+
+    @pytest.mark.skipif(sys.implementation.name != "cpython"
+                        or sys.version_info[:2] != (3, 11),
+                        reason="counts CPython 3.11's collector allocations")
+    def test_certify_path_leaves_the_collector_count_flat(self):
+        # the cyclic collector runs when its generation-0 count passes a
+        # threshold; a certify of one map that raised it by a few each
+        # time (about 9 here while tuples were built from map iterators)
+        # sets off collections, and full ones, in proportion to the maps.
+        # With the collector off, 600 warm certifies must raise it by less
+        # than one each (counted, not timed)
+        texts = ["group 2 3\na -> b a b^-1\nb -> b a b^2 a^-1 b^-1",
+                 "group 2 2\na -> a^3 b\nb -> b^-1",
+                 "group 1 2\na -> a b\nb -> b"]
+        probe = "a b^-2 A b a^2"
+
+        def one_round():
+            for text in texts:
+                spec = parse_endo_file(text)
+                data = endo_validate(spec)
+                outcome = certify_infinite(spec)
+                if outcome.kind == "infinite":
+                    assert check_certificate(outcome.certificate, spec)
+                f = data.ab_map
+                g = AbelianMap.identity(f.group)
+                twisted_class_count(f, g)
+                fixed_functional(f, g)
+                f.group.presentation().hstack(g.matrix - f.matrix)
+                format_word(endo_apply(spec, parse_word(probe)))
+
+        for _ in range(3):
+            one_round()
+        gc.collect()
+        gc.disable()
+        try:
+            start = gc.get_count()[0]
+            for _ in range(200):
+                one_round()
+            grown = gc.get_count()[0] - start
+        finally:
+            gc.enable()
+        assert grown < 600
 
 
 class TestModelImages:
