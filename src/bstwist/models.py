@@ -73,20 +73,6 @@ class ModelFamily:
         return result
 
 
-def _steps(x0: int, step: int, width: int) -> tuple[int, int]:
-    """(lo, hi): the j with 0 <= x0 + j * step < width are lo..hi."""
-    if step < 0:
-        lo, hi = _steps(x0, -step, width)
-        return -hi, -lo
-    return -(x0 // step), (width - 1 - x0) // step
-
-
-def _clip(x0: int, step: int, y0: int, to_step: int, width: int) -> tuple[int, int]:
-    """[lo, hi): the j that keep x0 + j * step and y0 + j * to_step on 0..width-1."""
-    (lo, hi), (to_lo, to_hi) = _steps(x0, step, width), _steps(y0, to_step, width)
-    return max(lo, to_lo), min(hi, to_hi) + 1
-
-
 def slice_of(start: int, stop: int, step: int) -> slice:
     """The list slice of the indices start, start + step, ... short of
     stop; one that descends through index 0 stops at None, as a stop
@@ -110,18 +96,27 @@ class _Columns:
         """Send position x0 + j * step of `row` to y0 + j * to_step of
         `to_row` for each (row, to_row) in the batch `pairs` with to_row on
         the grid, and each j that keeps both on the axis.  The batch shares
-        one axis map, clipped once."""
-        lo, hi = _clip(x0, step, y0, to_step, self.width)
+        one axis map, clipped once: 0 <= x0 + j * step < width holds for j
+        from ceil(-x0 / step) to floor((width - 1 - x0) / step), ends
+        swapped when step < 0, and the j of both sides are lo..hi-1.  Each
+        side is the slice that `slice_of` gives, built inline."""
+        width = self.width
+        lo = max(-(x0 // step) if step > 0 else -((width - 1 - x0) // -step),
+                 -(y0 // to_step) if to_step > 0 else -((width - 1 - y0) // -to_step))
+        hi = min((width - 1 - x0) // step if step > 0 else x0 // -step,
+                 (width - 1 - y0) // to_step if to_step > 0 else y0 // -to_step) + 1
         if lo >= hi:
             return
-        width, rows, runs = self.width, self.rows, self.runs
+        rows, runs = self.rows, self.runs
         start, stop = x0 + lo * step, x0 + hi * step
         to_start, to_stop = y0 + lo * to_step, y0 + hi * to_step
         for row, to_row in pairs:
             if 0 <= to_row < rows:
                 base, to_base = row * width, to_row * width
-                runs.append((slice_of(base + start, base + stop, step),
-                             slice_of(to_base + to_start, to_base + to_stop, to_step)))
+                end, to_end = base + stop, to_base + to_stop
+                runs.append((slice(base + start, end if end >= 0 else None, step),
+                             slice(to_base + to_start, to_end if to_end >= 0 else None,
+                                   to_step)))
 
 
 # ---------------------------------------------------------------------------

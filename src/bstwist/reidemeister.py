@@ -222,7 +222,8 @@ def coincidence_certify(phi: EndoSpec, psi: EndoSpec) -> ReidemeisterOutcome:
     return _catalog([phi, psi])
 
 
-# _witness_family keeps this many families; the catalog emits two, x^j for
+# _witness_family keeps this many families, and _witness_cells this many
+# (group, box, family) entries; the catalog emits two families, x^j for
 # x = a and x = b
 _FAMILIES_CACHED = 64
 
@@ -235,7 +236,8 @@ def _witness_family(base: str, step: str, texts: tuple[str, ...]):
     freely reduced words (False too when base or step does not parse, or
     when there are fewer than two witnesses).  Parsing does not depend on
     the group, so one family is parsed and chained once for every group
-    and every map."""
+    and every map; `_witness_cells` places them in a box once per group
+    and box."""
     try:
         witnesses = tuple(parse_word(text) for text in texts)
     except WordSyntaxError:
@@ -247,6 +249,24 @@ def _witness_family(base: str, step: str, texts: tuple[str, ...]):
     # w_0 = base and w_j = w_(j-1) step give w_j = base step^j by induction
     return witnesses, len(witnesses) >= 2 and witnesses[0] == first and all(
         multiply(prev, factor) == w for prev, w in zip(witnesses, witnesses[1:]))
+
+
+@lru_cache(maxsize=_FAMILIES_CACHED)
+def _witness_cells(group: GroupSpec, bounds: tuple, base: str, step: str,
+                   texts: tuple[str, ...]):
+    """The box index of each witness of `_witness_family(base, step,
+    texts)` in the model of `group`, None for one outside the box, or None
+    for the whole family when a witness does not parse.  `bounds` is the
+    box as sorted (key, value) pairs, which `_check_bounds` has refused
+    unless they are the family's keys with int values (a bool would share
+    an int's entry).  The cells depend on the group, the box and the texts
+    only, not on the maps, so one family is embedded once per group and
+    box."""
+    witnesses, _ = _witness_family(base, step, texts)
+    if witnesses is None:
+        return None
+    family, box = model_family(group), dict(bounds)
+    return tuple(family.index_of(family.embed(w, group), box) for w in witnesses)
 
 
 def check_certificate(cert: Certificate, phi: EndoSpec,
@@ -363,7 +383,18 @@ def union_runs(size: int, width: int, runs) -> tuple[list, int]:
       the halves of a self-reverse run), with one of the two rows
       untouched, joins each element of the untouched side to a distinct
       class: one slice write of the other side's parents, and every edge
-      merges.
+      merges;
+    - a run inside one untouched row whose steps differ in size (a
+      contraction or an expansion of the row) points src at dst in one
+      slice write, parent[src] = dst, and merges every edge but a loop
+      src[j] = dst[j].  The run is x -> f(x), affine with slope
+      lam = dst.step / src.step and |lam| != 1, so f^i(x) = x for some
+      i >= 1 only at f's one fixed point, where i = 1.  The pointers
+      src -> dst therefore close no cycle but that loop: each element
+      points at most once (the src indices are distinct), so a cycle in
+      the edges would be a cycle of pointers.  On a row of singletons the
+      pointers are a forest whose roots are the elements in no src and the
+      fixed point, and each edge that is no loop joins two trees.
 
     A side with step s in a row of modulus c repeats its classes every
     |c| / gcd(|c|, |s|) edges, so a run whose two sides both repeat
@@ -402,13 +433,21 @@ def union_runs(size: int, width: int, runs) -> tuple[list, int]:
         if reverse:
             edges //= 2
             s, d = s[:edges], d[:edges]
-        if (r != to or reverse) and not (touched[r] and touched[to]):
-            fresh, other = (d, s) if touched[r] else (s, d)
-            parent[slice_of(fresh.start, fresh.stop, fresh.step)] = \
-                parent[slice_of(other.start, other.stop, other.step)]
-            merges += edges
-            touched[r] = touched[to] = 1
-            continue
+        if not (touched[r] and touched[to]):
+            if r != to or reverse:
+                fresh, other = (d, s) if touched[r] else (s, d)
+                parent[slice_of(fresh.start, fresh.stop, fresh.step)] = \
+                    parent[slice_of(other.start, other.stop, other.step)]
+                merges += edges
+                touched[r] = touched[to] = 1
+                continue
+            if abs(s.step) != abs(d.step):  # one untouched row, |lam| != 1
+                parent[src] = indices[dst]
+                # the loop src[j] = dst[j] is at j = (d0 - s0) / (s.step - d.step)
+                at, off = divmod(d.start - s.start, s.step - d.step)
+                merges += edges - (not off and 0 <= at < edges)
+                touched[r] = 1
+                continue
         cr, cto = modulus.get(r), modulus.get(to)
         if cr and cto:
             edges = min(edges, lcm(cr // gcd(cr, s.step), cto // gcd(cto, d.step)))
@@ -427,7 +466,10 @@ def union_runs(size: int, width: int, runs) -> tuple[list, int]:
 
 
 def _is_int_at_least(value, low: int) -> bool:
-    """value is an integer (`operator.index` takes it) of at least low."""
+    """value is an integer (`operator.index` takes it) of at least low, and
+    no bool: True would run as 1 and key a cache as 1 does."""
+    if isinstance(value, bool):
+        return False
     try:
         return index(value) >= low
     except TypeError:
@@ -506,7 +548,7 @@ def _stable_roots(parent: list, runs: list, inner_margin: int) -> set:
     byte per element.  A step that keeps the whole region is a fixpoint:
     every later step keeps it too, so the erosion stops there.  The roots
     are the finds of the distinct parents in the region, since
-    find(parent[x]) = find(x).
+    find(parent[x]) = find(x); the find is inlined, as in `union_runs`.
     """
     size = len(parent)
     inner = b"\x01" * size
@@ -521,7 +563,12 @@ def _stable_roots(parent: list, runs: list, inner_margin: int) -> set:
         if kept == region:
             break
         inner = kept.to_bytes(size, "little")
-    return {_root(parent, x) for x in set(compress(parent, inner))}
+    roots = set()
+    for x in set(compress(parent, inner)):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        roots.add(x)
+    return roots
 
 
 def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
@@ -574,7 +621,9 @@ def witnesses_stay_separated(cert: Certificate, phi: EndoSpec,
     when a witness does not parse.  Only the parsed witnesses of
     `_witness_family` are read: whether base and step parse, and whether
     the witnesses are their family, is the checker's question, not this
-    one's.  Raises GroupMismatch when psi lives on another group than phi,
+    one's.  Their box indices come from `_witness_cells`, cached per group,
+    box and family, so a call embeds no witness and only merges the box.
+    Raises GroupMismatch when psi lives on another group than phi,
     ValueError on bounds that are not the family's positive box, and
     RelationViolated when phi or psi is no endomorphism.
     """
@@ -583,13 +632,11 @@ def witnesses_stay_separated(cert: Certificate, phi: EndoSpec,
         family, bounds = _box_inputs(group, phi, psi, bounds, "witness_bounds")
     except WrongFamily:
         return True
-    witnesses, _ = _witness_family(
-        cert.witness_base, cert.witness_step, tuple(cert.first_witnesses))
-    if witnesses is None:
+    cells = _witness_cells(group, tuple(sorted(bounds.items())), cert.witness_base,
+                           cert.witness_step, tuple(cert.first_witnesses))
+    if cells is None:
         return False
     parent, _, _ = _merge_box(family, group, phi, psi, bounds)
     # a witness outside the box is no merge evidence either way
-    indices = [family.index_of(family.embed(witness, group), bounds)
-               for witness in witnesses]
-    roots = [_root(parent, at) for at in indices if at is not None]
+    roots = [_root(parent, at) for at in cells if at is not None]
     return len(roots) == len(set(roots))

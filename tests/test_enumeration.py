@@ -38,7 +38,9 @@ from bstwist.reidemeister import (
     _stable_roots, certify_infinite, check_certificate, coincidence_certify,
     enumerate_classes_ball, union_runs, witnesses_stay_separated,
 )
-from bstwist.words import A, B, GroupSpec, invert, multiply, parse_word, word
+from bstwist.words import (
+    A, B, GroupSpec, format_word, invert, multiply, parse_word, word,
+)
 
 from test_homs import identity_spec
 
@@ -643,7 +645,7 @@ def box_runs(draw, rows=st.integers(1, 4), width=st.integers(2, 9)):
     size, runs = rows * width, []
     steps = st.sampled_from((1, -1, 2))
     for kind in draw(st.lists(st.sampled_from(
-            ("whole", "partial", "reflect", "cross")), max_size=8)):
+            ("whole", "partial", "reflect", "cross", "scale")), max_size=8)):
         lo = draw(st.integers(0, rows - 1)) * width
         c = draw(st.integers(1, width - 1)) * draw(st.sampled_from((1, -1)))
         if kind == "whole":
@@ -662,6 +664,12 @@ def box_runs(draw, rows=st.integers(1, 4), width=st.integers(2, 9)):
             grid.run(((lo // width, draw(st.integers(0, rows - 1))),),
                      draw(st.integers(0, width - 1)), draw(steps),
                      draw(st.integers(0, width - 1)), draw(steps))
+            runs += grid.runs
+        elif kind == "scale":  # the row onto itself, steps of two sizes
+            step, to_step = draw(st.sampled_from(((2, 1), (2, -1), (1, 2), (-1, 3))))
+            grid = _Columns(rows, width)
+            grid.run(((lo // width, lo // width),), draw(st.integers(0, width - 1)), step,
+                     draw(st.integers(0, width - 1)), to_step)
             runs += grid.runs
     return runs, size, width
 
@@ -689,6 +697,20 @@ def box_runs(draw, rows=st.integers(1, 4), width=st.integers(2, 9)):
                (slice(10, 14), slice(13, 9, -1))], 15, 5))
 @example(box=([(slice(5, 6), slice(7, 8)), (slice(5, 10), slice(9, 4, -1)),
                (slice(0, 2), slice(3, 5)), (slice(0, 4), slice(3, None, -1))], 15, 5))
+# contractions of an untouched row, steps 2 onto 1 and 2 onto -1, with the
+# fixed point on the run (also with a side descending through index 0) and
+# off it; a later run on the touched row merges edge by edge
+@example(box=([(slice(7, 12, 2), slice(8, 11))], 21, 7))
+@example(box=([(slice(8, 13, 2), slice(7, 10)), (slice(7, 11), slice(11, 7, -1))], 21, 7))
+@example(box=([(slice(7, 14, 2), slice(13, 9, -1)), (slice(0, 7, 2), slice(3, None, -1))],
+              21, 7))
+@example(box=([(slice(8, 13, 2), slice(13, 10, -1)), (slice(0, 5, 2), slice(2, None, -1))],
+              21, 7))
+# expansions, step 1 onto 2, with the fixed point on the run and off it
+@example(box=([(slice(7, 11), slice(7, 14, 2)), (slice(0, 3), slice(1, 6, 2))], 21, 7))
+# a partial reflection (slope -1, not self-reverse) of an untouched row
+# joins (8, 10) twice, so it stays edge by edge
+@example(box=([(slice(7, 11), slice(11, 7, -1))], 21, 7))
 def test_runs_merge_as_their_edges(box):
     # closed-form rows, untouched-row copies, halved self-reverse runs,
     # one-period runs and every other run give the partition and the merge
@@ -729,6 +751,19 @@ def test_a_row_translation_from_its_row_start_takes_the_closed_form():
     for run, c in (((slice(5, 8, 1), slice(7, 10, 1)), 2), (_translation(5, 5, -3), 3)):
         parent, merges = union_runs(15, 5, [run])
         assert parent[5:10] == [5 + x % c for x in range(5)] and merges == 5 - c
+
+
+def test_a_row_contraction_takes_the_closed_form():
+    # one slice write points each src element at its dst element, and
+    # every edge but the loop at the fixed point merges
+    cells = list(range(21))
+    for src, dst, loops in ((slice(7, 14, 2), slice(13, 9, -1), 1),
+                            (slice(8, 13, 2), slice(7, 10), 0),
+                            (slice(0, 7, 2), slice(3, None, -1), 1),
+                            (slice(7, 10), slice(8, 14, 2), 0)):
+        parent, merges = union_runs(21, 7, [(src, dst)])
+        assert parent[src] == cells[dst] and merges == len(cells[src]) - loops
+        assert (parent, merges) == union_runs(21, 7, [(src, dst)])  # a fresh box
 
 
 @settings(max_examples=100, deadline=None)
@@ -880,6 +915,74 @@ def test_mismatched_groups_and_negative_margin_are_refused():
     with pytest.raises(ValueError):
         enumerate_classes_ball(affine, valid_map(affine, 1, 0, 1, word([])),
                                bounds={"k": 2, "t": 4, "e": -1})
+
+
+def test_bool_bounds_and_margins_are_refused():
+    # operator.index takes True as 1, so a bool bound or margin would run
+    # as 1 (and key the witness cells as 1 does); numpy ints are integers
+    klein = GroupSpec(1, -1)
+    phi = valid_map(klein, 3, 0, 2, word([]))
+    cert = certify_infinite(identity_spec(klein)).certificate
+    for bounds in ({"u": 20, "v": True}, {"u": False, "v": 3}):
+        for call in (lambda: enumerate_classes_ball(klein, phi, bounds=bounds),
+                     lambda: witnesses_stay_separated(cert, phi, bounds=bounds)):
+            with pytest.raises(ValueError):
+                call()
+    for margin in (True, False):
+        with pytest.raises(ValueError):
+            enumerate_classes_ball(klein, phi, bounds={"u": 20, "v": 3},
+                                   inner_margin=margin)
+    np = pytest.importorskip("numpy")
+    bounds = {"u": np.int64(20), "v": np.int64(3)}
+    assert enumerate_classes_ball(klein, phi, bounds=bounds, inner_margin=np.int64(1)) == \
+        enumerate_classes_ball(klein, phi, bounds={"u": 20, "v": 3}, inner_margin=1)
+    assert witnesses_stay_separated(cert, phi, bounds=bounds) == \
+        witnesses_stay_separated(cert, phi, bounds={"u": 20, "v": 3})
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(CASES), family=st.lists(short_words, min_size=1, max_size=4))
+@example(case=CASES[4], family=[parse_word(text) for text in reidemeister._WITNESS_TEXTS[B]])
+def test_witness_cells_are_fresh_box_indices(case, family):
+    # over Klein, affine (with and without e) and permuted boxes, each
+    # cell, cold and then cached, is the box index of a fresh embedding
+    group, bounds = case.group, case.bounds
+    model = model_family(group)
+    texts = tuple(format_word(w) for w in family)
+    want = tuple(model.index_of(model.embed(w, group), bounds) for w in family)
+    key = (group, tuple(sorted(bounds.items())), "1", A, texts)
+    reidemeister._witness_cells.cache_clear()
+    assert reidemeister._witness_cells(*key) == want
+    assert reidemeister._witness_cells(*key) == want
+
+
+def test_witness_cells_are_kept_per_group():
+    # b^j sits at p = j |n|^e, so one family and one box place differently
+    # on B(1,2) and B(1,3); each group's verdict is the model enumerator's
+    texts, box = reidemeister._WITNESS_TEXTS[B], {"k": 2, "t": 10, "e": 1}
+    reidemeister._witness_cells.cache_clear()
+    for _ in range(2):
+        cells = [reidemeister._witness_cells(GroupSpec(1, n), tuple(sorted(box.items())),
+                                             "1", B, texts) for n in (2, 3)]
+        assert cells[0] != cells[1]
+        assert reidemeister._witness_cells.cache_info().currsize == 2
+    for n in (2, 3):
+        phi = identity_spec(GroupSpec(1, n))
+        cert = replace(certify_infinite(phi).certificate, witness_step=B,
+                       first_witnesses=texts)
+        assert witnesses_stay_separated(cert, phi, bounds=box) == \
+            reference_separated(cert, phi, None, box)
+
+
+def test_an_unparsable_family_is_not_separated():
+    # cold and cached; the box is checked first, as before the cells
+    klein = GroupSpec(1, -1)
+    phi = identity_spec(klein)
+    cert = Certificate(INV_A_SUM, "Z", {}, "1", "a", ("1", "a", "a^"), ("0", "1", "2"))
+    for _ in range(2):
+        assert not witnesses_stay_separated(cert, phi, bounds={"u": 8, "v": 4})
+    with pytest.raises(ValueError):
+        witnesses_stay_separated(cert, phi, bounds={"u": 8})
 
 
 # ---------------------------------------------------------------------------

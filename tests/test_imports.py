@@ -176,7 +176,8 @@ def test_every_cache_is_bounded():
     caches = dict(_functools_caches())
     assert {"words.relator", "abelian.AbelianGroup.presentation",
             "abelian.AbelianMap.identity", "abelian._stacked", "intmat.snf",
-            "homs._ab_map", "reidemeister._witness_family"} <= set(caches)
+            "homs._ab_map", "reidemeister._witness_family",
+            "reidemeister._witness_cells"} <= set(caches)
     unbounded = sorted(name for name, cache in caches.items()
                        if cache.cache_info().maxsize is None)
     assert unbounded == []
