@@ -21,9 +21,10 @@ memo by repeat as values and as objects.
 
 The certificate checker must not trust what the catalog computed, so it
 reads none of these caches: it runs on fresh copies of the specs, built
-from their group and image words, which derive every sum, scale and
-relator image again.  A cache forged on the catalog's spec then changes
-what the catalog claims, never what the checker accepts.  Valid maps induce
+from their group and image words.  Each copy runs its own relator check,
+the one `_relator_checked` above, and derives every sum and scale again.
+A cache forged on the catalog's spec then changes what the catalog
+claims, never what the checker accepts.  Valid maps induce
 multiplication by k = |phi(a)|_a on the quotient Z = B(m,n)/K and a map
 on the abelianization Z_{|n-m|} + Z.  On the kernel
 K = ker|.|_a, generated by g_i = a^-i b a^i with relations

@@ -13,19 +13,17 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-from itertools import chain, compress
+from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm
 from operator import index
 
 from .errors import (
-    BoxTooSmall, GroupMismatch, NotInKernel, UnsupportedGroup, WordSyntaxError,
-    WrongFamily,
+    BoxTooSmall, GroupMismatch, NotInKernel, RelationViolated, UnsupportedGroup,
+    WordSyntaxError, WrongFamily,
 )
-from .homs import EndoSpec, endo_apply, kappa, kappa_scale
+from .homs import EndoSpec, kappa, kappa_scale
 from .models import ModelFamily, model_family, slice_of
-from .words import (
-    A, B, GroupSpec, britton_reduce, exp_sum, multiply, parse_word, relator, word,
-)
+from .words import A, B, GroupSpec, exp_sum, multiply, parse_word, word
 from .words import power_constraint  # noqa: F401 (perfbench binds it here)
 
 INV_A_SUM = "a-exponent-sum"
@@ -275,53 +273,48 @@ def check_certificate(cert: Certificate, phi: EndoSpec,
 
     The check runs on fresh copies of the specs, built from their group
     and image words, so it reads none of the caches on the specs it is
-    given (`homs`): every exponent sum and kappa scale is derived again.
-    Checks that each spec is an endomorphism of phi's group (trivial relator
-    image, reduced here by `britton_reduce`), then runs the rule that
-    `_RULES` holds for the certificate's invariant on the copies, as the
-    catalog does;
-    True iff that rule finds lam fixed, its identities equal the
-    certificate's `scale_checks` key for key, its `target` is the
-    certificate's, and the values of lam on two or more witnesses are the
-    stated ones and pairwise distinct.  An invariant with no rule refutes
-    the certificate.  The witnesses must be the family they name
-    (`_witness_family`, which parses and chains each family once): the j-th
-    is base * step^j as a freely reduced word, so lam(base) !=
-    lam(base * step) proves lam(step) != 0 and the whole family
-    base * step^j pairwise distinct.  A base, step or witness that does not
-    parse, or a witness outside lam's domain (off K, for kappa), refutes
-    the certificate.  An omitted psi is the identity.  For kappa,
-    kappa(phi(g_i)) = kappa(g_i) is checked for every i through a
-    `kappa_scale` of 1.
+    given (`homs`): each copy runs its own relator check
+    (`EndoSpec._relator_checked`), and every exponent sum and kappa scale
+    is derived again.  Then the rule that `_RULES` holds for the
+    certificate's invariant runs on the copies, as in the catalog, and
+    must find lam fixed with the certificate's `scale_checks` and `target`.
+
+    The witnesses must be the family they name (`_witness_family`): the
+    j-th is w_j = base * step^j as a freely reduced word.  Every rule's
+    lam is a homomorphism on a subgroup H (G for the exponent sums, K for
+    kappa), so lam is affine along the family: w_0, w_1 in H puts step,
+    and so every w_j, in H, and lam(w_j) = lam(w_0) + j (lam(w_1) -
+    lam(w_0)).  Two evaluations therefore decide the stated values, and a
+    nonzero difference makes the whole family pairwise distinct.  A map
+    that is no endomorphism of phi's group, an invariant with no rule, a
+    family that does not parse or chain, and w_0 or w_1 outside H (off K,
+    for kappa) each refute the certificate.  An omitted psi is the
+    identity.
     """
     group = phi.group
     specs = [EndoSpec(spec.group, spec.image_a, spec.image_b)
              for spec in (phi, psi) if spec is not None]
-    for spec in specs:
-        if spec.group != group or britton_reduce(
-                endo_apply(spec, relator(group)), group):
-            return False
     witnesses, chained = _witness_family(
         cert.witness_base, cert.witness_step, tuple(cert.first_witnesses))
-    if not chained:
-        return False
-
     rule = _RULES.get(cert.invariant)
-    if rule is None:
-        return False
-    found = rule(group, specs)
-    if isinstance(found, str):
-        return False
-    target, checks, _, lam = found
-    if cert.scale_checks != checks or cert.target != target:
+    if not chained or rule is None or any(s.group != group for s in specs):
         return False
     try:
-        values = [lam(w) for w in witnesses]
-    except NotInKernel:
+        for spec in specs:
+            spec._relator_checked
+        found = rule(group, specs)
+        if isinstance(found, str):
+            return False
+        target, checks, _, lam = found
+        first = lam(witnesses[0])
+        step = lam(witnesses[1]) - first
+    except (RelationViolated, NotInKernel):
         return False
-    if [str(v) for v in values] != list(cert.values):
-        return False
-    return len(set(values)) == len(values)
+    # lam(w_j) = first + j step, one addition per witness: on a kappa
+    # Fraction that costs half of a product and a sum
+    return (cert.scale_checks == checks and cert.target == target and step != 0
+            and list(cert.values) == [str(value) for value in accumulate(
+                repeat(step, len(witnesses) - 1), initial=first)])
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +487,10 @@ def _box_inputs(group: GroupSpec, phi: EndoSpec, psi: EndoSpec | None,
     on `group` (GroupMismatch), a model family (WrongFamily), bounds (the
     family's `default` bounds when None) that are the family's box, and
     phi and a given psi endomorphisms (RelationViolated, from each spec's
-    cached relator check; no `InducedData` is built).  An omitted psi is
-    the identity: it has the images a and b and no spec, so nothing is
-    built or checked for it."""
+    cached relator check; no `InducedData` is built).  The bounds come
+    back as a new dict of plain ints, so an integer type such as numpy's
+    reaches no report.  An omitted psi is the identity: it has the images
+    a and b and no spec, so nothing is built or checked for it."""
     for tag, spec in (("phi", phi), ("psi", psi)):
         if spec is not None and spec.group != group:
             raise GroupMismatch(f"{tag} is on {spec.group}, enumeration on {group}")
@@ -507,7 +501,7 @@ def _box_inputs(group: GroupSpec, phi: EndoSpec, psi: EndoSpec | None,
     phi._relator_checked
     if psi is not None:
         psi._relator_checked
-    return family, bounds
+    return family, {key: index(value) for key, value in bounds.items()}
 
 
 def _merge_box(family: ModelFamily, group: GroupSpec, phi: EndoSpec,
@@ -603,7 +597,7 @@ def enumerate_classes_ball(group: GroupSpec, phi: EndoSpec,
     total = len(parent)
     return BallReport(
         family=family.name,
-        bounds=dict(bounds),
+        bounds=bounds,
         total_elements=total,
         merges_applied=merges,
         stable_classes=len(roots),

@@ -936,6 +936,14 @@ def test_bool_bounds_and_margins_are_refused():
     bounds = {"u": np.int64(20), "v": np.int64(3)}
     assert enumerate_classes_ball(klein, phi, bounds=bounds, inner_margin=np.int64(1)) == \
         enumerate_classes_ball(klein, phi, bounds={"u": 20, "v": 3}, inner_margin=1)
+    # the report holds plain ints, so it serializes as the plain-int one does
+    report = enumerate_classes_ball(klein, phi, bounds=bounds, inner_margin=1).as_dict()
+    plain = enumerate_classes_ball(klein, phi, bounds={"u": 20, "v": 3},
+                                   inner_margin=1).as_dict()
+    assert json.dumps(report) == json.dumps(plain)
+    ints = [*report["bounds"].values(),
+            *(v for key, v in report.items() if key not in ("family", "bounds"))]
+    assert len(ints) == 6 and all(type(v) is int for v in ints)
     assert witnesses_stay_separated(cert, phi, bounds=bounds) == \
         witnesses_stay_separated(cert, phi, bounds={"u": 20, "v": 3})
 

@@ -194,7 +194,8 @@ class TestValidateOnce:
         # a -> a, b -> b a b a^-1 fixes both a-exponent sums of the a-sum
         # certificate but is no endomorphism of B(2,3); with a passed
         # relator check forged into its cache the catalog certifies it, and
-        # only the checker's own relator check refuses the certificate
+        # the relator check of the checker's fresh copy refuses the
+        # certificate
         spec = EndoSpec(GroupSpec(2, 3), parse_word("a"), parse_word("b a b a^-1"))
         with pytest.raises(RelationViolated):
             endo_validate(spec)

@@ -2,22 +2,26 @@
 
 import json
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bstwist import reidemeister
 from bstwist.errors import (
     BoxTooSmall, GroupMismatch, NotInKernel, RelationViolated,
-    UnsupportedGroup,
+    UnsupportedGroup, WordSyntaxError,
 )
-from bstwist.homs import EndoSpec, inner_by, kappa
+from bstwist.homs import EndoSpec, endo_apply, inner_by, kappa
 from bstwist.reidemeister import (
     INV_A_SUM, INV_B_SUM, INV_KAPPA, Certificate, certify_infinite,
     check_certificate, coincidence_certify, enumerate_classes_ball,
     power_constraint, witnesses_stay_separated,
 )
-from bstwist.words import GroupSpec, format_word, parse_word
+from bstwist.words import (
+    A, GroupSpec, britton_reduce, format_word, multiply, parse_word, relator, word,
+)
 
 from test_homs import identity_spec
 
@@ -277,6 +281,176 @@ class TestCheckCertificate:
         assert witnesses_stay_separated(rebuilt, spec)
         assert not check_certificate(
             replace(rebuilt, first_witnesses=["1", "a", "a^3"]), spec)
+
+
+# ---------------------------------------------------------------------------
+# The two-point checker against the per-witness loop
+
+
+def per_witness_check(cert, phi, psi=None):
+    """Test-local oracle: the checker in its per-witness form, with its
+    own relator test and lam evaluated on every witness of a family that
+    it parses and chains itself."""
+    group = phi.group
+    specs = [EndoSpec(spec.group, spec.image_a, spec.image_b)
+             for spec in (phi, psi) if spec is not None]
+    for spec in specs:
+        if spec.group != group or britton_reduce(
+                endo_apply(spec, relator(group)), group):
+            return False
+    try:
+        witnesses = [parse_word(text) for text in cert.first_witnesses]
+        first, factor = parse_word(cert.witness_base), parse_word(cert.witness_step)
+    except WordSyntaxError:
+        return False
+    if len(witnesses) < 2 or witnesses[0] != first or any(
+            multiply(prev, factor) != w for prev, w in zip(witnesses, witnesses[1:])):
+        return False
+    rule = reidemeister._RULES.get(cert.invariant)
+    if rule is None:
+        return False
+    found = rule(group, specs)
+    if isinstance(found, str):
+        return False
+    target, checks, _, lam = found
+    if cert.scale_checks != checks or cert.target != target:
+        return False
+    try:
+        values = [lam(w) for w in witnesses]
+    except NotInKernel:
+        return False
+    if [str(v) for v in values] != list(cert.values):
+        return False
+    return len(set(values)) == len(values)
+
+
+# (single maps or pairs) that the catalog certifies: every invariant, on
+# Klein, B(1,n), B(m,+-m) and B(2,3)
+EQUIVALENCE_CASES = [
+    (identity_spec(GroupSpec(1, -1)),),
+    (endo(1, -1, "a^-1", "b"),),
+    (endo(1, -1, "a^3", "b"), endo(1, -1, "a", "b")),
+    (endo(1, 2, "a", "b^2"),),
+    (endo(1, 3, "a b", "b"), endo(1, 3, "a", "b^2")),
+    (endo(1, -2, "a", "b^3"),),
+    (endo(2, 2, "a^2", "b"),),
+    (endo(2, 2, "a^2", "b"), endo(2, 2, "a^-1", "b")),
+    (endo(3, 3, "a^-1", "b"),),
+    (endo(2, -2, "a^3", "b"),),
+    (endo(2, -2, "a^3", "b"), endo(2, -2, "a", "b")),
+    (endo(3, -3, "a^-1", "b"),),
+    (endo(2, 3, "a", "b^2"),),
+    (inner_by(GroupSpec(2, 3), parse_word("a b")),),
+    (endo(2, 3, "a", "b^2"), endo(2, 3, "a b", "b^2")),
+]
+
+
+def _text(syllables, into_k):
+    """The text of syllables, closed into K by a last power of a when
+    into_k."""
+    if into_k:
+        syllables = syllables + [("a", -sum(e for x, e in syllables if x == "a"))]
+    return " ".join(f"{x}^{e}" for x, e in syllables if e) or "1"
+
+
+_short_texts = st.builds(
+    _text, st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from((-2, -1, 1, 2))),
+                    max_size=3),
+    st.booleans())
+
+
+def _family(base, step, count):
+    """The texts of base * step^j, j < count, as freely reduced words."""
+    texts, w, factor = [], parse_word(base), parse_word(step)
+    for _ in range(count):
+        texts.append(format_word(w))
+        w = multiply(w, factor)
+    return tuple(texts)
+
+
+def _refamily(cert, lam, base, step, count):
+    """cert with the family base * step^j, j < count, and the values lam
+    takes on it, or the stated ones where lam is undefined (off K)."""
+    texts = _family(base, step, count)
+    try:
+        values = tuple(str(lam(parse_word(text))) for text in texts)
+    except NotInKernel:
+        values = cert.values
+    return replace(cert, witness_base=base, witness_step=step,
+                   first_witnesses=texts, values=values)
+
+
+def _respell(text, pair):
+    """x x^-1 text for the pair "x x^-1": the word of text, spelled
+    otherwise."""
+    cancelled = pair if text == "1" else f"{pair} {text}"
+    assert parse_word(cancelled) == parse_word(text)
+    return cancelled
+
+
+def _mutate(name, cert, specs, lam, draw):
+    """(certificate, specs) after one named change; the comment gives the
+    answer both checkers must agree on, where it does not depend on the
+    case."""
+    count = len(cert.first_witnesses)
+    if name == "as emitted":  # accepted
+        return cert, specs
+    if name == "tampered at j >= 2":  # refused
+        j = draw(st.integers(2, count - 1))
+        shift = draw(st.sampled_from((-2, -1, 1, 2)))
+        values = list(cert.values)
+        values[j] = str(Fraction(values[j]) + shift)
+        return replace(cert, values=tuple(values)), specs
+    if name == "base off K":  # refused for kappa
+        return _refamily(cert, lam, "a", cert.witness_step, count), specs
+    if name == "step off K":  # refused for kappa
+        return _refamily(cert, lam, "1", f"a {cert.witness_step}", count), specs
+    if name == "step 1":  # refused: equal values
+        return _refamily(cert, lam, cert.witness_base, "1", count), specs
+    if name == "respelled":  # accepted
+        return replace(cert, witness_base=_respell(cert.witness_base, "a a^-1"),
+                       witness_step=_respell(cert.witness_step, "b^-1 b"),
+                       first_witnesses=tuple(_respell(text, "a^-2 a^2")
+                                             for text in cert.first_witnesses)), specs
+    if name == "any family":
+        return _refamily(cert, lam, draw(_short_texts), draw(_short_texts),
+                         draw(st.integers(2, count))), specs
+    if name == "two witnesses":  # accepted
+        return replace(cert, first_witnesses=cert.first_witnesses[:2],
+                       values=cert.values[:2]), specs
+    if name == "not an endomorphism":  # refused
+        phi = specs[0]
+        bad = EndoSpec(phi.group, phi.image_a, multiply(phi.image_b, word([(A, 1)])))
+        return cert, (bad,) + specs[1:]
+    assert name == "psi on another group"  # refused
+    phi = specs[0]
+    other = GroupSpec(phi.group.m + 1, phi.group.n)
+    return cert, (phi, EndoSpec(other, phi.image_a, phi.image_b))
+
+
+EXPECTED = {"as emitted": True, "respelled": True, "two witnesses": True,
+            "tampered at j >= 2": False, "step 1": False,
+            "not an endomorphism": False, "psi on another group": False}
+MUTATIONS = sorted(EXPECTED) + ["base off K", "step off K", "any family"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(EQUIVALENCE_CASES), name=st.sampled_from(MUTATIONS),
+       data=st.data())
+def test_two_point_check_agrees_with_the_per_witness_loop(case, name, data):
+    # lam is a homomorphism on its domain and the family is base * step^j,
+    # so lam at w_0 and w_1 decides every value: both checkers give one
+    # answer on every catalog certificate and every change to it
+    outcome = (coincidence_certify if len(case) == 2 else certify_infinite)(*case)
+    cert = outcome.certificate
+    lam = reidemeister._RULES[cert.invariant](case[0].group, list(case))[3]
+    mutated, specs = _mutate(name, cert, case, lam, data.draw)
+    accepted = check_certificate(mutated, *specs)
+    assert accepted == per_witness_check(mutated, *specs)
+    if name in EXPECTED:
+        assert accepted == EXPECTED[name]
+    elif name != "any family" and cert.invariant == INV_KAPPA:
+        assert not accepted
 
 
 def _count_parses(monkeypatch):
